@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import CharacterConstructionError
 
+# Window lookups slice a tiling of whole periods; a block of at least this
+# many values keeps np.tile to a few large copies even for tiny moduli.
+PERIOD_BLOCK_MIN = 4096
+
 
 def kronecker_symbol(d: int, n: int) -> int:
     """Kronecker symbol (d|n) for n >= 0, by the standard recursion.
@@ -66,6 +70,10 @@ class RealCharacter:
 
     def __post_init__(self) -> None:
         self.period_values.setflags(write=False)
+        reps = -(-PERIOD_BLOCK_MIN // self.modulus)
+        block = np.tile(self.period_values, reps)
+        block.setflags(write=False)
+        object.__setattr__(self, "_period_block", block)
 
     @property
     def label(self) -> str:
@@ -75,8 +83,11 @@ class RealCharacter:
         return int(self.period_values[n % self.modulus])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi + 1, dtype=np.int64) % self.modulus
-        return self.period_values[idx]
+        """chi(lo..hi) as a fresh writable array, tiled from phase lo % q."""
+        block = self._period_block
+        start = lo % self.modulus
+        stop = start + max(hi - lo + 1, 0)
+        return np.tile(block, -(-stop // len(block)))[start:stop]
 
     def partial_sum(self, y: int) -> int:
         """M_chi(y), exact in O(q) via full-period cancellation."""

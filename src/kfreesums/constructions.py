@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .characters import RealCharacter, build_real_character
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
-from .sieve import sieve_primes
+from .sieve import is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
 
 
@@ -50,7 +50,7 @@ class ModificationPlan:
                 raise PlanError(f"flipped prime {p} divides the modulus {q}")
             if self.character.value(p) == 0:
                 raise PlanError(f"chi({p}) = 0: cannot flip a vanishing prime")
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise PlanError(f"flip index {p} is not prime")
 
     def overrides(self) -> dict[int, int]:
@@ -79,17 +79,6 @@ class ModificationPlan:
             flipped_primes=tuple(data.get("flipped_primes", ())),
             unit_on_q_divisors=bool(data.get("unit_on_q_divisors", True)),
         )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def completed_character(chi: RealCharacter) -> MultiplicativeRule:

@@ -7,10 +7,13 @@ is zero for r >= k, so the function is supported on the k-free integers.
 
 Two evaluation paths are provided and cross-checked in the test suite:
 exact per-n evaluation through a smallest-prime-factor table, and
-vectorised streaming over a [lo, hi] segment.  The streaming path peels
-the finitely many exceptional primes off each n and reads the remaining
-cofactor from the character's period table, so segments cost O(size)
-regardless of where they sit.
+vectorised streaming over a [lo, hi] segment.  Without truncation a rule
+is completely multiplicative, g(pm) = g(p) g(m), and the streaming path
+uses that twice: the sign flips on the multiples of p, p^2, ... of each
+prime where g departs from a nonzero base value, and the multiples of a
+prime p | q take g(p) times g over the window [lo/p, hi/p].  The base
+itself is the character's period tiled over the window, so segments cost
+O(size) regardless of where they sit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ import numpy as np
 
 from .characters import RealCharacter
 from .errors import PlanError, RangeError
-from .sieve import SpfTable, DenseValueTable, sieve_kfree_segment, sieve_primes
+from .sieve import (
+    DenseValueTable,
+    SpfTable,
+    introot,
+    is_prime,
+    sieve_kfree_segment,
+    sieve_primes,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class MultiplicativeRule:
         for p, v in self.overrides.items():
             if v not in (-1, 1):
                 raise PlanError(f"override value at p={p} must be +-1, got {v}")
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise PlanError(f"override index {p} is not prime")
         if self.k_truncation is not None and self.k_truncation < 2:
             raise PlanError(f"truncation order must be >= 2, got {self.k_truncation}")
@@ -120,55 +130,78 @@ class MultiplicativeRule:
         return DenseValueTable(lo, hi, vals, label=self.label)
 
     def segment_values(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
-        size = hi - lo + 1
-        sign = np.ones(size, dtype=np.int8)
-        cof = np.arange(lo, hi + 1, dtype=np.int64)
+        """int8 values over [lo, hi].  primes, when given, must hold every
+        prime up to sqrt(hi); only the -1 base and the truncation use them."""
+        liouville = not isinstance(self.base, RealCharacter) and self.base == -1
+        k = self.k_truncation
+        if primes is None and (liouville or k is not None):
+            primes = sieve_primes(isqrt(hi) if liouville else introot(hi, k))
+        vals = self._complete_values(lo, hi, primes)
+        if k is not None:
+            vals *= sieve_kfree_segment(lo, hi, k, primes=primes).values
+        return vals.astype(np.int8, copy=False)
 
-        def peel(p: int, v: int) -> None:
-            # one pass per power level divides out exactly v_p(n) factors
-            pe = p
-            while pe <= hi:
-                start = ((lo + pe - 1) // pe) * pe
-                sel = slice(start - lo, size, pe)
-                if v == -1:
-                    np.negative(sign[sel], out=sign[sel])
-                cof[sel] //= p
-                pe *= p
+    def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None) -> np.ndarray:
+        """Fresh writable values over [lo, hi] of the untruncated rule."""
+        base = self.base
+        chi = base if isinstance(base, RealCharacter) else None
+        flips, fills = [], []
+        for p, v in sorted(self.overrides.items()):
+            at_p = int(chi.period_values[p % chi.modulus]) if chi is not None else base
+            if at_p == 0:
+                fills.append((p, v))
+            elif at_p != v:
+                flips.append(p)
+        memo: dict[tuple[int, int], np.ndarray] = {}
 
-        for p in sorted(self.overrides):
-            peel(p, self.overrides[p])
+        def window(a: int, b: int) -> np.ndarray:
+            # the fills reach [lo/d, hi/d] along every ordering of d's
+            # primes; the memo computes each such window once
+            if (a, b) in memo:
+                return memo[a, b]
+            if chi is not None:
+                vals = chi.values(a, b)
+            elif base == 1:
+                vals = np.ones(b - a + 1, dtype=np.int8)
+            else:
+                vals = _liouville_segment(a, b, primes)
+            for p in flips:
+                for sel in _power_slices(a, b, p):
+                    np.negative(vals[sel], out=vals[sel])
+            # after the flips: a fill writes final values, flips included
+            for p, v in fills:
+                c, d = -(-a // p), b // p
+                if c <= d:
+                    vals[c * p - a :: p] = v * window(c, d)
+            memo[a, b] = vals
+            return vals
 
-        if isinstance(self.base, RealCharacter):
-            vals = self.base.period_values[cof % self.base.modulus] * sign
-        else:
-            if self.base == -1:
-                root = isqrt(hi)
-                if primes is None:
-                    primes = sieve_primes(root)
-                for p in primes:
-                    p = int(p)
-                    if p > root:
-                        break
-                    if p not in self.overrides:
-                        peel(p, -1)
-                # a single prime factor above sqrt(hi) may remain
-                np.negative(sign, where=cof > 1, out=sign)
-            vals = sign
-
-        if self.k_truncation is not None:
-            vals = vals * sieve_kfree_segment(lo, hi, self.k_truncation).values
-        return vals.astype(np.int8)
+        return window(lo, hi)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+def _power_slices(lo: int, hi: int, p: int):
+    """Slices of a [lo, hi] window at the multiples of p, p^2, ... up to hi;
+    the entry for n lies in exactly v_p(n) of them."""
+    pe = p
+    while pe <= hi:
+        yield slice(-lo % pe, hi - lo + 1, pe)
+        pe *= p
+
+
+def _liouville_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """(-1)^Omega(n) over [lo, hi] from the primes up to sqrt(hi)."""
+    size = hi - lo + 1
+    root = isqrt(hi)
+    primes = np.asarray(primes)
+    sign = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=np.int64)
+    for p in primes[: np.searchsorted(primes, root, side="right")].tolist():
+        for sel in _power_slices(lo, hi, p):
+            np.negative(sign[sel], out=sign[sel])
+            prod[sel] *= p
+    # a single prime factor above sqrt(hi) may remain
+    np.negative(sign, where=prod != np.arange(lo, hi + 1, dtype=np.int64), out=sign)
+    return sign
 
 
 def character_rule(chi: RealCharacter, k: int | None = None) -> MultiplicativeRule:

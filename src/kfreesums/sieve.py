@@ -103,18 +103,30 @@ class SpfTable:
         return out
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division; for validating single indices."""
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1
+    return True
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending.  limit < 2 yields an empty array."""
     if limit < 2:
         return np.array([], dtype=np.int64)
     if limit > MAX_LIMIT:
         raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
     for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.nonzero(flags)[0].astype(np.int64)
 
 
 def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> DenseValueTable:

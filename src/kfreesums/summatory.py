@@ -18,6 +18,8 @@ bounds discretised to integer floors.
 from __future__ import annotations
 
 import math
+import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -119,20 +121,35 @@ def stream_summatory(
 ) -> PartialSumSeries:
     """Stream exact partial sums of a segment-valued function to `limit`.
 
+    Each window is reduced over the intervals between the checkpoints it
+    holds, not element by element: one local prefix sum, in the narrowest
+    dtype that no sum of the window's values can overflow (int32 for int8
+    windows shorter than 2^24 values), then the prefix's max and min on each
+    interval.  The offset carried between windows and the running max of
+    |M| are Python ints, so they stay exact at any limit.
+
     Args:
         segment_values: Callable (lo, hi) -> int8 ndarray of f(lo..hi).
         limit: Final x.
         schedule: Checkpoint xs (default geometric schedule); the endpoint
             is always included.
         segment_size: Window length per sieve pass.
-        threads: Segment values may be computed concurrently; the reduction
+        threads: Segment values may be computed concurrently, by at most
+            as many threads as this process may use CPUs; the reduction
             always runs in ascending segment order, so results are
             bit-identical for every thread count.
+
+    Raises:
+        RangeError: limit < 1, or threads < 1.
+        CapacityError: limit beyond MAX_STREAM_LIMIT.
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
     if limit > MAX_STREAM_LIMIT:
         raise CapacityError(f"limit {limit} beyond streaming budget {MAX_STREAM_LIMIT}")
+    if threads < 1:
+        raise RangeError(f"threads must be >= 1, got {threads}")
+    threads = min(threads, _usable_cpus())
     if schedule is None:
         schedule = checkpoint_schedule(limit)
     sched = sorted({x for x in schedule if 1 <= x <= limit} | {limit})
@@ -146,20 +163,26 @@ def stream_summatory(
 
     def reduce_window(lo: int, vals: np.ndarray) -> None:
         nonlocal offset, best, si
-        prefix = np.cumsum(vals, dtype=np.int64)
-        prefix += offset
-        maxes = np.maximum.accumulate(np.abs(prefix))
-        np.maximum(maxes, best, out=maxes)
+        prefix = np.cumsum(vals, dtype=_prefix_dtype(len(vals), vals.dtype))
         hi = lo + len(vals) - 1
-        while si < len(sched) and sched[si] <= hi:
-            x = sched[si]
-            checkpoints.append((x, int(prefix[x - lo])))
-            running.append((x, int(maxes[x - lo])))
-            si += 1
-        offset = int(prefix[-1])
-        best = int(maxes[-1])
+        sj = bisect_right(sched, hi, si)
+        # interval j ends at ends[j]; all but possibly the last end at a checkpoint
+        ends = [x - lo for x in sched[si:sj]]
+        if not ends or ends[-1] != len(vals) - 1:
+            ends.append(len(vals) - 1)
+        starts = [0] + [e + 1 for e in ends[:-1]]
+        tops = np.maximum.reduceat(prefix, starts).tolist()
+        bottoms = np.minimum.reduceat(prefix, starts).tolist()
+        at = prefix[ends].tolist()
+        for x, top, bottom, m in zip(sched[si:sj], tops, bottoms, at):
+            best = max(best, abs(offset + top), abs(offset + bottom))
+            checkpoints.append((x, offset + m))
+            running.append((x, best))
+        best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
+        offset += at[-1]
+        si = sj
 
-    if threads <= 1:
+    if threads == 1:
         for lo, hi in windows:
             reduce_window(lo, segment_values(lo, hi))
     else:
@@ -171,6 +194,22 @@ def stream_summatory(
                     reduce_window(lo, fut.result())
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
+
+
+def _prefix_dtype(length: int, dtype: np.dtype) -> type:
+    """int32 when no prefix sum of `length` values of `dtype` can leave it."""
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        if length * max(-info.min, info.max) <= np.iinfo(np.int32).max:
+            return np.int32
+    return np.int64
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def direct_summatory(

@@ -120,6 +120,12 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sum_rejects_thread_count_below_one(capsys):
+    rc = main(["sum", "--modulus", "3", "--limit", "1000", "--threads", "0"])
+    assert rc == 2
+    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_csv_line_endings_are_lf(tmp_path):
     out = tmp_path / "s.csv"
     main(["sum", "--modulus", "3", "--limit", "1000", "--out", str(out)])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
     ModificationPlan,
+    MultiplicativeRule,
     PlanError,
     RangeError,
     build_real_character,
@@ -125,3 +127,26 @@ def test_segment_values_with_large_override_prime(chi3, spf):
     seg = rule.segment_values(lo, hi)
     for n in (p, 2 * p, 3 * p, p - 1, p + 1, 4 * p):
         assert int(seg[n - 1]) == rule.evaluate(n, spf), n
+
+
+# moduli whose prime divisors (2, 3, 5) sit in the override pool below
+MODULI = (3, 4, 5, 8, 12, 15, 24)
+OVERRIDE_POOL = (2, 3, 5, 7, 11, 13, 101, 1009)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(MODULI + (1, -1)),
+    overrides=st.dictionaries(st.sampled_from(OVERRIDE_POOL), st.sampled_from((-1, 1))),
+    k=st.sampled_from((None, 2, 3, 4)),
+    lo=st.integers(1, 10**3) | st.integers(1, 10**9),
+    size=st.integers(1, 64),
+)
+def test_segment_values_match_brute_force(base, overrides, k, lo, size):
+    if base not in (1, -1):
+        base = build_real_character(base)
+    rule = MultiplicativeRule(base=base, overrides=overrides, k_truncation=k)
+    hi = lo + size - 1
+    seg = rule.segment_values(lo, hi)
+    assert seg.dtype == np.int8
+    assert seg.tolist() == [rule_value_brute(rule, n) for n in range(lo, hi + 1)]

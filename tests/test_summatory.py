@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from kfreesums import summatory
 from kfreesums import (
     CharacterSummatory,
     DenseValueTable,
@@ -25,6 +28,7 @@ from kfreesums import (
     optimal_split,
     sieve_mobius_segment,
     sqrt_split,
+    stream_summatory,
     streamed_summatory_map,
     summatory_mu_chi,
 )
@@ -96,6 +100,48 @@ def test_thread_determinism(chi3):
     b = direct_summatory(f, 10**6, threads=4)
     assert a.checkpoints == b.checkpoints
     assert a.running_abs_max == b.running_abs_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stream_matches_naive_prefix(data):
+    # any values, schedule, window length and thread count: the interval
+    # reduction equals a full cumsum and running max of |prefix|
+    n = data.draw(st.integers(1, 3000))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    schedule = data.draw(st.lists(st.integers(1, n), max_size=60))
+    segment_size = data.draw(st.integers(1, 4096))
+    threads = data.draw(st.sampled_from([1, 2]))
+    series = stream_summatory(lambda lo, hi: vals[lo - 1 : hi], n, schedule=schedule,
+                              segment_size=segment_size, threads=threads)
+    prefix = np.cumsum(vals, dtype=np.int64)
+    running = np.maximum.accumulate(np.abs(prefix))
+    xs = sorted(set(schedule) | {n})
+    assert series.checkpoints == [(x, int(prefix[x - 1])) for x in xs]
+    assert series.running_abs_max == [(x, int(running[x - 1])) for x in xs]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(chi3, threads):
+    with pytest.raises(RangeError, match=f"got {threads}$"):
+        direct_summatory(character_rule(chi3, k=2), 1000, threads=threads)
+
+
+def test_threads_capped_at_usable_cpus(chi3, monkeypatch):
+    pools = []
+
+    class Recording(summatory.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(summatory, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(summatory, "ThreadPoolExecutor", Recording)
+    f = character_rule(chi3, k=2)
+    series = direct_summatory(f, 10**5, segment_size=2**12, threads=4)
+    assert pools == [2]
+    assert series == direct_summatory(f, 10**5, segment_size=2**12, threads=1)
 
 
 def test_mertens_small_and_dual_path():
