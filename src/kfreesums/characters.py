@@ -4,13 +4,13 @@ A real character mod q is realised through the Kronecker symbol of a
 fundamental discriminant d with |d| = q.  That gives an O(log n)
 evaluator plus a period table of length q for O(1) lookups, and the
 period table is validated at construction (non-principal, vanishing
-exactly off the units, completely multiplicative).
+exactly off the units, completely multiplicative: checked exactly, over
+every residue against each of at most log2(q) generators of the units).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -168,21 +168,47 @@ def build_real_character(q: int, discriminant: int | None = None) -> RealCharact
 def _valid_period_table(q: int, table: np.ndarray) -> bool:
     if int(np.sum(table, dtype=np.int64)) != 0:  # principal or non-character
         return False
-    for r in range(q):
-        coprime = gcd(r, q) == 1
-        if coprime and table[r] == 0:
-            return False
-        if not coprime and table[r] != 0:
-            return False
-    # complete multiplicativity: exhaustive for small q, sampled beyond
-    if q <= 512:
-        prod = np.outer(table, table)
-        grid = (np.arange(q)[:, None] * np.arange(q)[None, :]) % q
-        return bool(np.array_equal(table[grid], prod))
-    rng = np.random.RandomState(q)
-    a = rng.randint(0, q, size=4096)
-    b = rng.randint(0, q, size=4096)
-    return bool(np.array_equal(table[(a * b) % q], table[a] * table[b]))
+    residues = np.arange(q, dtype=np.int64)
+    units = np.gcd(residues, q) == 1
+    if not np.array_equal(table != 0, units):  # must vanish exactly off the units
+        return False
+    # complete multiplicativity, exactly: chi(a r) = chi(a) chi(r) for every
+    # residue r and each a in a generating set of the units gives it for all
+    # pairs, since a product of generators peels off one factor at a time
+    return all(
+        np.array_equal(table[a * residues % q], table[a] * table)
+        for a in _unit_generators(units)
+    )
+
+
+def _unit_generators(units: np.ndarray) -> list[int]:
+    """Generators of the units mod q = len(units), each outside the subgroup
+    generated by those before it, so there are at most log2(q) of them.
+
+    Candidates are scanned in increasing order; the first unit outside the
+    subgroup is always prime, since a smaller factorisation would put it
+    inside."""
+    q, phi = len(units), int(np.count_nonzero(units))
+    in_group = np.zeros(q, dtype=bool)
+    in_group[1] = True
+    size, gens = 1, []
+    for a in range(2, q):
+        if size == phi:
+            break
+        if in_group[a] or not units[a]:
+            continue
+        gens.append(a)
+        # B, the union of the cosets a^j H for j < t, grows to B with a^t B
+        # (t doubling) until a^t lands in B: exactly when B is the new subgroup
+        members, step = np.nonzero(in_group)[0], a
+        while not in_group[step]:
+            new = members * step % q
+            new = new[~in_group[new]]
+            in_group[new] = True
+            members = np.concatenate((members, new))
+            step = step * step % q
+        size = len(members)
+    return gens
 
 
 def character_table(chi: RealCharacter, lo: int, hi: int):

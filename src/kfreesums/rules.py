@@ -11,9 +11,12 @@ vectorised streaming over a [lo, hi] segment.  Without truncation a rule
 is completely multiplicative, g(pm) = g(p) g(m), and the streaming path
 uses that twice: the sign flips on the multiples of p, p^2, ... of each
 prime where g departs from a nonzero base value, and the multiples of a
-prime p | q take g(p) times g over the window [lo/p, hi/p].  The base
-itself is the character's period tiled over the window, so segments cost
-O(size) regardless of where they sit.
+prime p | q take g(p) times g over the window [lo/p, hi/p].  A character
+base is its period tiled over the window, so segments cost O(size)
+regardless of where they sit.  The -1 base is the Liouville function,
+sieved by `sieve.liouville_kfree_segment` (the kernel behind mu) with the
+rule's own truncation: it flips the sign only at the powers of p below
+p^k and zeroes the multiples of p^k.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .sieve import (
     SpfTable,
     introot,
     is_prime,
+    liouville_kfree_segment,
     sieve_kfree_segment,
     sieve_primes,
 )
@@ -137,12 +141,13 @@ class MultiplicativeRule:
         if primes is None and (liouville or k is not None):
             primes = sieve_primes(isqrt(hi) if liouville else introot(hi, k))
         vals = self._complete_values(lo, hi, primes)
-        if k is not None:
+        if k is not None and not liouville:
             vals *= sieve_kfree_segment(lo, hi, k, primes=primes).values
         return vals.astype(np.int8, copy=False)
 
     def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None) -> np.ndarray:
-        """Fresh writable values over [lo, hi] of the untruncated rule."""
+        """Fresh writable values over [lo, hi] of the untruncated rule,
+        except that the sieve of the -1 base applies the truncation."""
         base = self.base
         chi = base if isinstance(base, RealCharacter) else None
         flips, fills = [], []
@@ -164,7 +169,7 @@ class MultiplicativeRule:
             elif base == 1:
                 vals = np.ones(b - a + 1, dtype=np.int8)
             else:
-                vals = _liouville_segment(a, b, primes)
+                vals = liouville_kfree_segment(a, b, self.k_truncation, primes)
             for p in flips:
                 for sel in _power_slices(a, b, p):
                     np.negative(vals[sel], out=vals[sel])
@@ -186,22 +191,6 @@ def _power_slices(lo: int, hi: int, p: int):
     while pe <= hi:
         yield slice(-lo % pe, hi - lo + 1, pe)
         pe *= p
-
-
-def _liouville_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """(-1)^Omega(n) over [lo, hi] from the primes up to sqrt(hi)."""
-    size = hi - lo + 1
-    root = isqrt(hi)
-    primes = np.asarray(primes)
-    sign = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=np.int64)
-    for p in primes[: np.searchsorted(primes, root, side="right")].tolist():
-        for sel in _power_slices(lo, hi, p):
-            np.negative(sign[sel], out=sign[sel])
-            prod[sel] *= p
-    # a single prime factor above sqrt(hi) may remain
-    np.negative(sign, where=prod != np.arange(lo, hi + 1, dtype=np.int64), out=sign)
-    return sign
 
 
 def character_rule(chi: RealCharacter, k: int | None = None) -> MultiplicativeRule:

@@ -1,10 +1,11 @@
 """Segmented sieves producing exact arithmetic-function tables.
 
 Everything here is exact integer work: primes, smallest prime factors,
-the Mobius function mu(n), and the k-free indicator (1 when no prime
-power p^k divides n, else 0).  Segments of any [lo, hi] window can be
-sieved independently using only the primes up to sqrt(hi), so tables for
-very large ranges never have to be materialised at once.
+the Liouville function restricted to the k-free integers (the Mobius
+function mu(n) is its k = 2 case), and the k-free indicator (1 when no
+prime power p^k divides n, else 0).  Segments of any [lo, hi] window can
+be sieved independently using only the primes up to sqrt(hi), so tables
+for very large ranges never have to be materialised at once.
 
 Values are stored as signed bytes; {-1, 0, 1} covers every function this
 module produces, and the convolution machinery widens to 64-bit integers
@@ -132,10 +133,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> DenseValueTable:
     """Exact mu(n) for n in [lo, hi], sieved segment-locally.
 
-    Needs only the primes up to sqrt(hi).  For each such prime the sign is
-    flipped on its multiples and the running product of detected prime
-    factors tracked; entries whose product falls short of n carry exactly
-    one extra prime factor above sqrt(hi), flipping the sign once more.
+    mu is the k = 2 case of liouville_kfree_segment, which needs only the
+    primes up to sqrt(hi).
 
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
@@ -144,28 +143,56 @@ def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> 
     Returns:
         DenseValueTable of mu over [lo, hi], values in {-1, 0, 1}.
     """
+    return DenseValueTable(lo, hi, liouville_kfree_segment(lo, hi, 2, primes), label="mu")
+
+
+def liouville_kfree_segment(
+    lo: int, hi: int, k: int | None = None, primes: np.ndarray | None = None
+) -> np.ndarray:
+    """lambda(n) * [n is k-free] for n in [lo, hi] as a fresh int8 array.
+
+    lambda(n) = (-1)^Omega(n) is the Liouville function; k = None leaves
+    it untruncated and k = 2 gives mu.  For each prime p up to sqrt(hi)
+    the sign is flipped on the multiples of p, p^2, ..., p^(k-1) and p is
+    multiplied into a running product of detected prime factors; the
+    multiples of p^k are zeroed.  A k-free n whose product falls short of
+    n carries exactly one prime factor above sqrt(hi), flipping its sign
+    once more.  The product divides n, so it is held in uint32 when
+    hi < 2^32 and in int64 otherwise.
+
+    Args:
+        lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
+        k: Truncation order (>= 2), or None for no truncation.
+        primes: Optional precomputed primes covering sqrt(hi).
+    """
     _check_range(lo, hi)
+    if k is not None and k < 2:
+        raise RangeError(f"truncation order k={k} must be >= 2")
     size = hi - lo + 1
     root = isqrt(hi)
     if primes is None:
         primes = sieve_primes(root)
-    mu = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p > root:
-            break
-        start = ((lo + p - 1) // p) * p
-        sel = slice(start - lo, size, p)
-        np.negative(mu[sel], out=mu[sel])
-        prod[sel] *= p
-        p2 = p * p
-        if p2 <= hi:
-            start2 = ((lo + p2 - 1) // p2) * p2
-            mu[start2 - lo :: p2] = 0
-    leftover = prod != np.arange(lo, hi + 1, dtype=np.int64)
-    np.negative(mu, where=leftover, out=mu)
-    return DenseValueTable(lo, hi, mu, label="mu")
+    primes = np.asarray(primes)
+    dtype = _product_dtype(hi)
+    sign = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=dtype)
+    for p in primes[: np.searchsorted(primes, root, side="right")].tolist():
+        pj, j = p, 1
+        while pj <= hi and (k is None or j < k):
+            sel = slice(-lo % pj, size, pj)
+            np.negative(sign[sel], out=sign[sel])
+            prod[sel] *= p
+            pj *= p
+            j += 1
+        if k is not None and pj <= hi:  # pj = p^k
+            sign[-lo % pj :: pj] = 0
+    sign *= 1 - 2 * (prod != np.arange(lo, hi + 1, dtype=dtype)).view(np.int8)
+    return sign
+
+
+def _product_dtype(hi: int) -> type:
+    """uint32 when it holds every n <= hi, and so every divisor of one."""
+    return np.uint32 if hi <= np.iinfo(np.uint32).max else np.int64
 
 
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:

@@ -160,10 +160,16 @@ def stream_summatory(
     offset = 0
     best = 0
     si = 0
+    # one prefix buffer serves every window: a fresh one per window faults
+    # its pages in again whenever malloc hands the freed block back to the OS
+    prefix_buf = np.empty(0, dtype=np.int32)
 
     def reduce_window(lo: int, vals: np.ndarray) -> None:
-        nonlocal offset, best, si
-        prefix = np.cumsum(vals, dtype=_prefix_dtype(len(vals), vals.dtype))
+        nonlocal offset, best, si, prefix_buf
+        dtype = _prefix_dtype(len(vals), vals.dtype)
+        if prefix_buf.dtype != dtype or len(prefix_buf) < len(vals):
+            prefix_buf = np.empty(len(vals), dtype=dtype)
+        prefix = np.cumsum(vals, dtype=dtype, out=prefix_buf[: len(vals)])
         hi = lo + len(vals) - 1
         sj = bisect_right(sched, hi, si)
         # interval j ends at ends[j]; all but possibly the last end at a checkpoint

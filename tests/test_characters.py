@@ -7,6 +7,7 @@ from kfreesums import (
     character_table,
     kronecker_symbol,
 )
+from kfreesums.characters import _unit_generators, _valid_period_table
 
 from oracles import kronecker_brute, legendre_euler
 
@@ -80,6 +81,38 @@ def test_multiplicativity_fuzz():
     lhs = chi.period_values[(m * n) % q]
     rhs = chi.period_values[m % q] * chi.period_values[n % q]
     assert np.array_equal(lhs, rhs)
+
+
+def test_period_table_check_is_exact_past_512():
+    # q = 1657 > 512: swapping chi(972) = 1 and chi(1025) = -1 keeps the
+    # period sum 0 and the zeros in place, so only multiplicativity rejects it
+    q, u, v = 1657, 972, 1025
+    table = build_real_character(q).period_values.copy()
+    assert (table[u], table[v]) == (1, -1)
+    table[[u, v]] = table[[v, u]]
+    # 4096 pairs sampled from RandomState(q), as the check drew them for
+    # q > 512, never touch u or v and accept the swapped table
+    rng = np.random.RandomState(q)
+    a = rng.randint(0, q, size=4096)
+    b = rng.randint(0, q, size=4096)
+    assert np.array_equal(table[(a * b) % q], table[a] * table[b])
+    assert not _valid_period_table(q, table)
+
+
+def test_unit_generators_generate_the_units():
+    for q in (3, 8, 12, 24, 105, 1657, 4096):
+        units = np.gcd(np.arange(q), q) == 1
+        gens = _unit_generators(units)
+        assert len(gens) <= q.bit_length()
+        group = {1}
+        for g in gens:
+            assert g not in group
+            while True:
+                grown = group | {x * g % q for x in group}
+                if grown == group:
+                    break
+                group = grown
+        assert group == {r for r in range(q) if units[r]}
 
 
 def test_vanishing_exactly_off_units():

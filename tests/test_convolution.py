@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
     DenseValueTable,
@@ -100,6 +101,39 @@ def test_inverse_rejects_non_units():
     vals2 = np.full(10, 2, dtype=np.int8)
     with pytest.raises(NonInvertibleError):
         dirichlet_inverse(DenseValueTable(1, 10, vals2))
+
+
+# |a(d)| <= 128 bounds |a^-1(n)| by 128^Omega(n) times the number of ordered
+# factorisations of n, which stays below 2^57 for every n <= 300
+INT8 = st.integers(-128, 127)
+
+
+@st.composite
+def int8_tables(draw, at_one):
+    n = draw(st.integers(1, 300))
+    rest = draw(st.lists(INT8, min_size=n - 1, max_size=n - 1))
+    return DenseValueTable(1, n, np.array([draw(at_one)] + rest, dtype=np.int8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=int8_tables(st.sampled_from((-1, 1))))
+def test_inverse_property(a):
+    inv = dirichlet_inverse(a)
+    for n in range(1, a.hi + 1):
+        assert convolve_at(a.value_at, inv.value_at, n) == (n == 1), n
+    back = dirichlet_inverse(inv.as_table())
+    assert back.values[1:].tolist() == a.values.tolist()
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=int8_tables(st.just(0)))
+def test_inverse_property_rejects_non_unit_at_one(a):
+    for a1 in range(-128, 128):
+        if a1 not in (-1, 1):
+            vals = a.values.copy()
+            vals[0] = a1
+            with pytest.raises(NonInvertibleError, match=f"a\\(1\\) = {a1} "):
+                dirichlet_inverse(DenseValueTable(1, a.hi, vals))
 
 
 def test_pointwise_product_basics(chi3):

@@ -139,7 +139,7 @@ OVERRIDE_POOL = (2, 3, 5, 7, 11, 13, 101, 1009)
     base=st.sampled_from(MODULI + (1, -1)),
     overrides=st.dictionaries(st.sampled_from(OVERRIDE_POOL), st.sampled_from((-1, 1))),
     k=st.sampled_from((None, 2, 3, 4)),
-    lo=st.integers(1, 10**3) | st.integers(1, 10**9),
+    lo=st.integers(1, 10**3) | st.integers(1, 10**9) | st.integers(2**32 - 64, 2**32 + 64),
     size=st.integers(1, 64),
 )
 def test_segment_values_match_brute_force(base, overrides, k, lo, size):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
     CapacityError,
+    MultiplicativeRule,
     RangeError,
     build_spf,
     introot,
@@ -10,9 +12,9 @@ from kfreesums import (
     sieve_mobius_segment,
     sieve_primes,
 )
-from kfreesums.sieve import MAX_LIMIT, is_perfect_power, segments
+from kfreesums.sieve import MAX_LIMIT, is_perfect_power, liouville_kfree_segment, segments
 
-from oracles import factorize_trial, kfree_brute, mobius_brute, primes_trial
+from oracles import factorize_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
 
 
 def test_primes_small():
@@ -53,6 +55,31 @@ def test_mobius_segment_concatenation_matches_one_shot():
     full = sieve_mobius_segment(1, limit).values
     parts = [sieve_mobius_segment(lo, hi).values for lo, hi in segments(1, limit, 2**17)]
     assert np.array_equal(np.concatenate(parts), full)
+
+
+# windows near 2^32 cross the kernel's switch from a uint32 to an int64 product
+@settings(max_examples=30, deadline=None)
+@given(
+    lo=st.integers(1, 10**3) | st.integers(1, 5 * 10**9) | st.integers(2**32 - 64, 2**32 + 64),
+    size=st.integers(1, 256),
+    k=st.sampled_from((None, 2, 3, 4)),
+)
+def test_liouville_kfree_segment_matches_brute_force(lo, size, k):
+    hi = lo + size - 1
+    vals = liouville_kfree_segment(lo, hi, k)
+    assert vals.dtype == np.int8
+    if k == 2:
+        expect = [mobius_brute(n) for n in range(lo, hi + 1)]
+        assert sieve_mobius_segment(lo, hi).values.tolist() == expect
+    else:
+        rule = MultiplicativeRule(base=-1, k_truncation=k)
+        expect = [rule_value_brute(rule, n) for n in range(lo, hi + 1)]
+    assert vals.tolist() == expect
+
+
+def test_liouville_kfree_order_validation():
+    with pytest.raises(RangeError, match="k=1"):
+        liouville_kfree_segment(1, 10, 1)
 
 
 def test_mobius_unit_identity_by_divisor_enumeration():
