@@ -71,17 +71,15 @@ from .sieve import (
     sieve_primes,
 )
 from .summatory import (
-    CharacterSummatory,
     HyperbolaSplit,
-    KthPowerSummatory,
     MappedSummatory,
     PartialSumSeries,
     PrefixSummatory,
-    TableValues,
     checkpoint_schedule,
     direct_summatory,
     explicit_split,
     hyperbola_sum,
+    kfree_hyperbola_sum,
     mertens,
     mertens_recursive,
     optimal_split,

@@ -9,7 +9,7 @@ prime-power laws:
 
 * ``kfree_factor(k, g, N)``: the factor h with g * h = (k-free
   indicator) * g for a completely multiplicative g; h is supported on
-  k-th powers, with h(m^k) = mu(m) * g(m)^k.
+  k-th powers, with h(m^k) = mu(m) * g(m)^k (``kfree_factor_at_powers``).
 * ``deviation_factor(g, chi, N)``: the factor h = (mu*g) conv chi, whose
   prime-power values chi(p)^(r-1) * (chi(p) - g(p)) vanish wherever g
   agrees with chi.
@@ -122,20 +122,27 @@ def kfree_factor(k: int, g: MultiplicativeRule, limit: int) -> DenseValueTable:
 
     For completely multiplicative g with prime values in {-1, 0, 1}, the
     function f(n) = [n k-free] * g(n) factors as f = g * h where h is
-    supported on k-th powers: h(m^k) = mu(m) * g(m)^k (so for g = +-1
-    everywhere, mu(m) g(m) when k is odd and plain mu(m) when k is even).
+    supported on k-th powers, with h(m^k) from `kfree_factor_at_powers`.
     """
     if g.k_truncation is not None:
         raise ShapeError("factor requires the untruncated completely multiplicative g")
     root = introot(limit, k)
     h = np.zeros(limit, dtype=np.int8)
     if root >= 1:
-        mu = sieve_mobius_segment(1, root).values.astype(np.int64)
-        gv = g.segment_values(1, root).astype(np.int64)
-        gk = gv if k % 2 == 1 else np.abs(gv)
         m = np.arange(1, root + 1, dtype=np.int64)
-        h[m**k - 1] = (mu * gk).astype(np.int8)
+        h[m**k - 1] = kfree_factor_at_powers(k, g, root).astype(np.int8)
     return DenseValueTable(1, limit, h, label=f"kfree_factor[k={k},{g.label}]")
+
+
+def kfree_factor_at_powers(k: int, g: MultiplicativeRule, root: int) -> np.ndarray:
+    """h(m^k) = mu(m) * g(m)^k for 1 <= m <= root, as int64.
+
+    With g(m) in {-1, 0, 1}, g(m)^k is g(m) when k is odd and |g(m)| when
+    k is even.
+    """
+    mu = sieve_mobius_segment(1, root).values.astype(np.int64)
+    gv = g.segment_values(1, root).astype(np.int64)
+    return mu * (gv if k % 2 == 1 else np.abs(gv))
 
 
 def deviation_factor(g: MultiplicativeRule, chi: RealCharacter, limit: int) -> DenseValueTable:

@@ -37,23 +37,16 @@ from .constructions import (
     modified_character,
     verify_deviation_budget,
 )
-from .convolution import kfree_factor
-from .errors import ConfigError, FitError, MethodMismatchError
+from .errors import ConfigError, FitError, MethodMismatchError, RangeError
 from .rules import MultiplicativeRule, character_rule
-from .sieve import introot, sieve_mobius_segment
 from .summatory import (
     HyperbolaSplit,
-    KthPowerSummatory,
-    TableValues,
     checkpoint_schedule,
     direct_summatory,
     explicit_split,
-    hyperbola_sum,
+    kfree_hyperbola_sum,
     optimal_split,
-    streamed_summatory_map,
 )
-
-import numpy as np
 
 SUMMARY_SCHEMA_VERSION = "1"
 
@@ -297,33 +290,18 @@ def compare_methods(
 
     f must be the k-free restriction of its completely multiplicative base
     g; the hyperbola side pairs g with the k-th-power factor h linking
-    them.  Disagreement raises MethodMismatchError: it is a correctness
-    bug, not a report entry.
+    them; split must be a split of x.  Disagreement raises
+    MethodMismatchError: it is a correctness bug, not a report entry.
     """
     if f.k_truncation != k:
         raise ConfigError(f"rule truncation {f.k_truncation} does not match k={k}")
-    g = f.without_truncation()
+    if split.x != x:
+        raise RangeError(f"split is for x={split.x}, not x={x}")
 
     t0 = time.perf_counter()
     direct = direct_summatory(f, x, schedule=[x], threads=threads).final[1]
     t1 = time.perf_counter()
-
-    h_table = kfree_factor(k, g, max(split.u_floor, 1))
-    h_values = TableValues(h_table)
-    g_values = TableValues(g.values(1, max(split.v_floor, 1)))
-
-    root = introot(x, k)
-    mu = sieve_mobius_segment(1, root).values.astype(np.int64)
-    gv = g.segment_values(1, root).astype(np.int64)
-    inner = mu * (gv if k % 2 == 1 else np.abs(gv))
-    h_summatory = KthPowerSummatory(k, inner, label=h_table.label)
-
-    args = {x // (int(m) ** k) for m in range(1, introot(split.u_floor, k) + 1)}
-    args.add(split.v_floor)
-    args.update(x // int(n) for n in g_values.nonzero_upto(split.v_floor))
-    g_summatory = streamed_summatory_map(g, sorted(args), threads=threads)
-
-    hyper = hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split)
+    hyper = kfree_hyperbola_sum(f.without_truncation(), k, split, threads=threads)
     t2 = time.perf_counter()
 
     if hyper != direct:

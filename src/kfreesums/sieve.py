@@ -202,7 +202,7 @@ def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = No
     _check_range(lo, hi)
     size = hi - lo + 1
     vals = np.ones(size, dtype=np.int8)
-    kroot = _introot(hi, k)
+    kroot = introot(hi, k)
     if primes is None:
         primes = sieve_primes(kroot)
     for p in primes:
@@ -252,7 +252,7 @@ def segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         a = b + 1
 
 
-def _introot(n: int, k: int) -> int:
+def introot(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, by exact binary search."""
     if n < 0 or k < 1:
         raise RangeError(f"introot undefined for n={n}, k={k}")
@@ -268,14 +268,3 @@ def _introot(n: int, k: int) -> int:
         else:
             hi_r = mid
     return lo_r
-
-
-def introot(n: int, k: int) -> int:
-    """Public exact integer k-th root (floor)."""
-    return _introot(n, k)
-
-
-def is_perfect_power(n: int, k: int) -> tuple[bool, int]:
-    """Whether n = m**k for an integer m; returns (flag, floor root)."""
-    r = _introot(n, k)
-    return r**k == n, r

@@ -11,8 +11,12 @@ The Dirichlet hyperbola identity
     sum_{n<=x} (h*g)(n) = sum_{n<=U} h(n) M_g(x/n)
                         + sum_{n<=V} g(n) M_h(x/n) - M_g(V) M_h(U)
 
-with U*V = x is implemented over exact summatory/value oracles, with all
-bounds discretised to integer floors.
+with U*V = x is evaluated with all bounds discretised to integer floors.
+Its value sides are DenseValueTables over [1, N]; its summatory sides are
+oracles, callables y -> M(y) that raise OracleDomainError outside their
+domain: a PrefixSummatory over a value table or over the k-th-power
+support of h, a MappedSummatory of streamed checkpoints, or a character's
+own partial_sum.  `kfree_hyperbola_sum` wires them up for f = [k-free]*g.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 import numpy as np
 
 from .characters import RealCharacter
+from .convolution import kfree_factor, kfree_factor_at_powers
 from .errors import CapacityError, OracleDomainError, RangeError, ShapeError
 from .rules import MultiplicativeRule
 from .sieve import (
@@ -308,78 +314,33 @@ def mertens_recursive(limit: int) -> int:
 
 # -- oracles ------------------------------------------------------------
 
-
-class TableValues:
-    """Value oracle n -> f(n) backed by a dense prefix table."""
-
-    def __init__(self, table: DenseValueTable):
-        if table.lo != 1:
-            raise ShapeError("value oracle requires a prefix table starting at 1")
-        self.limit = table.hi
-        self.array = table.values
-
-    def __call__(self, n: int) -> int:
-        if n < 1 or n > self.limit:
-            raise OracleDomainError(f"value oracle queried at n={n}, domain [1,{self.limit}]")
-        return int(self.array[n - 1])
-
-    def nonzero_upto(self, bound: int) -> np.ndarray:
-        if bound > self.limit:
-            raise OracleDomainError(f"value oracle bound {bound} beyond domain {self.limit}")
-        return np.nonzero(self.array[:bound])[0] + 1
+# A summatory oracle is any callable y -> M(y), exact on its domain, that
+# raises OracleDomainError outside it.  The value side of the hyperbola
+# identity is a DenseValueTable over [1, N].
+Summatory = Callable[[int], int]
 
 
 class PrefixSummatory:
-    """Summatory oracle M(y) backed by dense prefix sums of a value table."""
+    """M(y) = sum_{m <= y^(1/k)} values[m-1], from prefix sums of `values`.
 
-    def __init__(self, table: DenseValueTable, label: str = ""):
-        if table.lo != 1:
-            raise ShapeError("summatory oracle requires a prefix table starting at 1")
-        self.limit = table.hi
-        self._cum = np.concatenate(
-            ([0], np.cumsum(table.values, dtype=np.int64))
-        )
-        self.label = label or table.label
-
-    def __call__(self, y: int) -> int:
-        if y < 0 or y > self.limit:
-            raise OracleDomainError(f"M({y}) outside oracle domain [0,{self.limit}]")
-        return int(self._cum[y])
-
-
-class CharacterSummatory:
-    """O(1) exact M_chi(y) for a non-principal character: full periods cancel."""
-
-    def __init__(self, chi: RealCharacter):
-        self.chi = chi
-        self.limit = MAX_STREAM_LIMIT
-
-    def __call__(self, y: int) -> int:
-        if y < 0:
-            raise OracleDomainError("negative argument")
-        return self.chi.partial_sum(y)
-
-
-class KthPowerSummatory:
-    """M_h(y) for h supported on k-th powers: sum over m <= y^(1/k).
-
-    inner_cum[m] must hold sum_{j<=m} h(j^k); the oracle reduces a
-    y-length sum to a y^(1/k)-length one.
+    At k = 1 this is the plain prefix sum of a value table.  At k >= 2 it
+    is the summatory function of an h supported on k-th powers with
+    h(m^k) = values[m-1], which reduces a y-length sum to a y^(1/k)-length
+    one.
     """
 
-    def __init__(self, k: int, inner_values: np.ndarray, label: str = ""):
+    def __init__(self, values: np.ndarray, k: int = 1, label: str = ""):
         self.k = k
-        self._cum = np.concatenate(([0], np.cumsum(inner_values, dtype=np.int64)))
-        self.limit = (len(inner_values)) ** k if len(inner_values) else 0
         self.label = label
+        self._cum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
 
     def __call__(self, y: int) -> int:
         if y < 0:
-            raise OracleDomainError("negative argument")
+            raise OracleDomainError(f"M({y}) at a negative argument")
         r = introot(y, self.k)
         if r >= len(self._cum):
             raise OracleDomainError(
-                f"M({y}) needs inner prefix to {r}, have {len(self._cum) - 1}"
+                f"M({y}) needs the prefix to {r}, have {len(self._cum) - 1}"
             )
         return int(self._cum[r])
 
@@ -421,11 +382,9 @@ def streamed_summatory_map(
 
 @dataclass(frozen=True)
 class HyperbolaSplit:
-    """A split U*V = x with exact integer floors for the two short sums."""
+    """A split U*V = x, held as the exact integer floors of U and V."""
 
     x: int
-    u: float
-    v: float
     u_floor: int
     v_floor: int
 
@@ -440,12 +399,12 @@ class HyperbolaSplit:
 
 def explicit_split(x: int, u: float, v: float) -> HyperbolaSplit:
     """Split from user-provided real U, V with U*V = x (validated via floors)."""
-    return HyperbolaSplit(x=x, u=u, v=v, u_floor=int(u), v_floor=int(v))
+    return HyperbolaSplit(x=x, u_floor=math.floor(u), v_floor=math.floor(v))
 
 
 def sqrt_split(x: int) -> HyperbolaSplit:
     r = isqrt(x)
-    return HyperbolaSplit(x=x, u=math.sqrt(x), v=math.sqrt(x), u_floor=r, v_floor=r)
+    return HyperbolaSplit(x=x, u_floor=r, v_floor=r)
 
 
 def optimal_split(x: int, k: int) -> HyperbolaSplit:
@@ -458,39 +417,75 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     if x < 1 or k < 2:
         raise RangeError("optimal split needs x >= 1 and k >= 2")
     m = 2 * k + 1
-    v_floor = introot(x, m)
-    u_floor = introot(x ** (2 * k), m)
-    return HyperbolaSplit(
-        x=x, u=float(x) ** (2 * k / m), v=float(x) ** (1 / m),
-        u_floor=u_floor, v_floor=v_floor,
-    )
+    return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
 
 
-def hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split: HyperbolaSplit) -> int:
+# hyperbola_sum turns nonzero table entries into Python ints a block at a
+# time: whole-table lists, although freed after every call, still grew the
+# peak RSS of repeated compare_methods calls.
+_VALUE_BLOCK = 2**12
+
+
+def hyperbola_sum(
+    h_summatory: Summatory,
+    g_summatory: Summatory,
+    h_values: DenseValueTable,
+    g_values: DenseValueTable,
+    split: HyperbolaSplit,
+) -> int:
     """Exact sum_{n<=x} (h*g)(n) from the two short sums and the correction.
 
-    All four oracles must be exact on the floor arguments x // n they
-    receive; a domain shortfall surfaces as OracleDomainError.
+    Each value table must cover [1, its floor]; each summatory oracle must
+    be exact on the floor arguments x // n it receives.
+
+    Raises:
+        ShapeError: a value table does not start at 1.
+        OracleDomainError: a value table ends before its floor, or an
+            oracle is queried outside its domain.
+    """
+    x = split.x
+    total = 0
+    for values, floor, other in (
+        (h_values, split.u_floor, g_summatory),
+        (g_values, split.v_floor, h_summatory),
+    ):
+        if values.lo != 1:
+            raise ShapeError(f"value table '{values.label}' must start at 1, got lo={values.lo}")
+        if values.hi < floor:
+            raise OracleDomainError(
+                f"value table '{values.label}' ends at {values.hi}, before its floor {floor}"
+            )
+        for start in range(0, floor, _VALUE_BLOCK):
+            block = values.values[start : min(start + _VALUE_BLOCK, floor)]
+            idx = np.flatnonzero(block)
+            for n, v in zip((idx + start + 1).tolist(), block[idx].tolist()):
+                total += v * other(x // n)
+    total -= g_summatory(split.v_floor) * h_summatory(split.u_floor)
+    return total
+
+
+def kfree_hyperbola_sum(
+    g: MultiplicativeRule, k: int, split: HyperbolaSplit, threads: int = 1
+) -> int:
+    """M_f(x) for f = [n k-free] * g by the hyperbola identity over f = g * h.
+
+    g must be completely multiplicative (untruncated); h = kfree_factor is
+    supported on k-th powers.  The h side is read from its short prefix
+    over m <= x^(1/k), and the g side from one stream of g that
+    checkpoints every argument hyperbola_sum reads from it.
     """
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    total = 0
-    if hasattr(h_values, "nonzero_upto"):
-        h_idx = h_values.nonzero_upto(uf)
-    else:
-        h_idx = range(1, uf + 1)
-    for n in h_idx:
-        n = int(n)
-        hv = h_values(n)
-        if hv:
-            total += hv * g_summatory(x // n)
-    if hasattr(g_values, "nonzero_upto"):
-        g_idx = g_values.nonzero_upto(vf)
-    else:
-        g_idx = range(1, vf + 1)
-    for n in g_idx:
-        n = int(n)
-        gv = g_values(n)
-        if gv:
-            total += gv * h_summatory(x // n)
-    total -= g_summatory(vf) * h_summatory(uf)
-    return total
+    if x > MAX_STREAM_LIMIT:  # before the h arrays of length x^(1/k) are built
+        raise CapacityError(f"limit {x} beyond streaming budget {MAX_STREAM_LIMIT}")
+    h_values = kfree_factor(k, g, uf)
+    g_values = g.values(1, vf)
+    h_summatory = PrefixSummatory(
+        kfree_factor_at_powers(k, g, introot(x, k)), k=k, label=h_values.label
+    )
+    # g_summatory is read at x // m^k for m^k <= U and at V; the stream
+    # also checkpoints x // n at each nonzero g(n), n <= V
+    args = {x // m**k for m in range(1, introot(uf, k) + 1)}
+    args.add(vf)
+    args.update(np.unique(x // (np.flatnonzero(g_values.values) + 1)).tolist())
+    g_summatory = streamed_summatory_map(g, sorted(args), threads=threads)
+    return hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split)

@@ -3,20 +3,26 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
     ConfigError,
     MethodMismatchError,
+    ModificationPlan,
+    RangeError,
     build_real_character,
     character_rule,
     compare_methods,
     explicit_split,
+    modified_character,
     optimal_split,
     parse_config,
     run_experiment,
     sqrt_split,
 )
 from kfreesums.experiment import config_rules, resolve_split
+
+from oracles import partial_sum_enumeration, primes_trial, rule_value_brute
 
 
 BASE_CONFIG = {
@@ -129,10 +135,38 @@ def test_method_mismatch_is_hard_failure(monkeypatch):
     chi3 = build_real_character(3)
     f = character_rule(chi3, k=2)
     import kfreesums.experiment as exp
+    import kfreesums.summatory as summatory
 
     def corrupted(*args, **kwargs):
         return 10**9
 
-    monkeypatch.setattr(exp, "hyperbola_sum", corrupted)
+    monkeypatch.setattr(summatory, "hyperbola_sum", corrupted)
     with pytest.raises(MethodMismatchError):
         exp.compare_methods(f, 2, 10**3, sqrt_split(10**3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compare_methods_matches_brute_force(data):
+    q = data.draw(st.sampled_from([3, 4, 5, 8, 15]), label="q")
+    chi = build_real_character(q)
+    flips = data.draw(
+        st.lists(st.sampled_from([p for p in primes_trial(40) if q % p]),
+                 max_size=3, unique=True),
+        label="flips",
+    )
+    unit = data.draw(st.booleans(), label="unit_on_q_divisors")
+    k = data.draw(st.sampled_from([2, 3, 4]), label="k")
+    x = data.draw(st.integers(1, 3000), label="x")
+    u = data.draw(st.floats(1.0, float(x)), label="U")
+    g = modified_character(ModificationPlan(character=chi, flipped_primes=tuple(flips),
+                                            unit_on_q_divisors=unit))
+    f = g.truncated(k)
+    rep = compare_methods(f, k, x, explicit_split(x, u, x / u))
+    assert rep.hyperbola_value == partial_sum_enumeration(lambda n: rule_value_brute(f, n), x)
+
+
+def test_compare_methods_rejects_split_for_other_x():
+    f = character_rule(build_real_character(3), k=2)
+    with pytest.raises(RangeError, match="x=900"):
+        compare_methods(f, 2, 1000, sqrt_split(900))

@@ -12,7 +12,7 @@ from kfreesums import (
     sieve_mobius_segment,
     sieve_primes,
 )
-from kfreesums.sieve import MAX_LIMIT, is_perfect_power, liouville_kfree_segment, segments
+from kfreesums.sieve import MAX_LIMIT, liouville_kfree_segment, segments
 
 from oracles import factorize_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
 
@@ -192,9 +192,16 @@ def test_introot_exactness():
     assert introot(10**10, 5) == 100
     assert introot(2**60 - 1, 60) == 1
     assert introot(2**60, 60) == 2
-    assert is_perfect_power(128, 7) == (True, 2)
-    assert is_perfect_power(127, 7) == (False, 1)
+    assert introot(128, 7) == 2
+    assert introot(127, 7) == 1
     # float powers misclassify near-powers; the exact path must not
     n = (10**6 - 1) ** 3
-    assert is_perfect_power(n, 3) == (True, 10**6 - 1)
-    assert is_perfect_power(n - 1, 3)[0] is False
+    assert introot(n, 3) == 10**6 - 1
+    assert introot(n - 1, 3) == 10**6 - 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, MAX_LIMIT), k=st.integers(1, 60))
+def test_introot_brackets_n(n, k):
+    r = introot(n, k)
+    assert r**k <= n < (r + 1) ** k

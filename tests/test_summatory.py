@@ -5,13 +5,11 @@ from hypothesis.extra.numpy import arrays
 
 from kfreesums import summatory
 from kfreesums import (
-    CharacterSummatory,
     DenseValueTable,
-    KthPowerSummatory,
     OracleDomainError,
     PrefixSummatory,
     RangeError,
-    TableValues,
+    ShapeError,
     build_real_character,
     character_rule,
     checkpoint_schedule,
@@ -19,6 +17,7 @@ from kfreesums import (
     explicit_split,
     hyperbola_sum,
     kfree_factor,
+    kfree_hyperbola_sum,
     mertens,
     mertens_recursive,
     mobius_rule,
@@ -192,12 +191,12 @@ def test_hyperbola_identity_element(chi3):
     # h = unit: the sum reduces to M_g(x) for any split
     x = 10**4
     g = character_rule(chi3)
-    g_vals = TableValues(g.values(1, x))
-    g_sum = PrefixSummatory(g.values(1, x))
+    g_vals = g.values(1, x)
+    g_sum = PrefixSummatory(g.values(1, x).values)
     eps = np.zeros(x, dtype=np.int8)
     eps[0] = 1
-    h_vals = TableValues(DenseValueTable(1, x, eps, label="unit"))
-    h_sum = PrefixSummatory(DenseValueTable(1, x, eps, label="unit"))
+    h_vals = DenseValueTable(1, x, eps, label="unit")
+    h_sum = PrefixSummatory(eps)
     for split in (optimal_split(x, 2), sqrt_split(x), explicit_split(x, 20.0, 500.0)):
         assert hyperbola_sum(h_sum, g_sum, h_vals, g_vals, split) == g_sum(x)
 
@@ -207,14 +206,14 @@ def test_hyperbola_degenerate_v1(chi3):
     x = 10**4
     g = character_rule(chi3)
     h_t = kfree_factor(2, g, x)
-    g_sum = PrefixSummatory(g.values(1, x))
-    h_vals = TableValues(h_t)
-    h_sum = PrefixSummatory(h_t)
+    g_sum = PrefixSummatory(g.values(1, x).values)
+    h_vals = h_t
+    h_sum = PrefixSummatory(h_t.values)
     split = explicit_split(x, float(x), 1.0)
     expect = sum(
         h_t.value_at(n) * g_sum(x // n) for n in range(1, x + 1) if h_t.value_at(n)
     )
-    assert hyperbola_sum(h_sum, g_sum, h_vals, TableValues(g.values(1, 1)),
+    assert hyperbola_sum(h_sum, g_sum, h_vals, g.values(1, 1),
                          split) == expect
     direct = direct_summatory(g.truncated(2), x, schedule=[x]).final[1]
     assert expect == direct
@@ -226,12 +225,12 @@ def test_hyperbola_equals_direct_for_figure_function(chi3):
     f = g.truncated(2)
     direct = direct_summatory(f, x, schedule=[x]).final[1]
     h_t = kfree_factor(2, g, x)
-    h_vals = TableValues(h_t)
+    h_vals = h_t
     mu = sieve_mobius_segment(1, 316).values.astype(np.int64)
     gv = g.segment_values(1, 316).astype(np.int64)
-    h_sum = KthPowerSummatory(2, mu * np.abs(gv))
-    g_vals = TableValues(g.values(1, x))
-    g_sum = CharacterSummatory(chi3)
+    h_sum = PrefixSummatory(mu * np.abs(gv), k=2)
+    g_vals = g.values(1, x)
+    g_sum = chi3.partial_sum
     for split in (optimal_split(x, 2), sqrt_split(x), explicit_split(x, float(x), 1.0)):
         assert hyperbola_sum(h_sum, g_sum, h_vals, g_vals, split) == direct
 
@@ -249,11 +248,11 @@ def test_hyperbola_random_rules_and_splits():
         g = modified_character(ModificationPlan(character=chi, flipped_primes=flips))
         f = g.truncated(k)
         direct = direct_summatory(f, x, schedule=[x]).final[1]
-        g_vals = TableValues(g.values(1, x))
-        g_sum = PrefixSummatory(g.values(1, x))
+        g_vals = g.values(1, x)
+        g_sum = PrefixSummatory(g.values(1, x).values)
         h_t = kfree_factor(k, g, x)
-        h_vals = TableValues(h_t)
-        h_sum = PrefixSummatory(h_t)
+        h_vals = h_t
+        h_sum = PrefixSummatory(h_t.values)
         for _ in range(5):
             u = float(rng.uniform(1.0, float(x)))
             split = explicit_split(x, u, x / u)
@@ -262,13 +261,15 @@ def test_hyperbola_random_rules_and_splits():
 
 def test_oracle_domain_errors(chi3):
     g = character_rule(chi3)
-    small = PrefixSummatory(g.values(1, 100))
+    small = PrefixSummatory(g.values(1, 100).values)
     with pytest.raises(OracleDomainError):
         small(101)
-    vals = TableValues(g.values(1, 100))
+    split = sqrt_split(100)  # floors 10, 10
+    with pytest.raises(ShapeError):
+        hyperbola_sum(small, small, g.values(2, 20), g.values(1, 20), split)
     with pytest.raises(OracleDomainError):
-        vals(0)
-    k_sum = KthPowerSummatory(2, np.array([1, -1], dtype=np.int64))
+        hyperbola_sum(small, small, g.values(1, 20), g.values(1, 9), split)
+    k_sum = PrefixSummatory(np.array([1, -1], dtype=np.int64), k=2)
     with pytest.raises(OracleDomainError):
         k_sum(10**6)
     mapped = streamed_summatory_map(g, [10, 100])
@@ -282,10 +283,10 @@ def test_kth_power_oracle_substitution(chi3):
     x = 10**4
     g = modified_character(ModificationPlan(character=chi3))
     h_t = kfree_factor(3, g, x)
-    h_direct = PrefixSummatory(h_t)
+    h_direct = PrefixSummatory(h_t.values)
     mu = sieve_mobius_segment(1, 21).values.astype(np.int64)
     gv = g.segment_values(1, 21).astype(np.int64)
-    h_short = KthPowerSummatory(3, mu * gv)
+    h_short = PrefixSummatory(mu * gv, k=3)
     for y in (1, 7, 8, 26, 27, 28, 1000, 9999, 10**4):
         assert h_short(y) == h_direct(y)
 
@@ -299,6 +300,8 @@ def test_capacity_budgets(chi3):
         mertens(5 * 10**9)
     with pytest.raises(CapacityError):
         mertens_recursive(2 * 10**9)
+    with pytest.raises(CapacityError):
+        kfree_hyperbola_sum(character_rule(chi3), 2, sqrt_split(10**18))
 
 
 def test_series_invariants_enforced():
