@@ -11,10 +11,12 @@ every residue against each of at most log2(q) generators of the units).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .errors import CharacterConstructionError
+from .sieve import DenseValueTable, sieve_primes
 
 # Window lookups slice a tiling of whole periods; a block of at least this
 # many values keeps np.tile to a few large copies even for tiny moduli.
@@ -117,15 +119,7 @@ class RealCharacter:
 
 
 def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return all(n % (p * p) for p in sieve_primes(isqrt(abs(n))).tolist())
 
 
 def _fundamental_discriminant_candidates(q: int) -> list[int]:
@@ -213,6 +207,4 @@ def _unit_generators(units: np.ndarray) -> list[int]:
 
 def character_table(chi: RealCharacter, lo: int, hi: int):
     """Dense chi(n) for n in [lo, hi] by period lookup."""
-    from .sieve import DenseValueTable
-
     return DenseValueTable(lo, hi, chi.values(lo, hi).astype(np.int8), label=chi.label)

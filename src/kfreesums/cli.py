@@ -2,70 +2,61 @@
 
 Subcommands: sieve, sum, mertens, verify-budget, distance, fit, figure1,
 compare, run.  All file outputs are deterministic for a fixed invocation
-(independent of --threads); timings go to stdout only.
+(independent of --threads); timings go to stdout only.  Flags that set a
+run-config field share that field's reader with the config (exit status 2
+on a ConfigError).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
 from .analysis import fit_exponent, figure1, power_envelope, envelope_ratio
-from .characters import build_real_character
-from .constructions import (
-    DeviationBudget,
-    ModificationPlan,
-    completed_character,
-    modified_character,
-    pretentious_distance,
-    verify_deviation_budget,
+from .constructions import completed_character, pretentious_distance, verify_deviation_budget
+from .errors import KfreesumsError
+from .experiment import (
+    DEFAULT_SPLIT, compare_methods, config_rules, load_config, parse_number, read_json,
+    read_budget, read_int, read_k, read_limit, read_modulus, read_plan, read_ratio, read_real,
+    read_split, resolve_split, run_experiment,
 )
-from .errors import ConfigError, KfreesumsError
-from .experiment import compare_methods, load_config, run_experiment
 from .rules import character_rule
 from .sieve import build_spf, sieve_kfree_segment, sieve_mobius_segment, sieve_primes
 from .summatory import (
-    PartialSumSeries,
-    checkpoint_schedule,
-    direct_summatory,
-    explicit_split,
-    mertens,
-    mertens_recursive,
-    optimal_split,
-    sqrt_split,
+    PartialSumSeries, checkpoint_schedule, direct_summatory, mertens, mertens_recursive,
 )
 
 
-def _load_plan(path: str | None, modulus: int) -> ModificationPlan | None:
-    if path is None:
-        return None
-    plan = ModificationPlan.from_json(Path(path).read_text())
-    if plan.character.modulus != modulus:
-        raise ConfigError(
-            f"plan modulus {plan.character.modulus} disagrees with --modulus {modulus}"
-        )
-    return plan
+def _flag(read, name: str, *args):
+    """argparse type: the flag's text, read by the reader of its config field."""
+    return lambda text: read(parse_number(text), name, *args)
 
 
-def _rule_from_args(args) -> tuple:
-    chi = build_real_character(args.modulus)
-    plan = _load_plan(getattr(args, "plan", None), args.modulus)
-    g = modified_character(plan) if plan else character_rule(chi)
-    k = getattr(args, "k", None)
-    f = g.truncated(k) if k else g
-    return f, g, chi
+# options defined alike in every subcommand that takes them
+_SHARED = {
+    "--modulus": dict(type=_flag(read_modulus, "--modulus"), default=3,
+                      help="character modulus q (default 3)"),
+    "--limit": dict(type=_flag(read_limit, "--limit"), required=True, help="upper bound X"),
+    "--plan": dict(help="modification plan JSON file"),
+    "--threads": dict(type=int, default=1),
+    "--schedule": dict(type=_flag(read_ratio, "--schedule"), help="checkpoint ratio (> 1)"),
+}
 
 
-def _add_common(p: argparse.ArgumentParser, *, k_default=None) -> None:
-    p.add_argument("--modulus", type=int, default=3, help="character modulus q (default 3)")
-    p.add_argument("--limit", type=int, required=True, help="upper bound X")
-    p.add_argument("--plan", type=str, default=None, help="modification plan JSON file")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--schedule", type=float, default=1.05, help="checkpoint ratio (> 1)")
-    if k_default is not None:
-        p.add_argument("--k", type=int, default=k_default, help="k-free order (>= 2)")
+def _add(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED[name])
+
+
+def _plan(args, default: dict | None = None):
+    """The --plan file, read as a config's plan block, else the block
+    `default` (None: no plan)."""
+    if args.plan is not None:
+        default = read_json(Path(args.plan).read_text(), f"plan file {args.plan}")
+    return None if default is None else read_plan(default, args.modulus)
 
 
 def cmd_sieve(args) -> int:
@@ -94,7 +85,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    f, _, _ = _rule_from_args(args)
+    f, _, _ = config_rules(args.modulus, _plan(args), args.k)
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     series = direct_summatory(f, args.limit, schedule=schedule, threads=args.threads)
     if args.out:
@@ -110,25 +101,21 @@ def cmd_mertens(args) -> int:
     print(f"M({args.limit}) = {m}")
     if args.check:
         r = mertens_recursive(args.limit)
-        agree = "agree" if r == m else "DISAGREE"
-        print(f"recursive path: {r} ({agree})")
-        if r != m:
-            return 1
+        print(f"recursive path: {r} ({'agree' if r == m else 'DISAGREE'})")
+        return 0 if r == m else 1
     return 0
 
 
 def cmd_verify_budget(args) -> int:
-    chi = build_real_character(args.modulus)
-    plan = _load_plan(args.plan, args.modulus) or ModificationPlan(character=chi)
-    g = modified_character(plan)
-    budget = DeviationBudget(big_c=args.C, small_c=args.c, k=args.k, x0=args.x0)
+    _, g, chi = config_rules(args.modulus, _plan(args, default={}), None)
+    budget = read_budget({"C": args.C, "c": args.c, "x0": args.x0}, args.k)
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     report = verify_deviation_budget(g, chi, budget, args.limit, schedule)
     if args.out:
         report.to_csv(args.out)
         print(f"wrote {args.out}")
     if report.passed:
-        print(f"PASS: S(x) within budget on [{args.x0}, {args.limit}]")
+        print(f"PASS: S(x) within budget on [{budget.x0}, {args.limit}]")
     else:
         x, s, b = report.first_violation
         print(f"FAIL: S({x}) = {s} > budget {b:.6g}")
@@ -136,9 +123,7 @@ def cmd_verify_budget(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    chi = build_real_character(args.modulus)
-    plan = _load_plan(args.plan, args.modulus) or ModificationPlan(character=chi)
-    g = modified_character(plan)
+    _, g, chi = config_rules(args.modulus, _plan(args, default={}), None)
     ref = completed_character(chi) if args.against == "completed" else character_rule(chi)
     d = pretentious_distance(g, ref, args.limit)
     print(f"D({g.label}, {ref.label}; {args.limit}) = {d:.6g}  (D^2 = {d * d:.6g})")
@@ -146,16 +131,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    rows = Path(args.series).read_text().strip().splitlines()
-    header = rows[0].split(",")
-    ix, im, ia = header.index("x"), header.index("M"), header.index("abs_max")
-    cps, running = [], []
-    for line in rows[1:]:
-        parts = line.split(",")
-        cps.append((int(parts[ix]), int(parts[im])))
-        running.append((int(parts[ix]), int(parts[ia])))
-    series = PartialSumSeries(label=Path(args.series).stem, checkpoints=cps,
-                              running_abs_max=running)
+    with open(args.series, newline="") as fh:
+        rows = [(int(r["x"]), int(r["M"]), int(r["abs_max"])) for r in csv.DictReader(fh)]
+    series = PartialSumSeries(label=Path(args.series).stem,
+                              checkpoints=[(x, m) for x, m, _ in rows],
+                              running_abs_max=[(x, a) for x, _, a in rows])
     fit = fit_exponent(series, x_min=args.x_min)
     print(json.dumps({
         "slope": round(fit.slope, 6), "intercept": round(fit.intercept, 6),
@@ -171,26 +151,17 @@ def cmd_figure1(args) -> int:
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     series = figure1(args.limit, csv_path, svg_path, modulus=args.modulus,
                      schedule=schedule, threads=args.threads)
-    ratio, at = envelope_ratio(series, power_envelope(0.25),
-                               x_min=min(10**3, args.limit))
+    x_min = min(10**3, args.limit)
+    ratio, at = envelope_ratio(series, power_envelope(0.25), x_min=x_min)
     print(f"wrote {csv_path} and {svg_path}")
-    print(f"max |M(x)| / x^0.25 = {ratio:.6g} at x = {at} (x >= {min(10**3, args.limit)})")
+    print(f"max |M(x)| / x^0.25 = {ratio:.6g} at x = {at} (x >= {x_min})")
     return 0
 
 
 def cmd_compare(args) -> int:
-    f, g, chi = _rule_from_args(args)
+    f, _, _ = config_rules(args.modulus, _plan(args), args.k)
     x = args.limit
-    if args.split == "theorem2":
-        split = optimal_split(x, args.k)
-    elif args.split == "sqrt":
-        split = sqrt_split(x)
-    else:
-        try:
-            u, v = (float(t) for t in args.split.split(","))
-        except ValueError:
-            raise ConfigError(f"--split must be theorem2, sqrt, or U,V; got {args.split!r}")
-        split = explicit_split(x, u, v)
+    split = resolve_split(args.split, x, args.k)
     report = compare_methods(f, args.k, x, split, threads=args.threads)
     print(f"direct    M_{f.label}({x}) = {report.direct_value}"
           f"  [{report.direct_seconds:.3f} s]")
@@ -221,35 +192,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact partial sums of multiplicative functions on k-free integers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    k_flag = _flag(read_k, "--k")
 
     p = sub.add_parser("sieve", help="dump sieved tables (CSV columns n,value)")
     p.add_argument("--kind", choices=["primes", "mobius", "kfree", "spf"], default="mobius")
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--lo", type=_flag(read_limit, "--lo"), default=1)
+    p.add_argument("--hi", type=_flag(read_limit, "--hi"), required=True)
+    p.add_argument("--k", type=k_flag, default=2)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("sum", help="stream exact partial sums of a rule")
-    _add_common(p, k_default=0)
+    _add(p, "--modulus", "--limit", "--plan", "--threads", "--schedule")
+    p.add_argument("--k", type=k_flag, help="k-free order (>= 2; untruncated when omitted)")
     p.add_argument("--out", type=str, default=None, help="series CSV path")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("mertens", help="exact Mertens value")
-    p.add_argument("--limit", type=int, required=True)
+    _add(p, "--limit")
     p.add_argument("--check", action="store_true", help="cross-check the recursive path")
     p.set_defaults(func=cmd_mertens)
 
     p = sub.add_parser("verify-budget", help="check the prime-deviation budget")
-    _add_common(p, k_default=2)
-    p.add_argument("--C", type=float, default=2.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--x0", type=int, default=10)
+    _add(p, "--modulus", "--limit", "--plan", "--schedule")
+    p.add_argument("--k", type=k_flag, help="k-free order of the budget (>= 2)")
+    p.add_argument("--C", type=_flag(read_real, "--C"), help="budget constant C")
+    p.add_argument("--c", type=_flag(read_real, "--c"), help="budget constant c")
+    p.add_argument("--x0", type=_flag(read_int, "--x0", 2), help="budget start x0")
     p.add_argument("--out", type=str, default=None, help="budget CSV path")
     p.set_defaults(func=cmd_verify_budget)
 
     p = sub.add_parser("distance", help="pretentious distance of a plan's g from chi")
-    _add_common(p)
+    _add(p, "--modulus", "--limit", "--plan")
     p.add_argument("--against", choices=["character", "completed"], default="character")
     p.set_defaults(func=cmd_distance)
 
@@ -259,31 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("figure1", help="partial sums vs +-x^(1/4): CSV + SVG")
-    _add_common(p)
+    _add(p, "--modulus", "--limit", "--threads", "--schedule")
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("compare", help="hyperbola vs direct summation, timed")
-    _add_common(p, k_default=2)
-    p.add_argument("--split", type=str, default="theorem2",
-                   help='"theorem2", "sqrt", or "U,V"')
+    _add(p, "--modulus", "--limit", "--plan", "--threads")
+    p.add_argument("--k", type=k_flag, default=2, help="k-free order (>= 2)")
+    p.add_argument("--split", type=_flag(read_split, "--split"), default=DEFAULT_SPLIT,
+                   help='"theorem2", "sqrt", or "U,V" (exact reals)')
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("run", help="config-driven report bundle")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add(p, "--threads")
     p.set_defaults(func=cmd_run)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "k", None) == 0:
-        args.k = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except KfreesumsError as e:
         print(f"error: {e}", file=sys.stderr)

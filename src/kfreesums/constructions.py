@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .characters import RealCharacter, build_real_character
+from .characters import RealCharacter
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
 from .sieve import is_prime, sieve_primes
@@ -70,16 +70,6 @@ class ModificationPlan:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModificationPlan":
-        data = json.loads(text)
-        chi = build_real_character(int(data["modulus"]))
-        return cls(
-            character=chi,
-            flipped_primes=tuple(data.get("flipped_primes", ())),
-            unit_on_q_divisors=bool(data.get("unit_on_q_divisors", True)),
-        )
-
 
 def completed_character(chi: RealCharacter) -> MultiplicativeRule:
     """g with g(n) = chi(n) for gcd(n, q) = 1 and g(p) = +1 for p | q.
@@ -106,16 +96,8 @@ def deviation_sum(g: MultiplicativeRule, chi: RealCharacter, x: int) -> int:
     override primes and the modulus primes can contribute; the sum is
     evaluated from those finite sets without touching other primes.
     """
-    total = 0
-    seen = set()
-    for p in g.overrides:
-        if p <= x:
-            total += abs(1 - g.overrides[p] * chi.value(p))
-            seen.add(p)
-    for p in chi.q_divisor_primes():
-        if p <= x and p not in seen:
-            total += abs(1 - g.prime_value(p) * chi.value(p))
-    return total
+    primes = set(g.overrides) | set(chi.q_divisor_primes())
+    return sum(abs(1 - g.prime_value(p) * chi.value(p)) for p in primes if p <= x)
 
 
 @dataclass(frozen=True)
@@ -129,11 +111,11 @@ class DeviationBudget:
 
     def __post_init__(self) -> None:
         if self.big_c <= 0 or self.small_c <= 0:
-            raise RangeError("budget constants must be positive")
+            raise RangeError(f"budget constants must be positive: C={self.big_c}, c={self.small_c}")
         if self.k < 2:
-            raise RangeError("budget exponent k must be >= 2")
+            raise RangeError(f"budget exponent k must be >= 2, got {self.k}")
         if self.x0 < 2:
-            raise RangeError("budget start x0 must be >= 2")
+            raise RangeError(f"budget start x0 must be >= 2, got {self.x0}")
 
     def value(self, x: float) -> float:
         return self.big_c * x ** (1.0 / self.k) * math.exp(-self.small_c * math.sqrt(math.log(x)))
@@ -245,8 +227,7 @@ def greedy_plan(chi: RealCharacter, budget: DeviationBudget, limit: int) -> Modi
     the resulting plan passes the verifier exactly when that forced part
     does.
     """
-    q_primes = chi.q_divisor_primes()
-    q_contrib = sorted(p for p in q_primes if p <= limit)
+    q_contrib = [p for p in chi.q_divisor_primes() if p <= limit]
 
     def s_at(x: int, flips: int) -> int:
         return 2 * flips + bisect.bisect_right(q_contrib, x)

@@ -2,7 +2,8 @@
 
 Convolution, Dirichlet inversion and pointwise products all operate on
 tables over [1, N] with exact 64-bit integers; products of {-1, 0, 1}
-tables never overflow at the oracle scales used here (N <= ~10^6).
+tables never overflow at the oracle scales used here (N <= ~10^6), and
+Dirichlet inversion raises CapacityError rather than wrap past int64.
 
 Two closed-form convolution factors are also built directly from their
 prime-power laws:
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import RealCharacter
-from .errors import NonInvertibleError, RangeError, ShapeError
+from .errors import CapacityError, NonInvertibleError, RangeError, ShapeError
 from .rules import MultiplicativeRule
-from .sieve import DenseValueTable, build_spf, introot, sieve_mobius_segment
+from .sieve import MAX_LIMIT, DenseValueTable, build_spf, introot, sieve_mobius_segment
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,10 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
 
     Uses the forward recursion b(n) = -a(1)^{-1} sum_{d|n, d>1} a(d) b(n/d);
     contributions are pushed to multiples as each b(n) is fixed, keeping the
-    whole inversion O(N log N).
+    whole inversion O(N log N).  It runs in int64 (exact modulo 2^64) when
+    |b(n)| <= n^2 * A^(log2 n), A = max_{d>=2} |a(d)|, keeps every value in
+    int64; otherwise in Python ints, and it raises CapacityError naming the
+    first n whose b(n) leaves int64.
     """
     _require_prefix(a, "operand")
     n = a.hi
@@ -96,14 +100,20 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     if a1 not in (1, -1):
         raise NonInvertibleError(f"a(1) = {a1} is not a unit in the integer table ring")
     av = a.values.astype(np.int64)
-    b = np.zeros(n + 1, dtype=np.int64)
-    acc = np.zeros(n + 1, dtype=np.int64)  # pending sum_{d|m, d<m} b(d) a(m/d)
+    big = max(-int(av[1:].min(initial=0)), int(av[1:].max(initial=0)), 1)
+    checked = n * n * big ** (n.bit_length() - 1) > MAX_LIMIT
+    if checked:
+        av = av.astype(object)
+    b = np.zeros(n + 1, dtype=av.dtype)
+    acc = np.zeros(n + 1, dtype=av.dtype)  # pending sum_{d|m, d<m} b(d) a(m/d)
     for m in range(1, n + 1):
         bm = (1 - acc[m]) * a1 if m == 1 else -a1 * acc[m]
+        if checked and not -MAX_LIMIT - 1 <= bm <= MAX_LIMIT:
+            raise CapacityError(f"Dirichlet inverse value at n={m} is {bm}, outside int64")
         b[m] = bm
         if bm and 2 * m <= n:
             acc[2 * m :: m] += bm * av[1 : n // m]
-    return ConvolutionTable(limit=n, values=b, operands=(a.label, "^-1"))
+    return ConvolutionTable(limit=n, values=b.astype(np.int64), operands=(a.label, "^-1"))
 
 
 def pointwise_product(a: DenseValueTable, b: DenseValueTable) -> DenseValueTable:

@@ -7,20 +7,26 @@ A run config is JSON with the shape
       "plan": {"modulus": 3, "flipped_primes": [], "unit_on_q_divisors": true},
       "budget": {"C": 2.0, "c": 1.0, "x0": 10},
       "envelopes": [{"kind": "power", "alpha": 0.25}],
-      "split": "theorem2"            // or {"U": ..., "V": ...}
+      "split": "theorem2"            // or "sqrt", "U,V", {"U": ..., "V": ...}
     }
 
 `plan` selects the completely multiplicative +-1 modification g (absent:
 the bare character, vanishing on the modulus, is restricted instead).
-Identical configs produce byte-identical bundles: no timestamps or wall
-times are written to any artifact.
+Reals are read as exact Decimals (only budget and envelope constants
+become floats), and each field's reader, shared with the CLI, raises
+ConfigError naming the field and value it rejects.  Identical configs
+produce byte-identical bundles: no timestamps or wall times are written
+to any artifact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 from .analysis import (
@@ -31,13 +37,12 @@ from .analysis import (
 )
 from .characters import build_real_character
 from .constructions import (
-    BudgetReport,
     DeviationBudget,
     ModificationPlan,
     modified_character,
     verify_deviation_budget,
 )
-from .errors import ConfigError, FitError, MethodMismatchError, RangeError
+from .errors import ConfigError, FitError, KfreesumsError, MethodMismatchError, RangeError
 from .rules import MultiplicativeRule, character_rule
 from .summatory import (
     HyperbolaSplit,
@@ -46,9 +51,14 @@ from .summatory import (
     explicit_split,
     kfree_hyperbola_sum,
     optimal_split,
+    sqrt_split,
 )
 
 SUMMARY_SCHEMA_VERSION = "1"
+DEFAULT_SPLIT = "theorem2"
+# config key -> attribute of the object built from the block
+_ENVELOPE_KEYS = {"alpha": "alpha", "k": "k", "lambda": "lam", "c": "c", "scale": "scale"}
+_BUDGET_KEYS = {"C": "big_c", "c": "small_c", "x0": "x0"}
 
 
 @dataclass(frozen=True)
@@ -59,130 +69,180 @@ class ExperimentConfig:
     plan: ModificationPlan | None
     budget: DeviationBudget | None
     envelopes: list[EnvelopeSpec]
-    split: str | tuple[float, float]
-    schedule_ratio: float = 1.05
+    split: str | tuple[Decimal, Decimal]
+    schedule_ratio: float | None = None
 
     @property
     def raw(self) -> dict:
         out = {
-            "modulus": self.modulus,
-            "k": self.k,
-            "X": self.limit,
+            "modulus": self.modulus, "k": self.k, "X": self.limit,
             "envelopes": [
-                {k2: v for k2, v in {
-                    "kind": e.kind, "alpha": e.alpha, "k": e.k,
-                    "lambda": e.lam, "c": e.c, "scale": e.scale,
-                }.items() if v is not None}
+                {"kind": e.kind, **{key: getattr(e, name) for key, name in _ENVELOPE_KEYS.items()
+                                    if getattr(e, name) is not None}}
                 for e in self.envelopes
             ],
             "split": self.split if isinstance(self.split, str)
-            else {"U": self.split[0], "V": self.split[1]},
+            else {"U": float(self.split[0]), "V": float(self.split[1])},
         }
         if self.plan is not None:
             out["plan"] = json.loads(self.plan.to_json())
         if self.budget is not None:
-            out["budget"] = {"C": self.budget.big_c, "c": self.budget.small_c,
-                             "x0": self.budget.x0}
+            out["budget"] = {key: getattr(self.budget, name) for key, name in _BUDGET_KEYS.items()}
         return out
 
 
-def _fail(path: str, msg: str) -> ConfigError:
-    return ConfigError(f"config {path}: {msg}")
+# -- field readers, shared by parse_config and the CLI ----------------------
+# Each takes a parsed JSON value (reals as exact Decimals) and the field path
+# or flag `where`, which a ConfigError names together with the bad value.
 
 
-def _require_int(data: dict, key: str, minimum: int) -> int:
-    if key not in data:
-        raise _fail(key, "missing required key")
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
-        raise _fail(key, f"expected an integer, got {v!r}")
-    v = int(v)
-    if v < minimum:
-        raise _fail(key, f"must be >= {minimum}, got {v}")
-    return v
+def _fail(where: str, msg: str) -> ConfigError:
+    return ConfigError(f"{where}: {msg}")
+
+
+def _expect(ok: bool, where: str, what: str, value) -> None:
+    if not ok:
+        shown = str(value) if isinstance(value, Decimal) else repr(value)
+        raise _fail(where, f"expected {what}, got {shown}")
+
+
+def _is_real(value) -> bool:
+    """A finite number, not a bool (NaN is the one value unequal to itself)."""
+    return (isinstance(value, (int, float, Decimal)) and not isinstance(value, bool)
+            and value == value and abs(value) != math.inf)
+
+
+def _build(cls, where: str, **fields):
+    """cls(**fields), with the invariant it rejects reported at `where`."""
+    try:
+        return cls(**fields)
+    except KfreesumsError as e:
+        raise _fail(where, str(e)) from None
+
+
+def read_json(text: str, what: str = "config"):
+    try:
+        return json.loads(text, parse_float=Decimal)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: line {e.lineno}, "
+                          f"column {e.colno}: {e.msg}") from None
+
+
+def parse_number(text: str):
+    """CLI text as a config holds it: an int or a Decimal, else the text itself."""
+    try:
+        value = json.loads(text, parse_float=Decimal)
+    except ValueError:
+        return text
+    return value if _is_real(value) else text
+
+
+def read_int(value, where: str, minimum: int) -> int:
+    _expect(_is_real(value) and value == int(value), where, "an integer", value)
+    if value < minimum:
+        raise _fail(where, f"must be >= {minimum}, got {int(value)}")
+    return int(value)
+
+
+read_modulus = partial(read_int, minimum=3)
+read_k = partial(read_int, minimum=2)
+read_limit = partial(read_int, minimum=1)
+
+
+def read_real(value, where: str) -> int | float:
+    """A finite real: an int stays exact, any other real becomes a float."""
+    _expect(_is_real(value), where, "a real number", value)
+    return value if isinstance(value, int) else float(value)
+
+
+def read_ratio(value, where: str = "schedule_ratio") -> float:
+    ratio = float(read_real(value, where))
+    if ratio <= 1.0:
+        raise _fail(where, f"must exceed 1, got {value}")
+    return ratio
+
+
+def read_split(value, where: str = "split") -> str | tuple[Decimal, Decimal]:
+    """"theorem2", "sqrt", or exact real U, V given as "U,V" or {"U": .., "V": ..}."""
+    if value in (DEFAULT_SPLIT, "sqrt"):
+        return value
+    if isinstance(value, str) and value.count(",") == 1:
+        value = dict(zip("UV", map(parse_number, value.split(","))))
+    _expect(isinstance(value, dict) and set(value) == {"U", "V"}, where,
+            '"theorem2", "sqrt", "U,V" or an object {U, V}', value)
+    for key in "UV":
+        _expect(_is_real(value[key]), f"{where}.{key}", "a real number", value[key])
+    return Decimal(value["U"]), Decimal(value["V"])
+
+
+def read_plan(block, modulus: int, where: str = "plan") -> ModificationPlan:
+    """A modification plan of the character mod `modulus`."""
+    _expect(isinstance(block, dict), where, "an object", block)
+    if "modulus" in block and read_modulus(block["modulus"], f"{where}.modulus") != modulus:
+        raise _fail(f"{where}.modulus", f"{block['modulus']} disagrees with modulus {modulus}")
+    fields = {}
+    if "flipped_primes" in block:
+        flips = block["flipped_primes"]
+        _expect(isinstance(flips, list), f"{where}.flipped_primes", "a list", flips)
+        fields["flipped_primes"] = tuple(
+            read_int(p, f"{where}.flipped_primes[{i}]", 2) for i, p in enumerate(flips))
+    if "unit_on_q_divisors" in block:
+        unit = fields["unit_on_q_divisors"] = block["unit_on_q_divisors"]
+        _expect(isinstance(unit, bool), f"{where}.unit_on_q_divisors", "true or false", unit)
+    chi = build_real_character(modulus)
+    return _build(ModificationPlan, f"{where}.flipped_primes", character=chi, **fields)
+
+
+def read_budget(block, k: int | None, where: str = "budget") -> DeviationBudget:
+    """A deviation budget; absent or null constants keep DeviationBudget's defaults."""
+    _expect(isinstance(block, dict), where, "an object", block)
+    fields = {} if k is None else {"k": k}
+    for key, name in _BUDGET_KEYS.items():
+        value, at = block.get(key), f"{where}.{key}"
+        if value is not None:
+            fields[name] = read_int(value, at, 2) if key == "x0" else float(read_real(value, at))
+    return _build(DeviationBudget, where, **fields)
+
+
+def read_envelope(block, where: str) -> EnvelopeSpec:
+    _expect(isinstance(block, dict) and "kind" in block, where, "an object with a 'kind'", block)
+    fields = {}
+    for key, name in _ENVELOPE_KEYS.items():
+        value, at = block.get(key), f"{where}.{key}"
+        if value is not None:
+            fields[name] = read_int(value, at, 1) if key == "k" else read_real(value, at)
+    if "scale" in fields:
+        fields["scale"] = float(fields["scale"])
+    return _build(EnvelopeSpec, where, kind=block["kind"], **fields)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document, with line-level diagnostics."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    data = read_json(text)
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     known = {"modulus", "k", "X", "plan", "budget", "envelopes", "split", "schedule_ratio"}
     for key in data:
         if key not in known:
             raise _fail(key, "unknown key")
+    for key in ("modulus", "k", "X"):
+        if key not in data:
+            raise _fail(key, "missing required key")
+    modulus, k = read_modulus(data["modulus"], "modulus"), read_k(data["k"], "k")
 
-    modulus = _require_int(data, "modulus", 3)
-    k = _require_int(data, "k", 2)
-    limit = _require_int(data, "X", 1)
-    chi = build_real_character(modulus)
-
-    plan = None
-    if data.get("plan") is not None:
-        pd = data["plan"]
-        if not isinstance(pd, dict):
-            raise _fail("plan", "must be an object")
-        if "modulus" in pd and int(pd["modulus"]) != modulus:
-            raise _fail("plan.modulus", f"disagrees with top-level modulus {modulus}")
-        plan = ModificationPlan(
-            character=chi,
-            flipped_primes=tuple(pd.get("flipped_primes", ())),
-            unit_on_q_divisors=bool(pd.get("unit_on_q_divisors", True)),
-        )
-
-    budget = None
+    plan = None if data.get("plan") is None else read_plan(data["plan"], modulus)
     if data.get("budget") is not None:
-        bd = data["budget"]
-        if not isinstance(bd, dict):
-            raise _fail("budget", "must be an object")
-        budget = DeviationBudget(
-            big_c=float(bd.get("C", 2.0)),
-            small_c=float(bd.get("c", 1.0)),
-            k=k,
-            x0=int(bd.get("x0", 10)),
-        )
-    elif plan is not None:
-        budget = DeviationBudget(k=k)
-
-    envelopes = []
-    for i, ed in enumerate(data.get("envelopes", [{"kind": "power", "alpha": 0.25}])):
-        if not isinstance(ed, dict) or "kind" not in ed:
-            raise _fail(f"envelopes[{i}]", "each envelope needs a 'kind'")
-        try:
-            envelopes.append(
-                EnvelopeSpec(
-                    kind=ed["kind"],
-                    alpha=ed.get("alpha"),
-                    k=ed.get("k"),
-                    lam=ed.get("lambda"),
-                    c=ed.get("c"),
-                    scale=float(ed.get("scale", 1.0)),
-                )
-            )
-        except ConfigError as e:
-            raise _fail(f"envelopes[{i}]", str(e)) from None
-
-    split = data.get("split", "theorem2")
-    if isinstance(split, str):
-        if split != "theorem2":
-            raise _fail("split", f"must be \"theorem2\" or an object {{U, V}}, got {split!r}")
-    elif isinstance(split, dict):
-        if set(split) != {"U", "V"}:
-            raise _fail("split", "object form needs exactly the keys U and V")
-        split = (float(split["U"]), float(split["V"]))
+        budget = read_budget(data["budget"], k)
     else:
-        raise _fail("split", "must be \"theorem2\" or an object {U, V}")
-
-    ratio = float(data.get("schedule_ratio", 1.05))
-    if ratio <= 1.0:
-        raise _fail("schedule_ratio", "must exceed 1")
-
+        budget = None if plan is None else DeviationBudget(k=k)
+    envelopes = data.get("envelopes", [{"kind": "power", "alpha": Decimal("0.25")}])
+    _expect(isinstance(envelopes, list), "envelopes", "a list", envelopes)
+    ratio = data.get("schedule_ratio")
     return ExperimentConfig(
-        modulus=modulus, k=k, limit=limit, plan=plan, budget=budget,
-        envelopes=envelopes, split=split, schedule_ratio=ratio,
+        modulus=modulus, k=k, limit=read_limit(data["X"], "X"), plan=plan, budget=budget,
+        envelopes=[read_envelope(e, f"envelopes[{i}]") for i, e in enumerate(envelopes)],
+        split=read_split(data.get("split", DEFAULT_SPLIT)),
+        schedule_ratio=None if ratio is None else read_ratio(ratio),
     )
 
 
@@ -190,21 +250,20 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def config_rules(cfg: ExperimentConfig):
-    """(f, g, chi): the summed function f = (k-free) * g and its base g."""
-    chi = build_real_character(cfg.modulus)
-    if cfg.plan is not None:
-        g = modified_character(cfg.plan)
-    else:
-        g = character_rule(chi)
-    return g.truncated(cfg.k), g, chi
+def config_rules(modulus: int, plan: ModificationPlan | None, k: int | None):
+    """(f, g, chi): g is chi mod `modulus` modified by the plan, f = g on k-free n."""
+    chi = build_real_character(modulus)
+    g = character_rule(chi) if plan is None else modified_character(plan)
+    return (g if k is None else g.truncated(k)), g, chi
 
 
-def resolve_split(cfg: ExperimentConfig, x: int) -> HyperbolaSplit:
-    if isinstance(cfg.split, str):
-        return optimal_split(x, cfg.k)
-    u, v = cfg.split
-    return explicit_split(x, u, v)
+def resolve_split(split, x: int, k: int) -> HyperbolaSplit:
+    """The HyperbolaSplit of x for a split as `read_split` returns it."""
+    if split == DEFAULT_SPLIT:
+        return optimal_split(x, k)
+    if split == "sqrt":
+        return sqrt_split(x)
+    return explicit_split(x, *split)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
@@ -213,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     from .reporting import write_csv, write_json
 
-    f, g, chi = config_rules(cfg)
+    f, g, chi = config_rules(cfg.modulus, cfg.plan, cfg.k)
     schedule = checkpoint_schedule(cfg.limit, ratio=cfg.schedule_ratio)
     series = direct_summatory(f, cfg.limit, schedule=schedule, threads=threads)
     series.to_csv(out / "series.csv")
@@ -226,50 +285,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         "max_abs": int(series.abs_max[-1]),
     }
 
-    budget_report: BudgetReport | None = None
     if cfg.budget is not None and cfg.limit >= cfg.budget.x0:
         budget_report = verify_deviation_budget(g, chi, cfg.budget, cfg.limit, schedule)
         budget_report.to_csv(out / "budget.csv")
+        fv = budget_report.first_violation
         summary["budget"] = {
             "passed": budget_report.passed,
-            "first_violation": (
-                None
-                if budget_report.first_violation is None
-                else {
-                    "x": budget_report.first_violation[0],
-                    "S": budget_report.first_violation[1],
-                    "budget": budget_report.first_violation[2],
-                }
-            ),
+            "first_violation": None if fv is None else dict(zip(("x", "S", "budget"), fv)),
         }
 
-    env_rows = []
-    env_summaries = []
+    envelopes = []
     for env in cfg.envelopes:
         ratio, at = envelope_ratio(series, env, x_min=min(DEFAULT_X_MIN, cfg.limit))
-        env_rows.append((env.kind, env.describe(), ratio, at))
-        env_summaries.append(
-            {"kind": env.kind, "curve": env.describe(), "max_ratio": ratio, "arg_max": at}
-        )
-    write_csv(out / "envelopes.csv", ["kind", "curve", "max_ratio", "arg_max"], env_rows)
-    summary["envelopes"] = env_summaries
+        envelopes.append({"kind": env.kind, "curve": env.describe(), "max_ratio": ratio,
+                          "arg_max": at})
+    write_csv(out / "envelopes.csv", ["kind", "curve", "max_ratio", "arg_max"],
+              [tuple(e.values()) for e in envelopes])
+    summary["envelopes"] = envelopes
 
     fit_x_min = DEFAULT_X_MIN if cfg.limit >= 10 * DEFAULT_X_MIN else int(series.xs[0])
     try:
-        fit = fit_exponent(series, x_min=fit_x_min)
-        fit_payload = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "x_min": fit.x_min, "residual": fit.residual, "points": fit.points,
-        }
+        fit_payload = asdict(fit_exponent(series, x_min=fit_x_min))
     except FitError as e:
         fit_payload = {"error": str(e)}
     write_json(out / "fit.json", fit_payload)
     summary["fit"] = fit_payload
-
-    split = resolve_split(cfg, cfg.limit)
-    summary["split"] = {
-        "u_floor": split.u_floor, "v_floor": split.v_floor, "x": split.x,
-    }
+    summary["split"] = asdict(resolve_split(cfg.split, cfg.limit, cfg.k))
     write_json(out / "summary.json", summary)
     return summary
 

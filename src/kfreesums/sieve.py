@@ -14,7 +14,6 @@ where products can grow.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -31,6 +30,9 @@ MAX_LIMIT = 2**63 - 1
 MAX_KFREE_ORDER = 60
 
 DEFAULT_SEGMENT_SIZE = 2**20
+
+# Largest smallest-prime-factor table build_spf allocates (2 GiB).
+MAX_SPF_BYTES = 2**31
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -75,11 +77,9 @@ class DenseValueTable:
 
     def to_csv(self, path) -> None:
         """Debug dump with columns n,value."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "value"])
-            for i, v in enumerate(self.values):
-                writer.writerow([self.lo + i, int(v)])
+        from .reporting import write_csv
+
+        write_csv(path, ["n", "value"], enumerate(self.values.tolist(), self.lo))
 
 
 @dataclass(frozen=True)
@@ -215,23 +215,22 @@ def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = No
     return DenseValueTable(lo, hi, vals, label=f"mu_{k}^2")
 
 
-def build_spf(limit: int, max_bytes: int = 2**31) -> SpfTable:
+def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table for 1..limit.
 
-    Raises CapacityError when the table would exceed max_bytes (default
-    2 GiB); the dtype is the narrowest signed integer covering limit.
+    Raises CapacityError when the table would exceed MAX_SPF_BYTES; the
+    dtype is the narrowest signed integer covering limit.
     """
     if limit < 1:
         raise RangeError(f"limit {limit} must be >= 1")
     dtype = np.int32 if limit < 2**31 else np.int64
     need = (limit + 1) * np.dtype(dtype).itemsize
-    if need > max_bytes:
+    if need > MAX_SPF_BYTES:
         raise CapacityError(
-            f"SPF table for limit {limit} needs {need} bytes, budget is {max_bytes}"
+            f"SPF table for limit {limit} needs {need} bytes, budget is {MAX_SPF_BYTES}"
         )
     spf = np.zeros(limit + 1, dtype=dtype)
-    if limit >= 1:
-        spf[1] = 1
+    spf[1] = 1
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
             window = spf[p * p :: p]

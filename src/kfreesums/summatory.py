@@ -47,11 +47,23 @@ from .sieve import (
 # Streaming budget: ranges past this need more than the intended memory/time
 # envelope of the workbench.
 MAX_STREAM_LIMIT = 4 * 10**9
+# Budget of the memoised recursion in mertens_recursive.
+MAX_RECURSIVE_MERTENS = 10**9
 
 
-def checkpoint_schedule(limit: int, ratio: float = 1.05, start: int = 10) -> list[int]:
+def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "streaming") -> None:
+    """RangeError below 1, CapacityError past `budget`; both name the limit."""
+    if limit < 1:
+        raise RangeError(f"limit must be >= 1, got {limit}")
+    if limit > budget:
+        raise CapacityError(f"limit {limit} beyond {what} budget {budget}")
+
+
+def checkpoint_schedule(limit: int, ratio: float | None = None, start: int = 10) -> list[int]:
     """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from `start`,
-    plus every power of 10 and the endpoint itself."""
+    plus every power of 10 and the endpoint itself; ratio 1.05 unless given."""
+    if ratio is None:
+        ratio = 1.05
     if limit < 1:
         raise RangeError("schedule limit must be >= 1")
     if ratio <= 1.0:
@@ -149,10 +161,7 @@ def stream_summatory(
         RangeError: limit < 1, or threads < 1.
         CapacityError: limit beyond MAX_STREAM_LIMIT.
     """
-    if limit < 1:
-        raise RangeError("limit must be >= 1")
-    if limit > MAX_STREAM_LIMIT:
-        raise CapacityError(f"limit {limit} beyond streaming budget {MAX_STREAM_LIMIT}")
+    _check_limit(limit)
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
     threads = min(threads, _usable_cpus())
@@ -265,10 +274,7 @@ def summatory_mu_chi(
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """M_mu(limit), exactly, via the segmented Mobius sieve."""
-    if limit < 1:
-        raise RangeError("limit must be >= 1")
-    if limit > MAX_STREAM_LIMIT:
-        raise CapacityError(f"limit {limit} beyond streaming budget {MAX_STREAM_LIMIT}")
+    _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
     total = 0
     for lo, hi in segments(1, limit, segment_size):
@@ -285,10 +291,7 @@ def mertens_recursive(limit: int) -> int:
     sieved prefix; shares no code with the streaming path beyond the raw
     Mobius segment sieve used for seeding.
     """
-    if limit < 1:
-        raise RangeError("limit must be >= 1")
-    if limit > 10**9:
-        raise CapacityError("recursive Mertens budget is 10^9")
+    _check_limit(limit, MAX_RECURSIVE_MERTENS, "recursive Mertens")
     seed = min(limit, max(2 * int(limit ** (2 / 3)), 1024))
     mu = sieve_mobius_segment(1, seed).values
     small = np.concatenate(([0], np.cumsum(mu, dtype=np.int64)))
@@ -329,9 +332,8 @@ class PrefixSummatory:
     one.
     """
 
-    def __init__(self, values: np.ndarray, k: int = 1, label: str = ""):
+    def __init__(self, values: np.ndarray, k: int = 1):
         self.k = k
-        self.label = label
         self._cum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
 
     def __call__(self, y: int) -> int:
@@ -348,9 +350,8 @@ class PrefixSummatory:
 class MappedSummatory:
     """Summatory oracle over a precomputed {argument: M} map."""
 
-    def __init__(self, mapping: dict[int, int], label: str = ""):
+    def __init__(self, mapping: dict[int, int]):
         self.mapping = mapping
-        self.label = label
 
     def __call__(self, y: int) -> int:
         try:
@@ -374,7 +375,7 @@ def streamed_summatory_map(
             rule, pos[-1], schedule=pos, segment_size=segment_size, threads=threads
         )
         out.update(dict(series.checkpoints))
-    return MappedSummatory(out, label=rule.label)
+    return MappedSummatory(out)
 
 
 # -- hyperbola method ----------------------------------------------------
@@ -472,20 +473,17 @@ def kfree_hyperbola_sum(
     g must be completely multiplicative (untruncated); h = kfree_factor is
     supported on k-th powers.  The h side is read from its short prefix
     over m <= x^(1/k), and the g side from one stream of g that
-    checkpoints every argument hyperbola_sum reads from it.
+    checkpoints exactly the arguments hyperbola_sum reads from it.
     """
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    if x > MAX_STREAM_LIMIT:  # before the h arrays of length x^(1/k) are built
-        raise CapacityError(f"limit {x} beyond streaming budget {MAX_STREAM_LIMIT}")
+    _check_limit(x)  # before the h arrays of length x^(1/k) are built
     h_values = kfree_factor(k, g, uf)
     g_values = g.values(1, vf)
-    h_summatory = PrefixSummatory(
-        kfree_factor_at_powers(k, g, introot(x, k)), k=k, label=h_values.label
-    )
-    # g_summatory is read at x // m^k for m^k <= U and at V; the stream
-    # also checkpoints x // n at each nonzero g(n), n <= V
-    args = {x // m**k for m in range(1, introot(uf, k) + 1)}
-    args.add(vf)
-    args.update(np.unique(x // (np.flatnonzero(g_values.values) + 1)).tolist())
+    at_powers = kfree_factor_at_powers(k, g, introot(x, k))
+    h_summatory = PrefixSummatory(at_powers, k=k)
+    # g_summatory is read only at x // m^k for each nonzero h(m^k), m^k <= U,
+    # and at V
+    m = np.flatnonzero(at_powers[: introot(uf, k)]) + 1
+    args = set((x // m**k).tolist()) | {vf}
     g_summatory = streamed_summatory_map(g, sorted(args), threads=threads)
     return hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split)

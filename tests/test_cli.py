@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from kfreesums import ModificationPlan, build_real_character
 from kfreesums.cli import main
 
@@ -132,3 +134,62 @@ def test_csv_line_endings_are_lf(tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def test_compare_split_is_exact(capsys):
+    # as floats these parse to 100.0 and 10.0; the exact floors are 99 and 10
+    rc = main(["compare", "--modulus", "3", "--k", "2", "--limit", "1000",
+               "--split", "99.99999999999999999,10.000000000000000001"])
+    assert rc == 0
+    assert "(U = 99, V = 10)" in capsys.readouterr().out
+
+
+def test_sum_without_k_is_untruncated(capsys):
+    from kfreesums import character_rule, direct_summatory
+
+    assert main(["sum", "--limit", "1000"]) == 0
+    m = direct_summatory(character_rule(build_real_character(3)), 1000).final[1]
+    assert f"M_chi_3(1000) = {m} " in capsys.readouterr().out
+    assert main(["sum", "--limit", "1000", "--k", "0"]) == 2
+    assert "--k: must be >= 2, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-budget", "--limit", "100", "--threads", "2"],
+    ["distance", "--limit", "100", "--threads", "2"],
+    ["distance", "--limit", "100", "--schedule", "1.1"],
+    ["compare", "--limit", "100", "--schedule", "1.1"],
+    ["figure1", "--limit", "100", "--out", "unused", "--plan", "p.json"],
+])
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sum", "--limit", "1e2.5"], "--limit: expected an integer, got '1e2.5'"),
+    (["sum", "--limit", "100", "--schedule", "fast"],
+     "--schedule: expected a real number, got 'fast'"),
+    (["sum", "--limit", "100", "--schedule", "1"], "--schedule: must exceed 1, got 1"),
+    (["verify-budget", "--limit", "100", "--x0", "2.5"], "--x0: expected an integer, got 2.5"),
+    (["verify-budget", "--limit", "100", "--C", "abc"], "--C: expected a real number, got 'abc'"),
+    (["compare", "--limit", "100", "--split", "a,10"], "--split.U: expected a real number, got 'a'"),
+    (["compare", "--limit", "100", "--split", "diag"], "--split: expected \"theorem2\""),
+])
+def test_flag_errors_name_flag_and_value(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_plan_file_errors_exit_two(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    for text, message in [
+        ("{bad", "is not valid JSON: line 1"),
+        ('{"modulus": 5}', "plan.modulus: 5 disagrees with modulus 3"),
+        ('{"flipped_primes": [2.5]}', "plan.flipped_primes[0]: expected an integer, got 2.5"),
+    ]:
+        plan.write_text(text)
+        assert main(["sum", "--limit", "100", "--plan", str(plan)]) == 2
+        assert message in capsys.readouterr().err

@@ -19,6 +19,7 @@ from kfreesums import (
     sieve_primes,
     verify_deviation_budget,
 )
+from kfreesums.experiment import read_json, read_plan
 
 from oracles import distance_squared_loop, primes_trial
 
@@ -72,7 +73,7 @@ def test_plan_negative_unit_variant(chi3):
 
 def test_plan_json_round_trip(chi3):
     plan = ModificationPlan(character=chi3, flipped_primes=(5, 11))
-    back = ModificationPlan.from_json(plan.to_json())
+    back = read_plan(read_json(plan.to_json()), 3)
     assert back.flipped_primes == (5, 11)
     assert back.character.modulus == 3
     assert back.unit_on_q_divisors is True

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
+    CapacityError,
     DenseValueTable,
     ModificationPlan,
     NonInvertibleError,
@@ -101,6 +102,21 @@ def test_inverse_rejects_non_units():
     vals2 = np.full(10, 2, dtype=np.int8)
     with pytest.raises(NonInvertibleError):
         dirichlet_inverse(DenseValueTable(1, 10, vals2))
+
+
+def test_inverse_refuses_to_wrap_int64():
+    # the exact a^-1(512) of this table is 9815844098731540608 > 2^63 - 1;
+    # an int64 recursion wrapped it to -8630899974978011008
+    vals = np.full(1024, -128, dtype=np.int8)
+    vals[0] = 1
+    with pytest.raises(CapacityError, match="n=512 is 9815844098731540608"):
+        dirichlet_inverse(DenseValueTable(1, 1024, vals))
+    # every value below 512 fits, and the checked path returns it exactly
+    inv = dirichlet_inverse(DenseValueTable(1, 511, vals[:511]))
+    for n in (2, 4, 256, 384, 511):
+        assert inv.value_at(n) == -sum(
+            -128 * inv.value_at(d) for d in divisors(n) if d < n
+        )
 
 
 # |a(d)| <= 128 bounds |a^-1(n)| by 128^Omega(n) times the number of ordered

@@ -69,7 +69,7 @@ def test_parse_config_unknown_key():
 
 def test_parse_config_split_forms():
     cfg = parse_config(json.dumps(dict(BASE_CONFIG, split={"U": 100, "V": 100})))
-    split = resolve_split(cfg, 10**4)
+    split = resolve_split(cfg.split, 10**4, cfg.k)
     assert (split.u_floor, split.v_floor) == (100, 100)
     with pytest.raises(ConfigError):
         parse_config(json.dumps(dict(BASE_CONFIG, split="diag")))
@@ -85,11 +85,11 @@ def test_parse_config_plan_modulus_mismatch():
 
 def test_config_without_plan_uses_bare_character():
     cfg = parse_config(json.dumps({"modulus": 3, "k": 2, "X": 100}))
-    f, g, chi = config_rules(cfg)
+    f, g, chi = config_rules(cfg.modulus, cfg.plan, cfg.k)
     assert g.prime_value(3) == 0      # bare character vanishes on q
     assert f.k_truncation == 2
     cfg2 = parse_config(json.dumps(BASE_CONFIG))
-    _, g2, _ = config_rules(cfg2)
+    _, g2, _ = config_rules(cfg2.modulus, cfg2.plan, cfg2.k)
     assert g2.prime_value(3) == 1     # plan completes it
 
 
@@ -170,3 +170,50 @@ def test_compare_methods_rejects_split_for_other_x():
     f = character_rule(build_real_character(3), k=2)
     with pytest.raises(RangeError, match="x=900"):
         compare_methods(f, 2, 1000, sqrt_split(900))
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"plan": {"modulus": "x"}}, "plan.modulus: expected an integer, got 'x'"),
+    ({"budget": {"C": "abc"}}, "budget.C: expected a real number, got 'abc'"),
+    ({"plan": {"flipped_primes": 5}}, "plan.flipped_primes: expected a list, got 5"),
+    ({"split": {"U": "a", "V": 10}}, "split.U: expected a real number, got 'a'"),
+    ({"schedule_ratio": "fast"}, "schedule_ratio: expected a real number, got 'fast'"),
+    ({"envelopes": [{"kind": "power", "alpha": "q"}]},
+     "envelopes[0].alpha: expected a real number, got 'q'"),
+    ({"budget": {"x0": 2.5}}, "budget.x0: expected an integer, got 2.5"),
+    ({"plan": {"flipped_primes": [2.5]}}, "plan.flipped_primes[0]: expected an integer, got 2.5"),
+    ({"X": 1000.5}, "X: expected an integer, got 1000.5"),
+    ({"k": "@real"}, "k: expected an integer, got 2.0000000000000000001"),
+    ({"plan": {"unit_on_q_divisors": 1}}, "plan.unit_on_q_divisors: expected true or false, got 1"),
+    ({"plan": {"flipped_primes": [25]}}, "plan.flipped_primes: flip index 25 is not prime"),
+    ({"budget": {"C": -1}}, "budget: budget constants must be positive: C=-1.0"),
+    ({"schedule_ratio": 1}, "schedule_ratio: must exceed 1, got 1"),
+    ({"envelopes": {"kind": "power"}}, "envelopes: expected a list"),
+    ({"envelopes": [{"kind": "theorem1", "k": 2.5, "lambda": 1}]},
+     "envelopes[0].k: expected an integer, got 2.5"),
+])
+def test_parse_config_errors_name_field_and_value(patch, message, tmp_path, capsys):
+    from kfreesums.cli import main
+
+    # "@real" stands for a real that no float can hold
+    text = json.dumps(dict(BASE_CONFIG, **patch)).replace('"@real"', "2.0000000000000000001")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_split_is_exact():
+    cfg = parse_config(json.dumps(BASE_CONFIG).replace(
+        '"theorem2"', '{"U": 99.99999999999999999, "V": 10.000000000000000001}'))
+    split = resolve_split(cfg.split, 1000, cfg.k)
+    assert (split.u_floor, split.v_floor) == (99, 10)
+    # the bundle's config echo prints the split as floats, as before
+    assert cfg.raw["split"] == {"U": 100.0, "V": 10.0}
+    for text in ('"sqrt"', '"99.99999999999999999,10.000000000000000001"'):
+        cfg = parse_config(json.dumps(BASE_CONFIG).replace('"theorem2"', text))
+        assert resolve_split(cfg.split, 1000, cfg.k) == (
+            sqrt_split(1000) if text == '"sqrt"' else split)

@@ -12,7 +12,7 @@ from kfreesums import (
     sieve_mobius_segment,
     sieve_primes,
 )
-from kfreesums.sieve import MAX_LIMIT, liouville_kfree_segment, segments
+from kfreesums.sieve import MAX_LIMIT, MAX_SPF_BYTES, liouville_kfree_segment, segments
 
 from oracles import factorize_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
 
@@ -160,8 +160,9 @@ def test_spf_reconstruction():
 
 
 def test_spf_capacity_error():
-    with pytest.raises(CapacityError):
-        build_spf(10**9, max_bytes=10**6)
+    # refused before any allocation; the message names the size and the budget
+    with pytest.raises(CapacityError, match=f"needs 4000000004 bytes, budget is {MAX_SPF_BYTES}"):
+        build_spf(10**9)
 
 
 def test_range_rejections():

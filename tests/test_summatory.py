@@ -294,14 +294,41 @@ def test_kth_power_oracle_substitution(chi3):
 def test_capacity_budgets(chi3):
     from kfreesums import CapacityError
 
-    with pytest.raises(CapacityError):
+    # each message names the refused value and the budget it exceeds
+    stream = f"{summatory.MAX_STREAM_LIMIT}"
+    with pytest.raises(CapacityError, match=f"limit 5000000000 .*budget {stream}"):
         direct_summatory(character_rule(chi3, k=2), 5 * 10**9)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"limit 5000000000 .*budget {stream}"):
         mertens(5 * 10**9)
-    with pytest.raises(CapacityError):
+    recursive = f"{summatory.MAX_RECURSIVE_MERTENS}"
+    with pytest.raises(CapacityError, match=f"limit 2000000000 .*budget {recursive}"):
         mertens_recursive(2 * 10**9)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"limit {10**18} .*budget {stream}"):
         kfree_hyperbola_sum(character_rule(chi3), 2, sqrt_split(10**18))
+
+
+@pytest.mark.parametrize("q, flips, k, x, u", [
+    (3, (), 2, 10**5, None),
+    (15, (7, 11), 3, 2 * 10**5, 1234.5),
+    (5, (2, 3), 2, 54321, 17.0),
+])
+def test_kfree_hyperbola_streams_only_queried_arguments(q, flips, k, x, u, monkeypatch):
+    """Every argument the g stream checkpoints is read by hyperbola_sum."""
+    chi = build_real_character(q)
+    g = modified_character(ModificationPlan(character=chi, flipped_primes=flips))
+    split = optimal_split(x, k) if u is None else explicit_split(x, u, x / u)
+    streamed, queried = [], set()
+    stream_map = summatory.streamed_summatory_map
+
+    def recording_map(rule, args, **kwargs):
+        streamed.extend(args)
+        oracle = stream_map(rule, args, **kwargs)
+        return lambda y: queried.add(y) or oracle(y)
+
+    monkeypatch.setattr(summatory, "streamed_summatory_map", recording_map)
+    value = kfree_hyperbola_sum(g, k, split)
+    assert value == direct_summatory(g.truncated(k), x, schedule=[x]).final[1]
+    assert streamed and set(streamed) <= queried
 
 
 def test_series_invariants_enforced():
