@@ -76,6 +76,8 @@ class RealCharacter:
         block = np.tile(self.period_values, reps)
         block.setflags(write=False)
         object.__setattr__(self, "_period_block", block)
+        # prefix[r] = chi(1) + ... + chi(r), as chi(0) = 0
+        object.__setattr__(self, "_prefix", np.cumsum(self.period_values, dtype=np.int64))
 
     @property
     def label(self) -> str:
@@ -91,17 +93,20 @@ class RealCharacter:
         stop = start + max(hi - lo + 1, 0)
         return np.tile(block, -(-stop // len(block)))[start:stop]
 
-    def partial_sum(self, y: int) -> int:
-        """M_chi(y), exact in O(q) via full-period cancellation."""
-        if y <= 0:
-            return 0
-        # non-principal => each full period sums to zero
-        return int(np.sum(self.period_values[1 : y % self.modulus + 1], dtype=np.int64))
+    def partial_sum(self, y):
+        """M_chi(y) for an integer or an integer array y, in O(1) per argument.
+
+        chi is non-principal, so each full period sums to zero and M_chi(y)
+        is the one-period prefix at y mod q; it is 0 for y <= 0.  A scalar
+        gives a Python int, an array the int64 array of the same shape.
+        """
+        y = np.asarray(y)
+        out = np.where(y > 0, self._prefix[np.asarray(y % self.modulus, dtype=np.intp)], 0)
+        return int(out) if out.ndim == 0 else out
 
     def max_abs_partial_sum(self) -> int:
         """max_y |M_chi(y)|; attained within the first period."""
-        prefix = np.cumsum(self.period_values, dtype=np.int64)
-        return int(np.max(np.abs(prefix)))
+        return int(np.max(np.abs(self._prefix)))
 
     def q_divisor_primes(self) -> list[int]:
         """Sorted prime divisors of the modulus."""

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 from .analysis import fit_exponent, figure1, power_envelope, envelope_ratio
 from .constructions import completed_character, pretentious_distance, verify_deviation_budget
-from .errors import KfreesumsError
+from .errors import ConfigError, KfreesumsError
 from .experiment import (
     DEFAULT_SPLIT, compare_methods, config_rules, load_config, parse_number, read_json,
     read_budget, read_int, read_k, read_limit, read_modulus, read_plan, read_ratio, read_real,
@@ -130,10 +131,23 @@ def cmd_distance(args) -> int:
     return 0
 
 
+# series CSV columns and the least value each cell may hold
+_SERIES_COLUMNS = {"x": 1, "M": -math.inf, "abs_max": 0}
+
+
 def cmd_fit(args) -> int:
-    with open(args.series, newline="") as fh:
-        rows = [(int(r["x"]), int(r["M"]), int(r["abs_max"])) for r in csv.DictReader(fh)]
-    series = PartialSumSeries(label=Path(args.series).stem,
+    path = args.series
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in _SERIES_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"{path}: no column {column!r}")
+        # a short row leaves its missing cells None
+        rows = [tuple(read_int(parse_number(r[c] or ""),
+                               f"{path}: line {reader.line_num}, column {c!r}", low)
+                      for c, low in _SERIES_COLUMNS.items())
+                for r in reader]
+    series = PartialSumSeries(label=Path(path).stem,
                               checkpoints=[(x, m) for x, m, _ in rows],
                               running_abs_max=[(x, a) for x, _, a in rows])
     fit = fit_exponent(series, x_min=args.x_min)
@@ -229,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the growth exponent of a series CSV")
     p.add_argument("--series", type=str, required=True)
-    p.add_argument("--x-min", type=int, default=10**3)
+    p.add_argument("--x-min", type=_flag(read_int, "--x-min", 1), default=10**3)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("figure1", help="partial sums vs +-x^(1/4): CSV + SVG")

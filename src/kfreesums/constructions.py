@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .characters import RealCharacter
@@ -24,6 +25,14 @@ from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
 from .sieve import is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
+
+
+def _flip_index(p) -> int:
+    """p as a Python int; a Python or numpy integer, nothing non-integral."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise PlanError(f"flipped prime {p!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,7 @@ class ModificationPlan:
 
     def __post_init__(self) -> None:
         q = self.character.modulus
-        flips = tuple(sorted(set(int(p) for p in self.flipped_primes)))
+        flips = tuple(sorted(set(map(_flip_index, self.flipped_primes))))
         object.__setattr__(self, "flipped_primes", flips)
         for p in flips:
             if q % p == 0:

@@ -13,10 +13,16 @@ The Dirichlet hyperbola identity
 
 with U*V = x is evaluated with all bounds discretised to integer floors.
 Its value sides are DenseValueTables over [1, N]; its summatory sides are
-oracles, callables y -> M(y) that raise OracleDomainError outside their
-domain: a PrefixSummatory over a value table or over the k-th-power
+oracles: callables that take an int64 array of arguments y >= 0 and return
+the int64 array of M(y), raising OracleDomainError that names the first
+argument outside their domain (a scalar argument gives a Python int).
+They are a PrefixSummatory over a value table or over the k-th-power
 support of h, a MappedSummatory of streamed checkpoints, or a character's
-own partial_sum.  `kfree_hyperbola_sum` wires them up for f = [k-free]*g.
+own partial_sum.  Roots come from searchsorted over exact int64 tables of
+m^k, never from floats.  Each side of the identity is whole-array work: one
+oracle call per block of nonzero table entries and an int64 dot product,
+taken in Python ints whenever a bound on its terms could pass 2^63 - 1.
+`kfree_hyperbola_sum` wires them up for f = [k-free]*g.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -317,10 +325,29 @@ def mertens_recursive(limit: int) -> int:
 
 # -- oracles ------------------------------------------------------------
 
-# A summatory oracle is any callable y -> M(y), exact on its domain, that
-# raises OracleDomainError outside it.  The value side of the hyperbola
-# identity is a DenseValueTable over [1, N].
-Summatory = Callable[[int], int]
+# A summatory oracle maps an int64 array of arguments y >= 0 to the int64
+# array of M(y), of the same shape, exact on its domain, and raises
+# OracleDomainError naming the first argument outside it.  A scalar argument
+# gives a Python int.  The value side of the hyperbola identity is a
+# DenseValueTable over [1, N].
+Summatory = Callable[[np.ndarray], np.ndarray]
+
+_INT64_MAX = 2**63 - 1
+
+
+def _arguments(y) -> np.ndarray:
+    """y as int64 oracle arguments; OracleDomainError names the first one
+    that is negative, not an integer, or past int64."""
+    a = np.asarray(y)
+    if a.dtype.kind not in "iu" or a.size and (a.min() < 0 or a.max() > _INT64_MAX):
+        for v in a.ravel().tolist():
+            if not (isinstance(v, int) and 0 <= v <= _INT64_MAX):
+                raise OracleDomainError(f"M({v}) outside the oracle domain 0 <= y < 2^63")
+    return a.astype(np.int64, copy=False)
+
+
+def _result(out: np.ndarray):
+    return int(out) if out.ndim == 0 else out
 
 
 class PrefixSummatory:
@@ -329,35 +356,56 @@ class PrefixSummatory:
     At k = 1 this is the plain prefix sum of a value table.  At k >= 2 it
     is the summatory function of an h supported on k-th powers with
     h(m^k) = values[m-1], which reduces a y-length sum to a y^(1/k)-length
-    one.
+    one.  The root floor(y^(1/k)) is the number of m with m^k <= y, read by
+    searchsorted from the exact int64 table of m^k.  The table stops at
+    m = len(values) + 1, the first root past the prefix, or at
+    introot(2^63 - 1, k), so no m^k wraps.
+
+    Raises:
+        CapacityError: a prefix sum of `values` leaves int64.
     """
 
     def __init__(self, values: np.ndarray, k: int = 1):
+        values = np.asarray(values)
+        n = len(values)
+        if n and n * max(-int(values.min()), int(values.max())) > _INT64_MAX:
+            for i, s in enumerate(accumulate(values.tolist()), 1):
+                if not -_INT64_MAX - 1 <= s <= _INT64_MAX:
+                    raise CapacityError(f"prefix sum to {i} is {s}, beyond int64")
         self.k = k
         self._cum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        top = min(n + 1, introot(_INT64_MAX, k))
+        self._powers = np.arange(1, top + 1, dtype=np.int64) ** k
 
-    def __call__(self, y: int) -> int:
-        if y < 0:
-            raise OracleDomainError(f"M({y}) at a negative argument")
-        r = introot(y, self.k)
-        if r >= len(self._cum):
+    def __call__(self, y):
+        args = _arguments(y)
+        r = np.searchsorted(self._powers, args, side="right")
+        beyond = r >= len(self._cum)
+        if beyond.any():
             raise OracleDomainError(
-                f"M({y}) needs the prefix to {r}, have {len(self._cum) - 1}"
+                f"M({args[beyond][0]}) needs the prefix past {len(self._cum) - 1}"
             )
-        return int(self._cum[r])
+        return _result(self._cum[r])
 
 
 class MappedSummatory:
-    """Summatory oracle over a precomputed {argument: M} map."""
+    """Summatory oracle over a precomputed {argument: M} map, read through
+    sorted key and value arrays."""
 
     def __init__(self, mapping: dict[int, int]):
-        self.mapping = mapping
+        # a first key -1, below every argument, gives each argument a
+        # largest key <= it
+        keys = sorted(mapping)
+        self._keys = np.array([-1, *keys], dtype=np.int64)
+        self._sums = np.array([0, *(mapping[a] for a in keys)], dtype=np.int64)
 
-    def __call__(self, y: int) -> int:
-        try:
-            return self.mapping[y]
-        except KeyError:
-            raise OracleDomainError(f"M({y}) not among precomputed arguments") from None
+    def __call__(self, y):
+        args = _arguments(y)
+        at = np.searchsorted(self._keys, args, side="right") - 1
+        missing = self._keys[at] != args
+        if missing.any():
+            raise OracleDomainError(f"M({args[missing][0]}) not among precomputed arguments")
+        return _result(self._sums[at])
 
 
 def streamed_summatory_map(
@@ -421,10 +469,9 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
 
 
-# hyperbola_sum turns nonzero table entries into Python ints a block at a
-# time: whole-table lists, although freed after every call, still grew the
-# peak RSS of repeated compare_methods calls.
-_VALUE_BLOCK = 2**12
+# hyperbola_sum reads each value table a block at a time, so the index,
+# argument and oracle arrays of a side stay a few MiB at any floor.
+_VALUE_BLOCK = 2**16
 
 
 def hyperbola_sum(
@@ -437,14 +484,20 @@ def hyperbola_sum(
     """Exact sum_{n<=x} (h*g)(n) from the two short sums and the correction.
 
     Each value table must cover [1, its floor]; each summatory oracle must
-    be exact on the floor arguments x // n it receives.
+    be exact on the floor arguments x // n it receives.  A side takes, per
+    block of its table, the nonzero entries n, one oracle call on the array
+    of x // n, and their dot product: in int64 when count * max|value| *
+    max|M| stays below 2^63, else in Python ints, so it never wraps.
 
     Raises:
         ShapeError: a value table does not start at 1.
         OracleDomainError: a value table ends before its floor, or an
             oracle is queried outside its domain.
+        CapacityError: x beyond int64.
     """
     x = split.x
+    if x > _INT64_MAX:
+        raise CapacityError(f"x = {x} beyond the int64 oracle domain {_INT64_MAX}")
     total = 0
     for values, floor, other in (
         (h_values, split.u_floor, g_summatory),
@@ -459,10 +512,19 @@ def hyperbola_sum(
         for start in range(0, floor, _VALUE_BLOCK):
             block = values.values[start : min(start + _VALUE_BLOCK, floor)]
             idx = np.flatnonzero(block)
-            for n, v in zip((idx + start + 1).tolist(), block[idx].tolist()):
-                total += v * other(x // n)
-    total -= g_summatory(split.v_floor) * h_summatory(split.u_floor)
+            if len(idx):
+                total += _exact_dot(block[idx], other(x // (idx + start + 1)))
+    total -= int(g_summatory(split.v_floor)) * int(h_summatory(split.u_floor))
     return total
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """sum(a * b) over two nonempty integer arrays, exactly."""
+    a, b = a.astype(np.int64, copy=False), np.asarray(b, dtype=np.int64)
+    bound = len(a) * max(-int(a.min()), int(a.max())) * max(-int(b.min()), int(b.max()))
+    if bound <= _INT64_MAX:  # bounds every partial sum of the int64 dot
+        return int(np.dot(a, b))
+    return sum(map(mul, a.tolist(), b.tolist()))
 
 
 def kfree_hyperbola_sum(

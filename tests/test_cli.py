@@ -79,6 +79,23 @@ def test_fit_command(tmp_path, capsys):
     assert set(payload) == {"slope", "intercept", "residual", "x_min", "points"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x,M\n10,1\n", "no column 'abs_max'"),
+    ("x,abs_max\n10,1\n", "no column 'M'"),
+    ("", "no column 'x'"),
+    ("x,M,abs_max\n10,1,1\n20,1.5,1\n", "line 3, column 'M': expected an integer, got 1.5"),
+    ("x,M,abs_max\n10,1,one\n", "line 2, column 'abs_max': expected an integer, got 'one'"),
+    ("x,M,abs_max\n10,1\n", "line 2, column 'abs_max': expected an integer, got ''"),
+    ("x,M,abs_max\n0,0,0\n", "line 2, column 'x': must be >= 1, got 0"),
+])
+def test_fit_series_errors_exit_two(tmp_path, capsys, text, message):
+    series = tmp_path / "series.csv"
+    series.write_text(text)
+    assert main(["fit", "--series", str(series)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {series}: ") and message in err
+
+
 def test_figure1_command(tmp_path, capsys):
     rc = main(["figure1", "--limit", "10000", "--out", str(tmp_path / "fig")])
     assert rc == 0
@@ -176,6 +193,8 @@ def test_unread_flags_are_rejected(argv):
     (["verify-budget", "--limit", "100", "--C", "abc"], "--C: expected a real number, got 'abc'"),
     (["compare", "--limit", "100", "--split", "a,10"], "--split.U: expected a real number, got 'a'"),
     (["compare", "--limit", "100", "--split", "diag"], "--split: expected \"theorem2\""),
+    (["fit", "--series", "unread.csv", "--x-min", "2.5"], "--x-min: expected an integer, got 2.5"),
+    (["fit", "--series", "unread.csv", "--x-min", "0"], "--x-min: must be >= 1, got 0"),
 ])
 def test_flag_errors_name_flag_and_value(argv, message, capsys):
     assert main(argv) == 2

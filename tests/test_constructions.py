@@ -61,6 +61,21 @@ def test_plan_validation(chi3):
         ModificationPlan(character=chi3, flipped_primes=(6,))   # not prime
 
 
+@pytest.mark.parametrize("flip, shown", [
+    (5.5, "5.5"), (5.0, "5.0"), ("5", "'5'"), (np.float64(11.5), "11.5"),
+])
+def test_plan_rejects_non_integral_flips(chi3, flip, shown):
+    # int(5.5) would silently flip 5
+    with pytest.raises(PlanError, match=f"flipped prime .*{shown}.* is not an integer"):
+        ModificationPlan(character=chi3, flipped_primes=(5, flip))
+
+
+def test_plan_accepts_numpy_integer_flips(chi3):
+    plan = ModificationPlan(character=chi3, flipped_primes=(np.int64(11), np.int32(5), 7))
+    assert plan.flipped_primes == (5, 7, 11)
+    assert all(type(p) is int for p in plan.flipped_primes)
+
+
 def test_plan_negative_unit_variant(chi3):
     g = modified_character(ModificationPlan(character=chi3, unit_on_q_divisors=False))
     assert g.prime_value(3) == -1

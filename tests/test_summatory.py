@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from kfreesums import summatory
 from kfreesums import (
+    CapacityError,
     DenseValueTable,
+    HyperbolaSplit,
+    MappedSummatory,
     OracleDomainError,
     PrefixSummatory,
     RangeError,
@@ -16,6 +21,7 @@ from kfreesums import (
     direct_summatory,
     explicit_split,
     hyperbola_sum,
+    introot,
     kfree_factor,
     kfree_hyperbola_sum,
     mertens,
@@ -291,9 +297,147 @@ def test_kth_power_oracle_substitution(chi3):
         assert h_short(y) == h_direct(y)
 
 
-def test_capacity_budgets(chi3):
-    from kfreesums import CapacityError
+# -- array oracles: each element against its scalar definition ----------
 
+INT64_MAX = 2**63 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prefix_summatory_roots_match_introot(data):
+    k = data.draw(st.integers(1, 60), label="k")
+    values = data.draw(arrays(np.int64, st.integers(0, 80),
+                              elements=st.integers(-10**6, 10**6)), label="values")
+    n = len(values)
+    cum = [0, *accumulate(values.tolist())]
+    # m^k - 1, m^k, m^k + 1 for every m up to two past the prefix, where
+    # those are int64 arguments, and the largest int64 argument
+    edges = sorted({m**k + d for m in range(1, n + 3) for d in (-1, 0, 1)
+                    if 0 <= m**k + d <= INT64_MAX} | {INT64_MAX})
+    args = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, INT64_MAX)),
+                              min_size=1, max_size=20), label="args") + [INT64_MAX]
+    expect = {y: cum[r] if (r := introot(y, k)) <= n else None for y in args}
+    oracle = PrefixSummatory(values, k=k)
+    for y, m in expect.items():
+        if m is None:
+            with pytest.raises(OracleDomainError, match=rf"M\({y}\)"):
+                oracle(y)
+        else:
+            assert oracle(y) == m and type(oracle(y)) is int
+    inside = [y for y in args if expect[y] is not None]
+    got = oracle(np.array(inside, dtype=np.int64).reshape(-1, 1))
+    assert got.dtype == np.int64 and got.shape == (len(inside), 1)
+    assert got.ravel().tolist() == [expect[y] for y in inside]
+    outside = [y for y in args if expect[y] is None]
+    if outside:
+        with pytest.raises(OracleDomainError, match=rf"M\({outside[0]}\)"):
+            oracle(np.array(args, dtype=np.int64))
+
+
+def test_prefix_summatory_rejects_wrapping_prefix_and_bad_arguments():
+    with pytest.raises(CapacityError, match="prefix sum to 2 is 9223372036854775808"):
+        PrefixSummatory(np.array([2**62, 2**62], dtype=np.int64))
+    # partial sums that stay in int64 are exact even though the bound fails
+    oracle = PrefixSummatory(np.array([2**62, 2**62 - 1, -2**62, -2**62 + 5], dtype=np.int64))
+    assert oracle(np.array([1, 2, 4])).tolist() == [2**62, INT64_MAX, 4]
+    for y in (-1, 2**63, 2**70, 2.0):
+        with pytest.raises(OracleDomainError, match=rf"M\({y}\)"):
+            oracle(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mapping=st.dictionaries(st.integers(0, INT64_MAX), st.integers(-2**63, INT64_MAX),
+                               max_size=30),
+       others=st.lists(st.integers(0, INT64_MAX), max_size=10), data=st.data())
+def test_mapped_summatory_matches_its_map(mapping, others, data):
+    oracle = MappedSummatory(mapping)
+    keys = sorted(mapping)
+    asked = data.draw(st.lists(st.sampled_from(keys), max_size=30), label="asked") if keys else []
+    assert oracle(np.array(asked, dtype=np.int64)).tolist() == [mapping[y] for y in asked]
+    for y in asked[:5]:
+        assert oracle(y) == mapping[y]
+    for y in others:
+        if y not in mapping:
+            with pytest.raises(OracleDomainError, match=rf"M\({y}\)"):
+                oracle(np.array(asked + [y], dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([3, 4, 5, 7, 8, 12, 15]),
+       ys=st.lists(st.integers(-2**63, INT64_MAX), max_size=20),
+       small=st.lists(st.integers(-5, 300), max_size=20))
+def test_character_partial_sum_array_matches_scalar_definition(q, ys, small):
+    chi = build_real_character(q)
+
+    def by_period(y):  # the O(q) full-period cancellation, element by element
+        return sum(chi.value(n) for n in range(1, y % q + 1)) if y > 0 else 0
+
+    got = chi.partial_sum(np.array(ys + small, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == [by_period(y) for y in ys + small]
+    for y in small:
+        assert chi.partial_sum(y) == sum(chi.value(n) for n in range(1, y + 1))
+    assert chi.partial_sum(10**30 + 2) == by_period(10**30 + 2)
+
+
+def _hyperbola_reference(h_values, g_values, mh, mg, split):
+    """The identity term by term in Python ints, over dict-valued tables."""
+    x = split.x
+    return (sum(v * mg[x // n] for n, v in h_values.items() if n <= split.u_floor)
+            + sum(v * mh[x // n] for n, v in g_values.items() if n <= split.v_floor)
+            - mg[split.v_floor] * mh[split.u_floor])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hyperbola_sum_is_exact_near_int64_limits(data):
+    x = data.draw(st.one_of(st.integers(1, 3 * 10**5), st.integers(2**16, 3 * 10**5)), label="x")
+    u = data.draw(st.one_of(st.integers(1, x), st.sampled_from([1, x])), label="floor U")
+    split = HyperbolaSplit(x=x, u_floor=u, v_floor=x // u)
+    near = st.sampled_from([2**62, -2**62, 2**62 - 1, -2**62 + 1, 2**31, -2**31])
+    entry = st.one_of(st.integers(-3, 3), near, st.integers(-2**62, 2**62))
+    m_size = data.draw(st.sampled_from([3, 2**31, 2**62]), label="max |M|")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+
+    def table(floor, label):
+        # nonzero entries past the floor must not be read
+        at = data.draw(st.lists(st.one_of(
+            st.integers(1, floor), st.sampled_from([1, floor, min(2**16, floor), min(2**16 + 1, floor)])),
+            max_size=20), label=f"{label} positions")
+        entries = {n: data.draw(entry, label=f"{label}({n})") for n in at}
+        vals = np.ones(floor + 3, dtype=np.int64)
+        vals[:floor] = 0
+        for n, v in entries.items():
+            vals[n - 1] = v
+        return DenseValueTable(1, floor + 3, vals, label=label), entries
+
+    h_table, h_entries = table(split.u_floor, "h")
+    g_table, g_entries = table(split.v_floor, "g")
+    args = set((x // np.arange(1, x + 1)).tolist()) | {split.u_floor, split.v_floor}
+
+    def sums():
+        return {y: int(m) for y, m in zip(args, rng.integers(-m_size, m_size, len(args),
+                                                             endpoint=True))}
+
+    mh, mg = sums(), sums()
+    value = hyperbola_sum(MappedSummatory(mh), MappedSummatory(mg), h_table, g_table, split)
+    assert value == _hyperbola_reference(h_entries, g_entries, mh, mg, split)
+
+
+def test_hyperbola_dot_at_the_int64_edge():
+    # h(1) M_g(4) + h(2) M_g(2) = 2 * 2^62 = 2^63, one past int64: the bound
+    # count * max|h| * max|M_g| = 2^63 sends the block to Python ints
+    split = HyperbolaSplit(x=4, u_floor=2, v_floor=2)
+    h = DenseValueTable(1, 2, np.full(2, 2**31, dtype=np.int64), label="h")
+    g = DenseValueTable(1, 2, np.zeros(2, dtype=np.int64), label="g")
+    mg = MappedSummatory({4: 2**31, 2: 2**31})
+    mh = MappedSummatory({2: 3})
+    assert hyperbola_sum(mh, mg, h, g, split) == 2**63 - 3 * 2**31
+    big = HyperbolaSplit(x=2**63, u_floor=2**32, v_floor=2**31)
+    with pytest.raises(CapacityError, match=f"x = {2**63} beyond"):
+        hyperbola_sum(mh, mg, h, g, big)
+
+
+def test_capacity_budgets(chi3):
     # each message names the refused value and the budget it exceeds
     stream = f"{summatory.MAX_STREAM_LIMIT}"
     with pytest.raises(CapacityError, match=f"limit 5000000000 .*budget {stream}"):
@@ -323,7 +467,7 @@ def test_kfree_hyperbola_streams_only_queried_arguments(q, flips, k, x, u, monke
     def recording_map(rule, args, **kwargs):
         streamed.extend(args)
         oracle = stream_map(rule, args, **kwargs)
-        return lambda y: queried.add(y) or oracle(y)
+        return lambda y: queried.update(np.ravel(y).tolist()) or oracle(y)
 
     monkeypatch.setattr(summatory, "streamed_summatory_map", recording_map)
     value = kfree_hyperbola_sum(g, k, split)
