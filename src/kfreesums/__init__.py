@@ -75,6 +75,7 @@ from .summatory import (
     MappedSummatory,
     PartialSumSeries,
     PrefixSummatory,
+    SmoothSummatory,
     checkpoint_schedule,
     direct_summatory,
     explicit_split,

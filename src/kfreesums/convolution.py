@@ -13,19 +13,22 @@ prime-power laws:
   k-th powers, with h(m^k) = mu(m) * g(m)^k (``kfree_factor_at_powers``).
 * ``deviation_factor(g, chi, N)``: the factor h = (mu*g) conv chi, whose
   prime-power values chi(p)^(r-1) * (chi(p) - g(p)) vanish wherever g
-  agrees with chi.
+  agrees with chi.  Its support, the S-smooth n for the finite set S of
+  primes where g departs from chi, comes from ``smooth_terms``, which the
+  S-smooth summatory oracle of g shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .characters import RealCharacter
 from .errors import CapacityError, NonInvertibleError, RangeError, ShapeError
 from .rules import MultiplicativeRule
-from .sieve import MAX_LIMIT, DenseValueTable, build_spf, introot, sieve_mobius_segment
+from .sieve import MAX_LIMIT, DenseValueTable, introot, sieve_mobius_segment
 
 
 @dataclass(frozen=True)
@@ -155,24 +158,64 @@ def kfree_factor_at_powers(k: int, g: MultiplicativeRule, root: int) -> np.ndarr
     return mu * (gv if k % 2 == 1 else np.abs(gv))
 
 
+def smooth_terms(
+    g: MultiplicativeRule, limit: int, law: Callable[[int, int, int], int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero terms (n, t(n)), n <= limit, sorted by n, of the
+    multiplicative t with t(p^r) = law(g(p), chi(p), r) at the primes where
+    g departs from its base character chi and t(p^r) = 0 at all others.
+
+    The primes where g(p) != chi(p) form a finite set S, the overrides of
+    g and the primes dividing q, so t is supported on the S-smooth n.  They
+    are grown one prime of S at a time as int64 arrays, each n * p^r kept
+    only while n <= limit // p^r, so no product passes limit.
+
+    Raises:
+        ShapeError: g is truncated, or its base is a constant, not a
+            character (the message names g's label).
+    """
+    if g.k_truncation is not None:
+        raise ShapeError(f"S-smooth terms need the untruncated g, got '{g.label}'")
+    chi = g.base
+    if not isinstance(chi, RealCharacter):
+        raise ShapeError(
+            f"rule '{g.label}' has the constant base {chi:+d}: S-smooth terms need a character base"
+        )
+    primes = sorted(p for p in set(g.overrides) | set(chi.q_divisor_primes())
+                    if g.prime_value(p) != chi.value(p))
+    n = np.ones(1 if limit >= 1 else 0, dtype=np.int64)
+    t = n.copy()
+    for p in primes:
+        ns, ts = [n], [t]
+        pr, r = p, 1
+        while pr <= limit:
+            local = law(g.prime_value(p), chi.value(p), r)
+            if local:
+                keep = n <= limit // pr
+                ns.append(n[keep] * pr)
+                ts.append(t[keep] * local)
+            pr, r = pr * p, r + 1
+        n, t = np.concatenate(ns), np.concatenate(ts)
+    order = np.argsort(n)
+    return n[order], t[order]
+
+
 def deviation_factor(g: MultiplicativeRule, chi: RealCharacter, limit: int) -> DenseValueTable:
     """Multiplicative table of h = (mu*g) conv chi from its prime-power law.
 
     h(p^r) = chi(p)^(r-1) * (chi(p) - g(p)): zero wherever g matches chi,
-    so h is supported on integers built from the exceptional primes.
+    so h is supported on the S-smooth integers of `smooth_terms`, and only
+    those entries are written.
+
+    Raises:
+        ShapeError: g is truncated, or its base is not chi (the message
+            names both labels).
     """
-    if g.k_truncation is not None:
-        raise ShapeError("deviation factor requires the untruncated g")
-    spf = build_spf(limit)
-    h = np.zeros(limit + 1, dtype=np.int64)
-    h[1] = 1
-    for n in range(2, limit + 1):
-        p = int(spf.spf[n])
-        m, r = n, 0
-        while m % p == 0:
-            m //= p
-            r += 1
-        cp = chi.value(p)
-        local = (cp ** (r - 1)) * (cp - g.prime_value(p))
-        h[n] = h[m] * local
-    return DenseValueTable(1, limit, h[1:], label=f"dev[{g.label},{chi.label}]")
+    base = g.base
+    if not (isinstance(base, RealCharacter) and base.modulus == chi.modulus
+            and np.array_equal(base.period_values, chi.period_values)):
+        raise ShapeError(f"deviation factor of '{g.label}' needs the base character {chi.label}")
+    n, t = smooth_terms(g, limit, lambda gp, cp, r: cp ** (r - 1) * (cp - gp))
+    h = np.zeros(max(limit, 0), dtype=np.int64)
+    h[n - 1] = t
+    return DenseValueTable(1, limit, h, label=f"dev[{g.label},{chi.label}]")

@@ -342,7 +342,7 @@ def compare_methods(
     t0 = time.perf_counter()
     direct = direct_summatory(f, x, schedule=[x], threads=threads).final[1]
     t1 = time.perf_counter()
-    hyper = kfree_hyperbola_sum(f.without_truncation(), k, split, threads=threads)
+    hyper = kfree_hyperbola_sum(f.without_truncation(), k, split)
     t2 = time.perf_counter()
 
     if hyper != direct:

@@ -17,12 +17,15 @@ oracles: callables that take an int64 array of arguments y >= 0 and return
 the int64 array of M(y), raising OracleDomainError that names the first
 argument outside their domain (a scalar argument gives a Python int).
 They are a PrefixSummatory over a value table or over the k-th-power
-support of h, a MappedSummatory of streamed checkpoints, or a character's
-own partial_sum.  Roots come from searchsorted over exact int64 tables of
-m^k, never from floats.  Each side of the identity is whole-array work: one
-oracle call per block of nonzero table entries and an int64 dot product,
-taken in Python ints whenever a bound on its terms could pass 2^63 - 1.
-`kfree_hyperbola_sum` wires them up for f = [k-free]*g.
+support of h, a SmoothSummatory of a g that departs from its character chi
+only on a finite prime set S (M_g from a few hundred S-smooth terms and
+chi's one-period prefix), a MappedSummatory of precomputed checkpoints, or
+a character's own partial_sum.  Roots come from searchsorted over exact
+int64 tables of m^k, never from floats.  Each side of the identity is
+whole-array work: one oracle call per block of nonzero table entries and an
+int64 dot product, taken in Python ints whenever a bound on its terms could
+pass 2^63 - 1.  `kfree_hyperbola_sum` wires them up for f = [k-free]*g with
+the S-smooth oracle on the g side, so that route streams nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import RealCharacter
-from .convolution import kfree_factor, kfree_factor_at_powers
+from .convolution import kfree_factor, kfree_factor_at_powers, smooth_terms
 from .errors import CapacityError, OracleDomainError, RangeError, ShapeError
 from .rules import MultiplicativeRule
 from .sieve import (
@@ -408,6 +411,61 @@ class MappedSummatory:
         return _result(self._sums[at])
 
 
+# SmoothSummatory evaluates its (terms x arguments) table in chunks of at
+# most this many entries, so a call allocates a few MiB at any size.
+_SMOOTH_CHUNK = 2**18
+
+
+class SmoothSummatory:
+    """M_g(y) for 0 <= y <= limit, without streaming g: g is completely
+    multiplicative and equals its base character chi off a finite prime
+    set S.
+
+    g = chi * e with e multiplicative, e(p^r) = g(p)^(r-1) (g(p) - chi(p)),
+    supported on the S-smooth n (`convolution.smooth_terms`), so
+
+        M_g(y) = sum_{n S-smooth, n <= y} e(n) M_chi(y // n),
+
+    each M_chi(y // n) a lookup in one period of chi's prefix sums.  A call
+    reads the terms n <= max y of a block of arguments and sums the table
+    of e(n) M_chi(y // n) chunk by chunk.  sum |e| * max |M_chi| bounds
+    every partial sum and is checked below 2^63 at construction, so the
+    int64 accumulation never wraps.
+
+    Raises:
+        ShapeError: g is truncated or has a constant base.
+        CapacityError: limit past int64, or the bound above past 2^63 - 1.
+    """
+
+    def __init__(self, g: MultiplicativeRule, limit: int):
+        if limit > _INT64_MAX:
+            raise CapacityError(f"limit {limit} beyond the int64 oracle domain {_INT64_MAX}")
+        self.limit = limit
+        self._n, self._e = smooth_terms(g, limit, lambda gp, cp, r: gp ** (r - 1) * (gp - cp))
+        self._chi = g.base
+        bound = int(np.abs(self._e).sum()) * self._chi.max_abs_partial_sum()
+        if bound > _INT64_MAX:
+            raise CapacityError(f"sum |e| * max |M_chi| = {bound} for '{g.label}' passes int64")
+
+    def __call__(self, y):
+        args = _arguments(y)
+        flat = args.ravel()
+        past = flat > self.limit
+        if past.any():
+            raise OracleDomainError(f"M({flat[past][0]}) past the S-smooth terms up to {self.limit}")
+        out = np.zeros(flat.size, dtype=np.int64)
+        step = max(1, _SMOOTH_CHUNK // max(len(self._n), 1))
+        for i in range(0, flat.size, step):
+            ys = flat[i : i + step]
+            # terms past every argument would read M_chi(0) = 0
+            top = np.searchsorted(self._n, ys.max(), side="right")
+            width = max(1, _SMOOTH_CHUNK // len(ys))
+            for j in range(0, top, width):
+                n, e = self._n[j : min(j + width, top)], self._e[j : min(j + width, top)]
+                out[i : i + step] += e @ self._chi.partial_sum(ys // n[:, None])
+        return _result(out.reshape(args.shape))
+
+
 def streamed_summatory_map(
     rule: MultiplicativeRule,
     args: list[int],
@@ -527,25 +585,24 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     return sum(map(mul, a.tolist(), b.tolist()))
 
 
-def kfree_hyperbola_sum(
-    g: MultiplicativeRule, k: int, split: HyperbolaSplit, threads: int = 1
-) -> int:
+def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) -> int:
     """M_f(x) for f = [n k-free] * g by the hyperbola identity over f = g * h.
 
-    g must be completely multiplicative (untruncated); h = kfree_factor is
-    supported on k-th powers.  The h side is read from its short prefix
-    over m <= x^(1/k), and the g side from one stream of g that
-    checkpoints exactly the arguments hyperbola_sum reads from it.
+    g must be completely multiplicative (untruncated) with a character
+    base; h = kfree_factor is supported on k-th powers.  The h side is read
+    from its short prefix over m <= x^(1/k), and the g side from the
+    S-smooth oracle of g, so the route streams nothing.
+
+    Raises:
+        ShapeError: g is truncated or has a constant base.
+        RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
     """
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    _check_limit(x)  # before the h arrays of length x^(1/k) are built
+    _check_limit(x)  # before the dense h table of length U <= x is built
+    # M_g is read at V and at x // m^k for the nonzero h(m^k), m^k <= U;
+    # m = 1 gives the largest argument, x
+    g_summatory = SmoothSummatory(g, x)
     h_values = kfree_factor(k, g, uf)
     g_values = g.values(1, vf)
-    at_powers = kfree_factor_at_powers(k, g, introot(x, k))
-    h_summatory = PrefixSummatory(at_powers, k=k)
-    # g_summatory is read only at x // m^k for each nonzero h(m^k), m^k <= U,
-    # and at V
-    m = np.flatnonzero(at_powers[: introot(uf, k)]) + 1
-    args = set((x // m**k).tolist()) | {vf}
-    g_summatory = streamed_summatory_map(g, sorted(args), threads=threads)
+    h_summatory = PrefixSummatory(kfree_factor_at_powers(k, g, introot(x, k)), k=k)
     return hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split)

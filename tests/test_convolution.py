@@ -16,6 +16,7 @@ from kfreesums import (
     dirichlet_inverse,
     kfree_factor,
     modified_character,
+    one_rule,
     pointwise_product,
     sieve_mobius_segment,
 )
@@ -220,6 +221,16 @@ def test_deviation_factor_prime_power_law(chi3):
                 assert dev.value_at(pr) == 0, (p, pr)  # chi(p)=0 kills r >= 2
             pr *= p
             first = False
+
+
+def test_deviation_factor_needs_its_base_character(chi3):
+    g = modified_character(ModificationPlan(character=chi3, flipped_primes=(5,)))
+    with pytest.raises(ShapeError, match=r"'g\[chi_3;flip 5\]' needs the base character chi_5"):
+        deviation_factor(g, build_real_character(5), 100)
+    with pytest.raises(ShapeError, match="'one' needs the base character chi_3"):
+        deviation_factor(one_rule(), chi3, 100)
+    with pytest.raises(ShapeError, match="untruncated"):
+        deviation_factor(g.truncated(2), chi3, 100)
 
 
 def test_deviation_magnitudes_bounded(chi3):

@@ -1,4 +1,6 @@
+import re
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,13 +13,19 @@ from kfreesums import (
     DenseValueTable,
     HyperbolaSplit,
     MappedSummatory,
+    MultiplicativeRule,
     OracleDomainError,
     PrefixSummatory,
     RangeError,
     ShapeError,
+    SmoothSummatory,
     build_real_character,
     character_rule,
+    character_table,
     checkpoint_schedule,
+    compare_methods,
+    deviation_factor,
+    dirichlet_convolve,
     direct_summatory,
     explicit_split,
     hyperbola_sum,
@@ -31,6 +39,7 @@ from kfreesums import (
     modified_character,
     one_rule,
     optimal_split,
+    pointwise_product,
     sieve_mobius_segment,
     sqrt_split,
     stream_summatory,
@@ -38,7 +47,7 @@ from kfreesums import (
     summatory_mu_chi,
 )
 
-from oracles import mobius_brute, partial_sum_enumeration
+from oracles import mobius_brute, partial_sum_enumeration, primes_trial
 
 
 @pytest.fixture(scope="module")
@@ -456,23 +465,104 @@ def test_capacity_budgets(chi3):
     (15, (7, 11), 3, 2 * 10**5, 1234.5),
     (5, (2, 3), 2, 54321, 17.0),
 ])
-def test_kfree_hyperbola_streams_only_queried_arguments(q, flips, k, x, u, monkeypatch):
-    """Every argument the g stream checkpoints is read by hyperbola_sum."""
+def test_kfree_hyperbola_streams_nothing(q, flips, k, x, u, monkeypatch):
+    """The hyperbola route reads g through its S-smooth oracle, never a stream."""
     chi = build_real_character(q)
     g = modified_character(ModificationPlan(character=chi, flipped_primes=flips))
     split = optimal_split(x, k) if u is None else explicit_split(x, u, x / u)
-    streamed, queried = [], set()
-    stream_map = summatory.streamed_summatory_map
+    direct = direct_summatory(g.truncated(k), x, schedule=[x]).final[1]
 
-    def recording_map(rule, args, **kwargs):
-        streamed.extend(args)
-        oracle = stream_map(rule, args, **kwargs)
-        return lambda y: queried.update(np.ravel(y).tolist()) or oracle(y)
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the hyperbola route streamed")
 
-    monkeypatch.setattr(summatory, "streamed_summatory_map", recording_map)
-    value = kfree_hyperbola_sum(g, k, split)
-    assert value == direct_summatory(g.truncated(k), x, schedule=[x]).final[1]
-    assert streamed and set(streamed) <= queried
+    monkeypatch.setattr(summatory, "stream_summatory", no_stream)
+    assert kfree_hyperbola_sum(g, k, split) == direct
+
+
+@pytest.mark.parametrize("base", [1, -1])
+def test_hyperbola_route_rejects_constant_bases(base):
+    g = MultiplicativeRule(base=base, label=f"constant {base:+d}")
+    message = re.escape(f"rule 'constant {base:+d}' has the constant base {base:+d}")
+    with pytest.raises(ShapeError, match=message):
+        kfree_hyperbola_sum(g, 2, sqrt_split(100))
+    with pytest.raises(ShapeError, match=message):
+        SmoothSummatory(g, 100)
+    # compare_methods hands on f without its truncation, under the base's label
+    with pytest.raises(ShapeError, match=re.escape(f"rule 'const{base:+d}' has the constant")):
+        compare_methods(g.truncated(2), 2, 100, sqrt_split(100))
+
+
+# -- the S-smooth oracle of g, against routes that share no code with it --
+
+
+@st.composite
+def smooth_rules(draw):
+    """g built on chi mod q with 0-4 flipped primes below 200, completed at
+    the primes dividing q by +1 or -1, or left at chi(p) = 0 there."""
+    q = draw(st.sampled_from([3, 4, 5, 8, 15]), label="q")
+    chi = build_real_character(q)
+    flips = draw(st.lists(st.sampled_from([p for p in primes_trial(199) if q % p]),
+                          max_size=4, unique=True), label="flips")
+    completion = draw(st.sampled_from([1, -1, None]), label="completion at q")
+    plan = ModificationPlan(character=chi, flipped_primes=flips,
+                            unit_on_q_divisors=completion == 1)
+    overrides = {p: v for p, v in plan.overrides().items()
+                 if completion is not None or q % p}
+    return MultiplicativeRule(base=chi, overrides=overrides)
+
+
+SMOOTH_CHUNKS = st.sampled_from([1, 5, 64, summatory._SMOOTH_CHUNK])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=smooth_rules(), ys=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+       chunk=SMOOTH_CHUNKS, extra=st.integers(0, 10**3))
+def test_smooth_summatory_matches_direct_stream(g, ys, chunk, extra):
+    ys = ys + [0]
+    pos = sorted({y for y in ys if y >= 1})
+    expect = {0: 0}
+    if pos:
+        expect.update(direct_summatory(g, pos[-1], schedule=pos).checkpoints)
+    with patch.object(summatory, "_SMOOTH_CHUNK", chunk):
+        oracle = SmoothSummatory(g, max(ys) + extra)
+        got = oracle(np.array(ys, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == [expect[y] for y in ys]
+        assert oracle(ys[0]) == expect[ys[0]] and type(oracle(ys[0])) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=smooth_rules(), data=st.data(), chunk=SMOOTH_CHUNKS)
+def test_smooth_summatory_differences_match_segments(g, data, chunk):
+    # M_g(y) - M_g(y - L) against the segment kernel of g, for y to 2^63 - 1
+    length = data.draw(st.integers(1, 4096), label="L")
+    y = data.draw(st.one_of(st.integers(length, INT64_MAX), st.just(INT64_MAX)), label="y")
+    with patch.object(summatory, "_SMOOTH_CHUNK", chunk):
+        got = SmoothSummatory(g, y)(np.array([[y], [y - length]], dtype=np.int64))
+    window = g.segment_values(y - length + 1, y).astype(np.int64)
+    assert got.shape == (2, 1) and int(got[0, 0]) - int(got[1, 0]) == int(window.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=smooth_rules(), n=st.integers(1, 2000))
+def test_deviation_factor_matches_convolution_of_rules(g, n):
+    chi = build_real_character(g.base.modulus)  # equal to g's base, not the same object
+    mu_g = pointwise_product(sieve_mobius_segment(1, n), g.values(1, n))
+    expect = dirichlet_convolve(mu_g, character_table(chi, 1, n))
+    assert np.array_equal(deviation_factor(g, chi, n).values, expect.values[1:])
+
+
+def test_smooth_summatory_domain(chi3):
+    g = modified_character(ModificationPlan(character=chi3, flipped_primes=(5,)))
+    oracle = SmoothSummatory(g, 1000)
+    assert oracle(np.zeros(0, dtype=np.int64)).shape == (0,)
+    for y in (1001, -1, 2**63):
+        with pytest.raises(OracleDomainError, match=rf"M\({y}\)"):
+            oracle(np.array([5, y], dtype=object))
+    with pytest.raises(CapacityError, match=f"limit {2**63} beyond"):
+        SmoothSummatory(g, 2**63)
+    with pytest.raises(ShapeError, match=re.escape(g.truncated(2).label)):
+        SmoothSummatory(g.truncated(2), 1000)
+    assert SmoothSummatory(g, 0)(0) == 0
 
 
 def test_series_invariants_enforced():
