@@ -20,6 +20,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characters import RealCharacter
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
@@ -27,12 +29,12 @@ from .sieve import is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
 
 
-def _flip_index(p) -> int:
-    """p as a Python int; a Python or numpy integer, nothing non-integral."""
+def _as_int(value, what: str, error: type[Exception]) -> int:
+    """value as a Python int; a Python or numpy integer, nothing non-integral."""
     try:
-        return operator.index(p)
+        return operator.index(value)
     except TypeError:
-        raise PlanError(f"flipped prime {p!r} is not an integer") from None
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class ModificationPlan:
 
     def __post_init__(self) -> None:
         q = self.character.modulus
-        flips = tuple(sorted(set(map(_flip_index, self.flipped_primes))))
+        flips = tuple(sorted({_as_int(p, "flipped prime", PlanError) for p in self.flipped_primes}))
         object.__setattr__(self, "flipped_primes", flips)
         for p in flips:
             if q % p == 0:
@@ -225,18 +227,54 @@ def verify_deviation_budget(
                         first_violation=first_violation)
 
 
+# Relative margin by which the numpy budget estimate is inflated.  numpy's
+# and libm's pow, exp, sqrt and log may each differ in the last few ulps.
+# The exp factor scales its argument's relative error by c sqrt(log x),
+# which stays below log(C/2) + log(x)/k < 750 wherever the budget reaches
+# 2 (room for one flip), so the two budgets differ relatively by far less
+# than 1e-12 there.
+BUDGET_ESTIMATE_MARGIN = 1e-9
+
+# Candidate primes are searched forward in blocks of this many bounds, so a
+# plan with many flips costs O(#primes + #flips * block), not O(#primes)
+# per flip.
+GREEDY_SEARCH_BLOCK = 1024
+
+
 def greedy_plan(chi: RealCharacter, budget: DeviationBudget, limit: int) -> ModificationPlan:
     """Flip primes in increasing order while the budget keeps holding.
 
     A candidate p is accepted only if, with it included, S(x) stays within
     the budget at every x in [max(p, x0), limit]; since S is constant there
     apart from modulus-prime steps below p, it suffices to compare against
-    the budget minimum over that window (endpoints and the interior
-    valley).  The forced modulus-prime contribution is never removable, so
-    the resulting plan passes the verifier exactly when that forced part
-    does.
+    the budget at the binding points of that window (its edges, the steps
+    and the interior valley).  The forced modulus-prime contribution is
+    never removable, so the resulting plan passes the verifier exactly when
+    that forced part does.
+
+    The scan is whole-array work over the prime table.  With c flips so
+    far, p passes when 2(c + 1) <= T(x) = floor(budget(x)) - Q(x) at every
+    binding point x, Q(x) counting the modulus primes up to x.  Apart from
+    lo = max(p, x0), the binding points are fixed: the limit, the valley's
+    floor and ceiling and each step s and s - 1.  Each prime gets an upper
+    bound on its window's least T: the suffix minimum of the exact scalar
+    T over the fixed points >= lo, and at lo a numpy estimate of the budget
+    inflated by BUDGET_ESTIMATE_MARGIN, which cannot fall below the scalar
+    `budget.value(lo)`.  A prime whose bound is below 2(c + 1) therefore
+    fails the scalar test and is skipped; the next prime whose bound
+    reaches 2(c + 1) is confirmed by that scalar test, so every decision
+    to accept a flip is the scalar one and the plan is the per-prime
+    loop's.
+
+    Raises:
+        RangeError: limit is not an integer.
+        CapacityError: the prime table to limit exceeds the sieve's byte budget.
     """
+    limit = _as_int(limit, "limit", RangeError)
+    primes = sieve_primes(limit)
     q_contrib = [p for p in chi.q_divisor_primes() if p <= limit]
+    if budget.x0 > limit:
+        return ModificationPlan(character=chi)
 
     def s_at(x: int, flips: int) -> int:
         return 2 * flips + bisect.bisect_right(q_contrib, x)
@@ -247,33 +285,74 @@ def greedy_plan(chi: RealCharacter, budget: DeviationBudget, limit: int) -> Modi
             for x in _binding_points(lo, limit, budget, q_contrib)
         )
 
+    primes = primes[chi.modulus % primes != 0]
+    lo = np.maximum(primes, budget.x0)
+    # T at the fixed points from the scalar budget, and its suffix minimum
+    fixed = np.array(_binding_points(budget.x0, limit, budget, q_contrib), dtype=np.int64)
+    t_fixed = np.floor([budget.value(int(x)) for x in fixed]) - np.searchsorted(
+        q_contrib, fixed, side="right")
+    suffix_min = np.minimum.accumulate(t_fixed[::-1])[::-1]
+    estimate = budget.big_c * lo ** (1.0 / budget.k) * np.exp(-budget.small_c * np.sqrt(np.log(lo)))
+    bound = np.minimum(
+        np.floor(estimate * (1 + BUDGET_ESTIMATE_MARGIN)) - np.searchsorted(q_contrib, lo, side="right"),
+        suffix_min[np.searchsorted(fixed, lo, side="left")],
+    )
+
     flips: list[int] = []
-    for p in sieve_primes(limit):
-        p = int(p)
-        if chi.modulus % p == 0:
+    i = 0
+    while i < len(primes):
+        hits = np.flatnonzero(bound[i : i + GREEDY_SEARCH_BLOCK] >= 2 * (len(flips) + 1))
+        if not len(hits):
+            i += GREEDY_SEARCH_BLOCK
             continue
-        lo = max(p, budget.x0)
-        if lo > limit:
-            break
-        if window_ok(lo, len(flips) + 1):
-            flips.append(p)
+        i += int(hits[0])
+        if window_ok(int(lo[i]), len(flips) + 1):
+            flips.append(int(primes[i]))
+        i += 1
     return ModificationPlan(character=chi, flipped_primes=tuple(flips))
+
+
+def _base_period(rule: MultiplicativeRule) -> tuple[np.ndarray, list[int]]:
+    """The rule's base over one period (one value for a constant base) and
+    the primes dividing that period."""
+    if isinstance(rule.base, RealCharacter):
+        return rule.base.period_values, rule.base.q_divisor_primes()
+    return np.array([rule.base], dtype=np.int8), []
 
 
 def pretentious_distance(f: MultiplicativeRule, g: MultiplicativeRule, x: int) -> float:
     """D(f, g; x) = (sum_{p<=x} (1 - f(p) g(p)) / p)^(1/2) for real-valued rules.
 
-    Accumulated with exact compensated summation (math.fsum); a rule pair
+    Off the finite set T of both rules' override primes and the primes
+    dividing Q = lcm of the two bases' periods, f(p) g(p) is the product of
+    the two bases at p mod Q.  So the sum is one term per prime p <= x in
+    T, plus 2/p for each prime p <= x in a residue class coprime to Q where
+    that product is -1; those primes come from one sieve and a table
+    lookup, and when no class deviates (two rules on one character) no
+    sieve runs and any x answers at once.  Each term is corr / p correctly
+    rounded to float64, in numpy as in Python's int division, and math.fsum
+    is exact whatever the order of its terms, so D is the correctly rounded
+    root of the exactly rounded sum of the per-prime terms; a rule pair
     agreeing at every prime gives exactly 0.0.
+
+    Raises:
+        RangeError: x is not an integer.
+        CapacityError: a deviating class needs the prime table to x, and
+            that exceeds the sieve's byte budget.
     """
+    x = _as_int(x, "x", RangeError)
     if x < 2:
         return 0.0
-    terms = []
-    for p in sieve_primes(x):
-        p = int(p)
-        corr = 1 - f.prime_value(p) * g.prime_value(p)
-        if corr:
-            terms.append(corr / p)
+    (f_base, f_primes), (g_base, g_primes) = _base_period(f), _base_period(g)
+    q = math.lcm(len(f_base), len(g_base))
+    special = set(f.overrides) | set(g.overrides) | set(f_primes) | set(g_primes)
+    terms = [(1 - f.prime_value(p) * g.prime_value(p)) / p for p in sorted(special) if p <= x]
+    product = np.tile(f_base, q // len(f_base)) * np.tile(g_base, q // len(g_base))
+    deviating = (np.gcd(np.arange(q), q) == 1) & (product != 1)
+    if deviating.any():
+        primes = sieve_primes(x)
+        primes = primes[deviating[primes % q] & ~np.isin(primes, list(special))]
+        terms.extend((2.0 / primes).tolist())
     return math.sqrt(math.fsum(terms))
 
 

@@ -106,12 +106,17 @@ class MultiplicativeRule:
         return True
 
     def without_truncation(self) -> "MultiplicativeRule":
+        """The untruncated rule, labelled as the rule `truncated` started
+        from: the label less the mu_k^2* prefix that `truncated` adds, or
+        the default label when this label does not carry it."""
         if self.k_truncation is None:
             return self
-        return MultiplicativeRule(base=self.base, overrides=dict(self.overrides))
+        prefix = f"mu_{self.k_truncation}^2*"
+        label = self.label[len(prefix):] if self.label.startswith(prefix) else ""
+        return MultiplicativeRule(base=self.base, overrides=dict(self.overrides), label=label)
 
     def truncated(self, k: int) -> "MultiplicativeRule":
-        label = f"mu_{k}^2*{self.label}" if self.k_truncation is None else ""
+        label = f"mu_{k}^2*{self.without_truncation().label}"
         return MultiplicativeRule(base=self.base, overrides=dict(self.overrides),
                                   k_truncation=k, label=label)
 

@@ -31,7 +31,8 @@ MAX_KFREE_ORDER = 60
 
 DEFAULT_SEGMENT_SIZE = 2**20
 
-# Largest smallest-prime-factor table build_spf allocates (2 GiB).
+# Largest table a sieve from 0 to its limit allocates (2 GiB): build_spf's
+# smallest prime factors, and sieve_primes' flags at one byte per integer.
 MAX_SPF_BYTES = 2**31
 
 
@@ -117,11 +118,20 @@ def is_prime(n: int) -> bool:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending.  limit < 2 yields an empty array."""
+    """All primes <= limit, ascending.  limit < 2 yields an empty array.
+
+    Raises:
+        RangeError: limit past 2^63-1.
+        CapacityError: the limit + 1 bytes of flags exceed MAX_SPF_BYTES.
+    """
     if limit < 2:
         return np.array([], dtype=np.int64)
     if limit > MAX_LIMIT:
         raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
+    if limit + 1 > MAX_SPF_BYTES:
+        raise CapacityError(
+            f"prime sieve to {limit} needs {limit + 1} bytes, budget is {MAX_SPF_BYTES}"
+        )
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):

@@ -6,6 +6,8 @@ deliberately shares no algorithmic machinery with the package paths it
 cross-checks.
 """
 
+import bisect
+import math
 from math import gcd
 
 
@@ -116,12 +118,47 @@ def rule_value_brute(rule, n: int) -> int:
     return out
 
 
-def distance_squared_loop(f, g, x: int) -> float:
-    """Pretentious distance squared by a direct prime loop."""
-    total = 0.0
-    for p in primes_trial(x):
-        total += (1 - f.prime_value(p) * g.prime_value(p)) / p
-    return total
+def primes_eratosthenes(limit: int) -> list[int]:
+    """Primes <= limit from a pure-Python bytearray sieve."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def distance_fsum_loop(f, g, x: int) -> float:
+    """Pretentious distance with every prime's term summed by math.fsum;
+    exact up to the rounding of each term and of the root."""
+    return math.sqrt(math.fsum(
+        (1 - f.prime_value(p) * g.prime_value(p)) / p for p in primes_eratosthenes(x)
+    ))
+
+
+def greedy_plan_loop(chi, budget, limit: int) -> tuple[int, ...]:
+    """Greedy flips by testing the budget at each prime's binding points.
+
+    Each prime p coprime to q, in increasing order, is flipped when
+    2 (flips + 1) plus the modulus primes up to x stays within
+    budget.value(x) at every binding point x of [max(p, x0), limit]: its
+    edges, the floor and ceiling of the budget's valley, and each
+    modulus-prime step s and s - 1 inside it."""
+    steps = [p for p in primes_trial(chi.modulus) if chi.modulus % p == 0 and p <= limit]
+    valley = budget.valley()
+    flips: list[int] = []
+    for p in primes_eratosthenes(limit):
+        lo = max(p, budget.x0)
+        if chi.modulus % p == 0 or lo > limit:
+            continue
+        points = {lo, limit, math.floor(valley), math.ceil(valley)}
+        points |= {s for s in steps} | {s - 1 for s in steps}
+        if all(2 * (len(flips) + 1) + bisect.bisect_right(steps, x) <= budget.value(x)
+               for x in points if lo <= x <= limit):
+            flips.append(p)
+    return tuple(flips)
 
 
 def gcd_coprime(n: int, q: int) -> bool:

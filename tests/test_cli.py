@@ -70,6 +70,17 @@ def test_distance_command(capsys):
     assert "D^2 = 0.333333" in out
 
 
+def test_distance_command_past_the_sieve_budget(capsys):
+    # g and chi share one character, so only the finite set is summed
+    assert main(["distance", "--modulus", "3", "--limit", str(10**12)]) == 0
+    assert f"; {10**12}) = 0.57735  (D^2 = 0.333333)" in capsys.readouterr().out
+
+
+def test_prime_sieve_past_the_byte_budget_exits_2(capsys):
+    assert main(["sieve", "--kind", "primes", "--hi", str(10**12)]) == 2
+    assert f"prime sieve to {10**12} needs" in capsys.readouterr().err
+
+
 def test_fit_command(tmp_path, capsys):
     series = tmp_path / "series.csv"
     main(["sum", "--modulus", "3", "--k", "2", "--limit", "100000", "--out", str(series)])

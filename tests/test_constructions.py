@@ -1,12 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kfreesums import (
+    CapacityError,
     DeviationBudget,
+    MultiplicativeRule,
     ModificationPlan,
     PlanError,
+    RangeError,
     build_real_character,
     build_spf,
     character_rule,
@@ -21,7 +26,7 @@ from kfreesums import (
 )
 from kfreesums.experiment import read_json, read_plan
 
-from oracles import distance_squared_loop, primes_trial
+from oracles import distance_fsum_loop, greedy_plan_loop, primes_trial
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +218,9 @@ def test_distance_self_is_exact_zero(chi3):
 def test_distance_matches_independent_loop(chi3):
     g = modified_character(ModificationPlan(character=chi3, flipped_primes=(5, 13)))
     ref = character_rule(chi3)
-    for x in (10, 100, 10**4):
-        d = pretentious_distance(g, ref, x)
-        assert d * d == pytest.approx(distance_squared_loop(g, ref, x), rel=1e-12)
+    assert pretentious_distance(g, ref, 2) == 0.0
+    for x in (3, 4, 5, 10, 12, 13, 100, 10**4):  # 3, 5, 13 are the primes of T
+        assert pretentious_distance(g, ref, x) == distance_fsum_loop(g, ref, x)
 
 
 def test_modified_agrees_with_chi_off_exceptional_set(chi3):
@@ -249,3 +254,120 @@ def test_growth_report_csv(tmp_path, chi3):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,M,ratio"
     assert len(lines) == 5
+
+
+# -- the prime-array report layer, against per-prime reference loops --
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 4, 5, 8, 15, 24]),
+       big_c=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+       small_c=st.floats(0.1, 3.0),
+       k=st.sampled_from([2, 3, 4]),
+       x0=st.integers(2, 200),
+       limit=st.integers(1, 10**5))
+@example(q=3, big_c=5000.0, small_c=3.0, k=3, x0=10, limit=10**5)  # valley past the limit
+@example(q=5, big_c=10.0, small_c=0.5, k=2, x0=150, limit=100)      # limit below x0
+def test_greedy_plan_equals_reference_loop(q, big_c, small_c, k, x0, limit):
+    chi = build_real_character(q)
+    budget = DeviationBudget(big_c=big_c, small_c=small_c, k=k, x0=x0)
+    assert greedy_plan(chi, budget, limit).flipped_primes == greedy_plan_loop(chi, budget, limit)
+
+
+def _budget_meeting(target: int, x: int, small_c: float, k: int) -> DeviationBudget:
+    """A budget starting at x whose scalar value at x is exactly `target`."""
+    big_c = target / (x ** (1.0 / k) * math.exp(-small_c * math.sqrt(math.log(x))))
+    for _ in range(8):
+        budget = DeviationBudget(big_c=big_c, small_c=small_c, k=k, x0=x)
+        if budget.value(x) == target:
+            return budget
+        big_c = math.nextafter(big_c, 0.0 if budget.value(x) > target else math.inf)
+    raise AssertionError(f"no budget meets {target} at {x}")
+
+
+@pytest.mark.parametrize("q, x, small_c, k", [(3, 101, 0.5, 2), (3, 1009, 0.5, 2), (5, 211, 0.2, 4)])
+def test_greedy_plan_flips_where_the_budget_is_met_exactly(q, x, small_c, k):
+    # x0 = x lies past the valley and every modulus prime, so the first
+    # candidate's window binds at x alone, where S would be 2 + 1: it is
+    # flipped at a budget of exactly 3.0 and not just below it
+    chi = build_real_character(q)
+    first = next(int(p) for p in sieve_primes(x) if q % p)
+    at = _budget_meeting(3, x, small_c, k)
+    below = at
+    while below.value(x) == 3.0:
+        below = DeviationBudget(big_c=math.nextafter(below.big_c, 0.0), small_c=small_c, k=k, x0=x)
+    for budget, flipped in ((at, True), (below, False)):
+        plan = greedy_plan(chi, budget, 10 * x).flipped_primes
+        assert plan == greedy_plan_loop(chi, budget, 10 * x)
+        assert (first in plan) is flipped
+
+
+_BASES = [3, 4, 5, 8, 15, 24, 1, -1]  # character moduli, then the constant bases
+
+
+@st.composite
+def prime_rules(draw, base=None):
+    """A rule on a character or constant base with up to 4 overrides
+    below 60, some at primes dividing the modulus, possibly truncated."""
+    if base is None:
+        b = draw(st.sampled_from(_BASES), label="base")
+        base = b if b in (1, -1) else build_real_character(b)
+    overrides = draw(st.dictionaries(st.sampled_from(primes_trial(60)), st.sampled_from([-1, 1]),
+                                     max_size=4), label="overrides")
+    k = draw(st.sampled_from([None, 2, 3]), label="truncation")
+    return MultiplicativeRule(base=base, overrides=overrides, k_truncation=k)
+
+
+def _special_primes(*rules) -> list[int]:
+    out = set()
+    for r in rules:
+        out |= set(r.overrides)
+        if not isinstance(r.base, int):
+            out |= set(r.base.q_divisor_primes())
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_distance_equals_fsum_loop(data):
+    f = data.draw(prime_rules(), label="f")
+    same = data.draw(st.booleans(), label="same base")
+    g = data.draw(prime_rules(f.base if same else None), label="g")
+    x = data.draw(st.one_of(st.integers(-3, 3000), st.sampled_from(_special_primes(f, g) or [2])),
+                  label="x")
+    assert pretentious_distance(f, g, x) == distance_fsum_loop(f, g, x)
+
+
+@pytest.mark.parametrize("f_base, g_base", [(3, 4), (-1, 3), (1, -1), (15, 8)])
+def test_distance_with_different_bases_equals_fsum_loop(f_base, g_base):
+    def rule(b):
+        return MultiplicativeRule(base=b if b in (1, -1) else build_real_character(b),
+                                  overrides={7: 1, 2: -1})
+    f, g = rule(f_base), rule(g_base)
+    for x in (2, 7, 10**4 + 7):
+        assert pretentious_distance(f, g, x) == distance_fsum_loop(f, g, x)
+
+
+def test_distance_of_one_character_answers_at_any_int64_x(chi3):
+    g = modified_character(ModificationPlan(character=chi3, flipped_primes=(5, 13)))
+    ref = character_rule(chi3)
+    d = pretentious_distance(g, ref, 13)
+    for x in (10**12, 2**63 - 1, np.int64(2**62)):
+        assert pretentious_distance(g, ref, x) == d
+
+
+def test_sieving_past_the_byte_budget_raises_capacity_error(chi3):
+    chi4 = character_rule(build_real_character(4))
+    with pytest.raises(CapacityError, match=f"prime sieve to {10**12} needs"):
+        pretentious_distance(character_rule(chi3), chi4, 10**12)
+    with pytest.raises(CapacityError, match=f"prime sieve to {10**12} needs"):
+        greedy_plan(chi3, DeviationBudget(), 10**12)
+
+
+@pytest.mark.parametrize("x", [2.5, 10.0, "100", None])
+def test_non_integer_bounds_raise_range_error(chi3, x):
+    g = completed_character(chi3)
+    with pytest.raises(RangeError, match=f"x {re.escape(repr(x))} is not an integer"):
+        pretentious_distance(g, g, x)
+    with pytest.raises(RangeError, match=f"limit {re.escape(repr(x))} is not an integer"):
+        greedy_plan(chi3, DeviationBudget(), x)

@@ -110,6 +110,17 @@ def test_override_validation(chi3):
         MultiplicativeRule(base=3)
 
 
+def test_truncation_keeps_custom_labels(chi3):
+    rule = MultiplicativeRule(base=-1, label="constant -1")
+    assert rule.truncated(2).label == "mu_2^2*constant -1"
+    assert rule.truncated(2).without_truncation().label == "constant -1"
+    assert rule.truncated(2).truncated(3).label == "mu_3^2*constant -1"
+    assert character_rule(chi3, 2).without_truncation().label == "chi_3"
+    # a truncated rule's own label names the truncated function
+    assert mobius_rule().without_truncation().label == "const-1"
+    assert mobius_rule().truncated(3).label == "mu_3^2*const-1"
+
+
 def test_unit_valued_detection(chi3):
     assert not character_rule(chi3).is_unit_valued()
     g = modified_character(ModificationPlan(character=chi3))
