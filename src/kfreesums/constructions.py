@@ -175,13 +175,17 @@ def _binding_points(lo: int, hi: int, budget: DeviationBudget, steps) -> list[in
     S is a step function jumping only at `steps` and the budget curve is
     unimodal (a single interior valley), so on each constant-S stretch the
     constraint binds at the stretch edges or at the valley; checking those
-    points decides the whole window.
+    points decides the whole window.  A valley past hi is no binding point,
+    as the budget decreases over the whole window; its exponent
+    (c k / 2)^2 is compared with log(hi) before exponentiating, so a large
+    c cannot overflow exp.
     """
     pts = {lo, hi}
-    valley = budget.valley()
-    for cand in (math.floor(valley), math.ceil(valley)):
-        if lo <= cand <= hi:
-            pts.add(int(cand))
+    if (budget.small_c * budget.k / 2.0) ** 2 <= math.log(hi) + 1:
+        valley = budget.valley()
+        for cand in (math.floor(valley), math.ceil(valley)):
+            if lo <= cand <= hi:
+                pts.add(int(cand))
     for s in steps:
         for x in (s, s - 1):
             if lo <= x <= hi:

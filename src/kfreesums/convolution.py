@@ -1,9 +1,13 @@
 """Exact Dirichlet-algebra operations on dense prefix tables.
 
 Convolution, Dirichlet inversion and pointwise products all operate on
-tables over [1, N] with exact 64-bit integers; products of {-1, 0, 1}
-tables never overflow at the oracle scales used here (N <= ~10^6), and
-Dirichlet inversion raises CapacityError rather than wrap past int64.
+tables over [1, N] with exact 64-bit integers.  Convolution and inversion
+run in int64 when an a-priori bound on their values fits it (always for
+{-1, 0, 1} tables at the oracle scales used here, N <= ~10^6); otherwise
+they run in Python ints and raise CapacityError, naming the first n whose
+value leaves int64, rather than wrap.  Both split their divisor pairs at
+a square root, as the hyperbola method does, so they make O(sqrt N) numpy
+passes rather than one per divisor.
 
 Two closed-form convolution factors are also built directly from their
 prime-power laws:
@@ -21,6 +25,7 @@ prime-power laws:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -68,32 +73,72 @@ def _shared_limit(a: DenseValueTable, b: DenseValueTable) -> int:
     return a.hi
 
 
+def _bound(values: np.ndarray) -> int:
+    """max(|v|) over an int64 array, at least 1, as a Python int."""
+    return max(-int(values.min(initial=0)), int(values.max(initial=0)), 1)
+
+
+def _require_int64(values: np.ndarray, first: int, what: str) -> None:
+    """Raise CapacityError naming the first n (values[i] is n = first + i)
+    whose exact value leaves int64."""
+    outside = np.flatnonzero((values < -MAX_LIMIT - 1) | (values > MAX_LIMIT))
+    if len(outside):
+        i = int(outside[0])
+        raise CapacityError(f"{what} value at n={first + i} is {values[i]}, outside int64")
+
+
 def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTable:
     """(a * b)(n) = sum_{d|n} a(d) b(n/d) for n <= N, exactly.
 
-    Divisor-pair enumeration in O(N log N): each d contributes a(d) times
-    the b-prefix along its multiples.
+    The divisor pairs d e = n <= N are split at r = isqrt(N), as in the
+    hyperbola method: each d <= r adds a(d) times the b-prefix along its
+    multiples, and each e <= N // (r + 1) adds b(e) times a(r+1..N//e)
+    along its multiples from (r + 1) e.  Every pair has d <= r or
+    d > r >= e, so it is counted once, and no slice holds an index twice:
+    O(sqrt N) numpy passes and O(N log N) element work.
+
+    |(a * b)(n)| <= tau(n) max|a| max|b| <= N max|a| max|b|; when that bound
+    fits int64 the sums run in int64, otherwise in Python ints, and a value
+    outside int64 raises CapacityError naming the first such n.
     """
     n = _shared_limit(a, b)
     av = a.values.astype(np.int64)
     bv = b.values.astype(np.int64)
-    out = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
+    dtype = np.int64 if n * _bound(av) * _bound(bv) <= MAX_LIMIT else object
+    av, bv = av.astype(dtype), bv.astype(dtype)
+    out = np.zeros(n + 1, dtype=dtype)
+    r = isqrt(n)
+    for d in range(1, r + 1):
         ad = av[d - 1]
         if ad:
             out[d::d] += ad * bv[: n // d]
-    return ConvolutionTable(limit=n, values=out, operands=(a.label, b.label))
+    for e in range(1, n // (r + 1) + 1):
+        be = bv[e - 1]
+        if be:
+            out[(r + 1) * e :: e] += be * av[r : n // e]
+    if dtype is object:
+        _require_int64(out[1:], 1, "Dirichlet convolution")
+    return ConvolutionTable(limit=n, values=out.astype(np.int64), operands=(a.label, b.label))
 
 
 def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     """Table b with (a * b) = unit (1 at n=1, else 0) on [1, N].
 
-    Uses the forward recursion b(n) = -a(1)^{-1} sum_{d|n, d>1} a(d) b(n/d);
-    contributions are pushed to multiples as each b(n) is fixed, keeping the
-    whole inversion O(N log N).  It runs in int64 (exact modulo 2^64) when
-    |b(n)| <= n^2 * A^(log2 n), A = max_{d>=2} |a(d)|, keeps every value in
-    int64; otherwise in Python ints, and it raises CapacityError naming the
-    first n whose b(n) leaves int64.
+    b(1) = a(1) and b(m) = -a(1) sum_{d|m, d<m} b(d) a(m/d), filled over
+    the dyadic blocks [L, 2L).  Every proper divisor d of an m in a block
+    is <= m/2 < L, so the block's sums read only values fixed before it.
+    Within a block the pairs d j = m, j >= 2, are split at s = isqrt(H),
+    H the block's end, as in `dirichlet_convolve`: each d <= s adds b(d)
+    times a slice of a, then each j <= H // (s + 1) adds a(j) times the
+    slice of b over d > s.  About 2 sqrt(H) numpy passes per block and
+    O(N log N) element work in all.
+
+    |b(n)| <= n^2 A^(log2 n), A = max_{d>=2} |a(d)|; when that bound fits
+    int64 the sums run in int64, otherwise in Python ints, and it raises
+    CapacityError naming the first n whose b(n) leaves int64.  That check
+    runs after each block: the blocks before it are all in range and no
+    value in a block depends on another in it, so this n and its value are
+    those of an entry-by-entry recursion.
     """
     _require_prefix(a, "operand")
     n = a.hi
@@ -103,19 +148,29 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     if a1 not in (1, -1):
         raise NonInvertibleError(f"a(1) = {a1} is not a unit in the integer table ring")
     av = a.values.astype(np.int64)
-    big = max(-int(av[1:].min(initial=0)), int(av[1:].max(initial=0)), 1)
-    checked = n * n * big ** (n.bit_length() - 1) > MAX_LIMIT
-    if checked:
-        av = av.astype(object)
+    checked = n * n * _bound(av[1:]) ** (n.bit_length() - 1) > MAX_LIMIT
+    av = np.concatenate(([0], av)).astype(object if checked else np.int64)  # av[j] = a(j)
     b = np.zeros(n + 1, dtype=av.dtype)
-    acc = np.zeros(n + 1, dtype=av.dtype)  # pending sum_{d|m, d<m} b(d) a(m/d)
-    for m in range(1, n + 1):
-        bm = (1 - acc[m]) * a1 if m == 1 else -a1 * acc[m]
-        if checked and not -MAX_LIMIT - 1 <= bm <= MAX_LIMIT:
-            raise CapacityError(f"Dirichlet inverse value at n={m} is {bm}, outside int64")
-        b[m] = bm
-        if bm and 2 * m <= n:
-            acc[2 * m :: m] += bm * av[1 : n // m]
+    b[1] = a1
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo - 1, n)
+        acc = np.zeros(hi - lo + 1, dtype=av.dtype)  # acc[m - lo] = sum b(d) a(m/d), d < m
+        s = isqrt(hi)
+        for d in range(1, s + 1):
+            bd = b[d]
+            if bd:
+                j0 = max(2, -(-lo // d))
+                acc[d * j0 - lo :: d] += bd * av[j0 : hi // d + 1]
+        for j in range(2, hi // (s + 1) + 1):
+            aj = av[j]
+            if aj:
+                d0 = max(s + 1, -(-lo // j))
+                acc[d0 * j - lo :: j] += aj * b[d0 : hi // j + 1]
+        b[lo : hi + 1] = -a1 * acc
+        if checked:
+            _require_int64(b[lo : hi + 1], lo, "Dirichlet inverse")
+        lo = hi + 1
     return ConvolutionTable(limit=n, values=b.astype(np.int64), operands=(a.label, "^-1"))
 
 

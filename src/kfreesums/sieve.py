@@ -14,6 +14,7 @@ where products can grow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -34,6 +35,17 @@ DEFAULT_SEGMENT_SIZE = 2**20
 # Largest table a sieve from 0 to its limit allocates (2 GiB): build_spf's
 # smallest prime factors, and sieve_primes' flags at one byte per integer.
 MAX_SPF_BYTES = 2**31
+
+# is_prime's Miller-Rabin bases, the first 13 primes, each with the least
+# composite that is a strong probable prime to it and every base before it
+# (OEIS A014233): the bases up to a decide every n below a's entry.
+MILLER_RABIN_BASES = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+    (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+    (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
+MILLER_RABIN_LIMIT = MILLER_RABIN_BASES[-1][1]
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -106,14 +118,41 @@ class SpfTable:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; for validating single indices."""
+    """Primality of a single index by deterministic Miller-Rabin.
+
+    n is tested to the first prime bases in turn and is prime once it
+    passes every base up to one whose entry in MILLER_RABIN_BASES exceeds
+    n: below that entry no composite passes them all.  So n < 1373653 takes
+    two bases and every n < MILLER_RABIN_LIMIT at most 13.
+
+    Raises:
+        RangeError: n is not an integer, or n >= MILLER_RABIN_LIMIT.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise RangeError(f"primality needs an integer, got {n!r}") from None
+    if n >= MILLER_RABIN_LIMIT:
+        raise RangeError(f"primality of {n} is not decided below {MILLER_RABIN_LIMIT}")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
+    for a, _ in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a, decided_below in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < decided_below:
+            break
     return True
 
 

@@ -10,6 +10,8 @@ import bisect
 import math
 from math import gcd
 
+import numpy as np
+
 
 def is_prime_trial(n: int) -> bool:
     if n < 2:
@@ -72,6 +74,32 @@ def divisors(n: int) -> list[int]:
 def convolve_at(a, b, n: int) -> int:
     """(a conv b)(n) by literal divisor enumeration; a, b map n -> value."""
     return sum(a(d) * b(n // d) for d in divisors(n))
+
+
+def dirichlet_convolve_loop(a, b) -> list[int]:
+    """[(a conv b)(n) for n in 1..N] from one slice per d <= N, in Python
+    ints; a and b list a(1..N) and b(1..N)."""
+    n = len(a)
+    av, bv = np.array(a, dtype=object), np.array(b, dtype=object)
+    out = np.zeros(n + 1, dtype=object)
+    for d in range(1, n + 1):
+        if av[d - 1]:
+            out[d::d] += av[d - 1] * bv[: n // d]
+    return out[1:].tolist()
+
+
+def dirichlet_inverse_loop(a) -> list[int]:
+    """[a^-1(n) for n in 1..N] by the forward recursion in Python ints:
+    as each b(m) is fixed, b(m) a(j) is pushed to every multiple m j."""
+    n, a1 = len(a), a[0]
+    av = np.array(a, dtype=object)
+    b = np.zeros(n + 1, dtype=object)
+    acc = np.zeros(n + 1, dtype=object)  # pending sum_{d|m, d<m} b(d) a(m/d)
+    for m in range(1, n + 1):
+        b[m] = (1 - acc[m]) * a1 if m == 1 else -a1 * acc[m]
+        if b[m] and 2 * m <= n:
+            acc[2 * m :: m] += b[m] * av[1 : n // m]
+    return b[1:].tolist()
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -147,13 +175,14 @@ def greedy_plan_loop(chi, budget, limit: int) -> tuple[int, ...]:
     edges, the floor and ceiling of the budget's valley, and each
     modulus-prime step s and s - 1 inside it."""
     steps = [p for p in primes_trial(chi.modulus) if chi.modulus % p == 0 and p <= limit]
-    valley = budget.valley()
+    # a valley past exp(709) leaves the float range, and every limit
+    valley = budget.valley() if (budget.small_c * budget.k / 2) ** 2 < 709 else None
     flips: list[int] = []
     for p in primes_eratosthenes(limit):
         lo = max(p, budget.x0)
         if chi.modulus % p == 0 or lo > limit:
             continue
-        points = {lo, limit, math.floor(valley), math.ceil(valley)}
+        points = {lo, limit} | ({math.floor(valley), math.ceil(valley)} if valley else set())
         points |= {s for s in steps} | {s - 1 for s in steps}
         if all(2 * (len(flips) + 1) + bisect.bisect_right(steps, x) <= budget.value(x)
                for x in points if lo <= x <= limit):

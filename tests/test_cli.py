@@ -64,6 +64,11 @@ def test_verify_budget_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_budget_with_a_valley_past_the_float_range(capsys):
+    assert main(["verify-budget", "--modulus", "3", "--c", "30", "--limit", "1000"]) == 0
+    assert "FAIL: S(10) = 1" in capsys.readouterr().out
+
+
 def test_distance_command(capsys):
     assert main(["distance", "--modulus", "3", "--limit", "1000"]) == 0
     out = capsys.readouterr().out

@@ -268,10 +268,20 @@ def test_growth_report_csv(tmp_path, chi3):
        limit=st.integers(1, 10**5))
 @example(q=3, big_c=5000.0, small_c=3.0, k=3, x0=10, limit=10**5)  # valley past the limit
 @example(q=5, big_c=10.0, small_c=0.5, k=2, x0=150, limit=100)      # limit below x0
+@example(q=3, big_c=2.0, small_c=30.0, k=2, x0=10, limit=1000)      # exp((c k / 2)^2) overflows
 def test_greedy_plan_equals_reference_loop(q, big_c, small_c, k, x0, limit):
     chi = build_real_character(q)
     budget = DeviationBudget(big_c=big_c, small_c=small_c, k=k, x0=x0)
     assert greedy_plan(chi, budget, limit).flipped_primes == greedy_plan_loop(chi, budget, limit)
+
+
+def test_budget_verifier_with_a_valley_past_the_float_range(chi3):
+    # exp((c k / 2)^2) = exp(900) overflows a float; the valley lies past
+    # every limit, so the verifier does not need it (greedy_plan's case is
+    # an example of test_greedy_plan_equals_reference_loop)
+    budget = DeviationBudget(big_c=2.0, small_c=30.0, k=2)
+    report = verify_deviation_budget(completed_character(chi3), chi3, budget, 1000)
+    assert report.first_violation[:2] == (10, 1) and not report.passed
 
 
 def _budget_meeting(target: int, x: int, small_c: float, k: int) -> DeviationBudget:

@@ -21,7 +21,13 @@ from kfreesums import (
     sieve_mobius_segment,
 )
 
-from oracles import convolve_at, divisors, primes_trial
+from oracles import (
+    convolve_at,
+    dirichlet_convolve_loop,
+    dirichlet_inverse_loop,
+    divisors,
+    primes_trial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +72,26 @@ def test_convolve_matches_divisor_enumeration(chi3):
     conv = dirichlet_convolve(a, b)
     for m in range(1, n + 1):
         assert conv.value_at(m) == convolve_at(a.value_at, b.value_at, m)
+
+
+def test_convolve_refuses_to_wrap_int64():
+    # int64 sums wrapped the exact (a * a)(1) = 2^124 to 0
+    big = DenseValueTable(1, 10, np.full(10, 2**62, dtype=np.int64))
+    with pytest.raises(CapacityError, match=f"convolution value at n=1 is {2**124},"):
+        dirichlet_convolve(big, big)
+
+
+def test_convolve_at_the_int64_bound():
+    ones = DenseValueTable(1, 2, np.ones(2, dtype=np.int8))
+    # N max|a| max|b| = 2^63 - 2 runs in int64, and 2 (2^62 - 1) fits
+    inside = DenseValueTable(1, 2, np.full(2, 2**62 - 1, dtype=np.int64))
+    assert dirichlet_convolve(inside, ones).values.tolist() == [0, 2**62 - 1, 2**63 - 2]
+    # past the bound the sums run in Python ints: -2^63 fits, 2^63 does not
+    low = DenseValueTable(1, 2, np.full(2, -(2**62), dtype=np.int64))
+    assert dirichlet_convolve(low, ones).values.tolist() == [0, -(2**62), -(2**63)]
+    high = DenseValueTable(1, 2, np.full(2, 2**62, dtype=np.int64))
+    with pytest.raises(CapacityError, match=f"n=2 is {2**63},"):
+        dirichlet_convolve(high, ones)
 
 
 def test_convolve_shape_errors(chi3):
@@ -140,6 +166,57 @@ def test_inverse_property(a):
         assert convolve_at(a.value_at, inv.value_at, n) == (n == 1), n
     back = dirichlet_inverse(inv.as_table())
     assert back.values[1:].tolist() == a.values.tolist()
+
+
+# N at the edges of the inverse's dyadic blocks (2^j - 1, 2^j, 2^j + 1) and
+# of the hyperbola split at r = isqrt(N) (r^2 - 1, r^2, r^2 + 1)
+EDGE_N = sorted(
+    m for m in {2**j + e for j in range(1, 13) for e in (-1, 0, 1)}
+    | {r * r + e for r in range(1, 71) for e in (-1, 0, 1)}
+    if 1 <= m <= 5000
+)
+
+
+def _first_outside_int64(values: list[int]):
+    return next(((n, v) for n, v in enumerate(values, 1) if not -(2**63) <= v < 2**63), None)
+
+
+# |a(d)| <= 3 keeps n^2 A^(log2 n) inside int64 for n <= 5000, 16 and 128 run
+# the Python-int path, where 128 mostly leaves int64 and must raise
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(EDGE_N), a1=st.sampled_from((-1, 1)),
+       top=st.sampled_from((1, 3, 16, 128)), seed=st.integers(0, 2**32 - 1))
+def test_inverse_equals_reference_loop(n, a1, top, seed):
+    vals = np.random.default_rng(seed).integers(-top, top, n, endpoint=True)
+    vals = vals.clip(-128, 127).astype(np.int8)
+    vals[0] = a1
+    exact = dirichlet_inverse_loop(vals.tolist())
+    outside = _first_outside_int64(exact)
+    if outside:
+        with pytest.raises(CapacityError, match=f"inverse value at n={outside[0]} is {outside[1]},"):
+            dirichlet_inverse(DenseValueTable(1, n, vals))
+    else:
+        assert dirichlet_inverse(DenseValueTable(1, n, vals)).values[1:].tolist() == exact
+
+
+# a is an int8 table shifted left: 0 keeps N max|a| max|b| inside int64, 40
+# crosses it within the range of N, 48 runs in Python ints and mostly fits,
+# 56 mostly leaves int64 and must raise
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(EDGE_N), shift=st.sampled_from((0, 40, 48, 56)),
+       seed=st.integers(0, 2**32 - 1))
+def test_convolve_equals_reference_loop(n, shift, seed):
+    rng = np.random.default_rng(seed)
+    av = rng.integers(-128, 128, n).astype(np.int64) << shift
+    bv = rng.integers(-128, 128, n).astype(np.int8)
+    exact = dirichlet_convolve_loop(av.tolist(), bv.tolist())
+    a, b = DenseValueTable(1, n, av), DenseValueTable(1, n, bv)
+    outside = _first_outside_int64(exact)
+    if outside:
+        with pytest.raises(CapacityError, match=f"convolution value at n={outside[0]} is {outside[1]},"):
+            dirichlet_convolve(a, b)
+    else:
+        assert dirichlet_convolve(a, b).values[1:].tolist() == exact
 
 
 @settings(max_examples=10, deadline=None)

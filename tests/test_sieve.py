@@ -12,9 +12,17 @@ from kfreesums import (
     sieve_mobius_segment,
     sieve_primes,
 )
-from kfreesums.sieve import MAX_LIMIT, MAX_SPF_BYTES, liouville_kfree_segment, segments
+from kfreesums.sieve import (
+    MAX_LIMIT,
+    MAX_SPF_BYTES,
+    MILLER_RABIN_BASES,
+    MILLER_RABIN_LIMIT,
+    is_prime,
+    liouville_kfree_segment,
+    segments,
+)
 
-from oracles import factorize_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
+from oracles import factorize_trial, is_prime_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
 
 
 def test_primes_small():
@@ -31,6 +39,34 @@ def test_primes_match_trial_division():
 def test_prime_count_1e6():
     # frozen from the one-shot trial-division oracle run
     assert len(sieve_primes(10**6)) == 78498
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == [
+        n for n in range(-3, 10**5 + 1) if is_prime_trial(n)]
+    # one n a side of each base's threshold, where the base count changes
+    for _, below in MILLER_RABIN_BASES[:6]:
+        for n in range(below - 50, below + 50):
+            assert is_prime(n) == is_prime_trial(n), n
+
+
+def test_is_prime_known_64_bit_values():
+    primes = [2**31 - 1, 2**61 - 1, 10**12 + 39, 2**63 - 25, 2**64 - 59, 10**18 + 9]
+    assert all(is_prime(p) for p in primes)
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    assert not any(is_prime(n) for n in carmichael)
+    small = [2**31 - 1, 10**12 + 39]
+    assert not any(is_prime(p * q) for p in small for q in small)
+    # each threshold is a composite passing every base before it: one base
+    # fewer than the table's count would call it prime
+    assert not any(is_prime(below) for _, below in MILLER_RABIN_BASES[:-1])
+
+
+@pytest.mark.parametrize("n, shown", [(MILLER_RABIN_LIMIT, str(MILLER_RABIN_LIMIT)),
+                                      (7.0, "7.0"), ("7", "'7'")])
+def test_is_prime_refuses_undecided_input(n, shown):
+    with pytest.raises(RangeError, match=shown):
+        is_prime(n)
 
 
 def test_mobius_first_ten():
