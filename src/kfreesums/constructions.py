@@ -133,8 +133,12 @@ class DeviationBudget:
 
     def valley(self) -> float:
         """The unique interior minimum of the budget curve (x where the
-        decreasing exp factor hands over to the increasing power)."""
-        return math.exp((self.small_c * self.k / 2.0) ** 2)
+        decreasing exp factor hands over to the increasing power);
+        math.inf once exp((c k / 2)^2) passes the float range."""
+        try:
+            return math.exp((self.small_c * self.k / 2.0) ** 2)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -175,17 +179,14 @@ def _binding_points(lo: int, hi: int, budget: DeviationBudget, steps) -> list[in
     S is a step function jumping only at `steps` and the budget curve is
     unimodal (a single interior valley), so on each constant-S stretch the
     constraint binds at the stretch edges or at the valley; checking those
-    points decides the whole window.  A valley past hi is no binding point,
-    as the budget decreases over the whole window; its exponent
-    (c k / 2)^2 is compared with log(hi) before exponentiating, so a large
-    c cannot overflow exp.
+    points decides the whole window.  A valley outside [lo, hi], an
+    infinite one included, adds nothing: its floor and ceiling are lo, hi
+    or out of the window.
     """
     pts = {lo, hi}
-    if (budget.small_c * budget.k / 2.0) ** 2 <= math.log(hi) + 1:
-        valley = budget.valley()
-        for cand in (math.floor(valley), math.ceil(valley)):
-            if lo <= cand <= hi:
-                pts.add(int(cand))
+    valley = budget.valley()
+    if lo <= valley <= hi:
+        pts.update((math.floor(valley), math.ceil(valley)))
     for s in steps:
         for x in (s, s - 1):
             if lo <= x <= hi:

@@ -87,6 +87,14 @@ def _require_int64(values: np.ndarray, first: int, what: str) -> None:
         raise CapacityError(f"{what} value at n={first + i} is {values[i]}, outside int64")
 
 
+def _int64_values(t: DenseValueTable, what: str) -> np.ndarray:
+    """t's values as int64; CapacityError names the first n whose value
+    leaves int64 (an object or uint64 table need not fit)."""
+    if not np.can_cast(t.values.dtype, np.int64):
+        _require_int64(t.values, t.lo, what)
+    return t.values.astype(np.int64)
+
+
 def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTable:
     """(a * b)(n) = sum_{d|n} a(d) b(n/d) for n <= N, exactly.
 
@@ -99,11 +107,12 @@ def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTab
 
     |(a * b)(n)| <= tau(n) max|a| max|b| <= N max|a| max|b|; when that bound
     fits int64 the sums run in int64, otherwise in Python ints, and a value
-    outside int64 raises CapacityError naming the first such n.
+    outside int64 raises CapacityError naming the first such n, as does an
+    operand value outside int64.
     """
     n = _shared_limit(a, b)
-    av = a.values.astype(np.int64)
-    bv = b.values.astype(np.int64)
+    av = _int64_values(a, "left operand")
+    bv = _int64_values(b, "right operand")
     dtype = np.int64 if n * _bound(av) * _bound(bv) <= MAX_LIMIT else object
     av, bv = av.astype(dtype), bv.astype(dtype)
     out = np.zeros(n + 1, dtype=dtype)
@@ -138,7 +147,8 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     CapacityError naming the first n whose b(n) leaves int64.  That check
     runs after each block: the blocks before it are all in range and no
     value in a block depends on another in it, so this n and its value are
-    those of an entry-by-entry recursion.
+    those of an entry-by-entry recursion.  An operand value outside int64
+    raises CapacityError naming its n.
     """
     _require_prefix(a, "operand")
     n = a.hi
@@ -147,7 +157,7 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
         raise NonInvertibleError("a(1) = 0 has no Dirichlet inverse")
     if a1 not in (1, -1):
         raise NonInvertibleError(f"a(1) = {a1} is not a unit in the integer table ring")
-    av = a.values.astype(np.int64)
+    av = _int64_values(a, "operand")
     checked = n * n * _bound(av[1:]) ** (n.bit_length() - 1) > MAX_LIMIT
     av = np.concatenate(([0], av)).astype(object if checked else np.int64)  # av[j] = a(j)
     b = np.zeros(n + 1, dtype=av.dtype)

@@ -1,10 +1,12 @@
 """Exact partial sums M_f(x) = sum_{n<=x} f(n) at scale.
 
 Sums are streamed over sieve segments so the full value table for x is
-never materialised; every accumulator is a 64-bit (or Python) integer
-and no floating point enters any sum.  A checkpoint schedule records
-(x, M(x)) pairs along the way together with the exact running maximum
-of |M(t)| over all integers t <= x.
+never materialised; every accumulator is an integer type that its sums
+cannot leave (int16 within a block of at most 64 one-byte values, int64
+across a window's blocks, Python ints across windows) and no floating
+point enters any sum.  A checkpoint schedule records (x, M(x)) pairs
+along the way together with the exact running maximum of |M(t)| over all
+integers t <= x.
 
 The Dirichlet hyperbola identity
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -150,27 +152,30 @@ def stream_summatory(
 ) -> PartialSumSeries:
     """Stream exact partial sums of a segment-valued function to `limit`.
 
-    Each window is reduced over the intervals between the checkpoints it
-    holds, not element by element: one local prefix sum, in the narrowest
-    dtype that no sum of the window's values can overflow (int32 for int8
-    windows shorter than 2^24 values), then the prefix's max and min on each
-    interval.  The offset carried between windows and the running max of
-    |M| are Python ints, so they stay exact at any limit.
+    Each window's values are computed and reduced together, by
+    `_reduce_window`, to the prefix sum at each interval end between the
+    checkpoints the window holds and the prefix's max and min on each
+    interval.  Windows are handed to a pool of `threads` workers in
+    ascending order; the main thread only folds each window's O(checkpoint)
+    summary into the offset carried between windows and the running max of
+    |M|, both Python ints, in that order.  So the series is exact at any
+    limit and bit-identical for every thread count and segment size.
 
     Args:
-        segment_values: Callable (lo, hi) -> int8 ndarray of f(lo..hi).
+        segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
+            of length hi - lo + 1, in a dtype that int64 holds.
         limit: Final x.
         schedule: Checkpoint xs (default geometric schedule); the endpoint
             is always included.
         segment_size: Window length per sieve pass.
-        threads: Segment values may be computed concurrently, by at most
-            as many threads as this process may use CPUs; the reduction
-            always runs in ascending segment order, so results are
-            bit-identical for every thread count.
+        threads: Workers that compute and reduce windows concurrently, at
+            most as many as this process may use CPUs.
 
     Raises:
         RangeError: limit < 1, or threads < 1.
         CapacityError: limit beyond MAX_STREAM_LIMIT.
+        ShapeError: a window's values are not integers, or not one per
+            integer of the window; names the window [lo, hi].
     """
     _check_limit(limit)
     if threads < 1:
@@ -180,61 +185,108 @@ def stream_summatory(
         schedule = checkpoint_schedule(limit)
     sched = sorted({x for x in schedule if 1 <= x <= limit} | {limit})
 
-    windows = list(segments(1, limit, segment_size))
+    def summarise(window: tuple[int, int]):
+        lo, hi = window
+        vals = np.asarray(segment_values(lo, hi))
+        integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
+        if not integer or vals.shape != (hi - lo + 1,):
+            raise ShapeError(
+                f"window [{lo}, {hi}] has {vals.dtype} values of shape {vals.shape}, "
+                f"not {hi - lo + 1} integers within int64"
+            )
+        xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
+        # interval j ends at ends[j]; all but possibly the last end at a checkpoint
+        ends = [x - lo for x in xs]
+        if not ends or ends[-1] != hi - lo:
+            ends.append(hi - lo)
+        return xs, _reduce_window(vals, ends, _block_length(len(vals)))
+
     checkpoints: list[tuple[int, int]] = []
     running: list[tuple[int, int]] = []
     offset = 0
     best = 0
-    si = 0
-    # one prefix buffer serves every window: a fresh one per window faults
-    # its pages in again whenever malloc hands the freed block back to the OS
-    prefix_buf = np.empty(0, dtype=np.int32)
-
-    def reduce_window(lo: int, vals: np.ndarray) -> None:
-        nonlocal offset, best, si, prefix_buf
-        dtype = _prefix_dtype(len(vals), vals.dtype)
-        if prefix_buf.dtype != dtype or len(prefix_buf) < len(vals):
-            prefix_buf = np.empty(len(vals), dtype=dtype)
-        prefix = np.cumsum(vals, dtype=dtype, out=prefix_buf[: len(vals)])
-        hi = lo + len(vals) - 1
-        sj = bisect_right(sched, hi, si)
-        # interval j ends at ends[j]; all but possibly the last end at a checkpoint
-        ends = [x - lo for x in sched[si:sj]]
-        if not ends or ends[-1] != len(vals) - 1:
-            ends.append(len(vals) - 1)
-        starts = [0] + [e + 1 for e in ends[:-1]]
-        tops = np.maximum.reduceat(prefix, starts).tolist()
-        bottoms = np.minimum.reduceat(prefix, starts).tolist()
-        at = prefix[ends].tolist()
-        for x, top, bottom, m in zip(sched[si:sj], tops, bottoms, at):
-            best = max(best, abs(offset + top), abs(offset + bottom))
-            checkpoints.append((x, offset + m))
-            running.append((x, best))
-        best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
-        offset += at[-1]
-        si = sj
-
-    if threads == 1:
-        for lo, hi in windows:
-            reduce_window(lo, segment_values(lo, hi))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch_start in range(0, len(windows), threads):
-                batch = windows[batch_start : batch_start + threads]
-                futures = [pool.submit(segment_values, lo, hi) for lo, hi in batch]
-                for (lo, _), fut in zip(batch, futures):
-                    reduce_window(lo, fut.result())
+    windows = segments(1, limit, segment_size)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # one thread is the calling thread: a lone worker would take each
+        # window's arrays from its own malloc arena, which raised peak RSS
+        # and the page faults of the caller's later sieves
+        summaries = pool.map(summarise, windows) if threads > 1 else map(summarise, windows)
+        for xs, (at, tops, bottoms) in summaries:
+            for x, m, top, bottom in zip(xs, at, tops, bottoms):
+                best = max(best, abs(offset + top), abs(offset + bottom))
+                checkpoints.append((x, offset + m))
+                running.append((x, best))
+            best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
+            offset += at[-1]
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
 
 
-def _prefix_dtype(length: int, dtype: np.dtype) -> type:
-    """int32 when no prefix sum of `length` values of `dtype` can leave it."""
-    if np.issubdtype(dtype, np.integer):
-        info = np.iinfo(dtype)
-        if length * max(-info.min, info.max) <= np.iinfo(np.int32).max:
-            return np.int32
-    return np.int64
+# Longest block of the blocked window reduction: no sum of 64 one-byte
+# values leaves int16.
+BLOCK = 64
+
+
+def _block_length(n: int) -> int:
+    """Block length for an n-value window: about sqrt(n) / 8, at most BLOCK.
+
+    A window costs one numpy call per value of the block length and a few
+    operations per block; this keeps both small.  2^20 values take BLOCK,
+    and windows under 256 values take 1, a plain prefix sum.
+    """
+    return max(1, min(BLOCK, isqrt(n) // 8))
+
+
+def _reduce_window(
+    vals: np.ndarray, ends: list[int], block: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Prefix sums of `vals` at `ends`, and the prefix's max and min on each
+    interval (ends[j-1], ends[j]], the first from 0; `ends` ascend and end
+    at len(vals) - 1.
+
+    The window is viewed as blocks of `block` values, zero-padded at its
+    tail and transposed once, so block - 1 vectorised adds across all
+    blocks give every block's own prefix sums (int16 for one-byte values,
+    int64 otherwise; `block` <= BLOCK), and one pass each their max and min.
+    A block holding an interval end before its last value is split.  Each
+    unsplit block then stands for one value of the interval reductions, and
+    each split block for its `block` prefixes, so all work is O(len(vals))
+    for any `ends`.  Offsets between blocks are int64; the results are
+    Python ints.
+    """
+    n = len(vals)
+    nb = -(-n // block)
+    full = n // block
+    # prefix[i, b]: the sum of block b's first i + 1 values.  np.empty, not
+    # np.zeros: calloc would fault fresh pages every window
+    prefix = np.empty((block, nb), dtype=np.int16 if vals.dtype.itemsize == 1 else np.int64)
+    prefix[:, :full] = vals[: full * block].reshape(full, block).T
+    if full < nb:
+        prefix[:, full] = 0
+        prefix[: n - full * block, full] = vals[full * block :]
+    for i in range(1, block):
+        np.add(prefix[i - 1], prefix[i], out=prefix[i])
+    before = np.cumsum(prefix[-1], dtype=np.int64) - prefix[-1]  # sum ahead of each block
+
+    e = np.asarray(ends)
+    eb = e // block
+    split = np.zeros(nb, dtype=bool)
+    split[eb[e % block != block - 1]] = True
+    parts = np.flatnonzero(split)
+    width = np.where(split, block, 1)
+    first = np.cumsum(width) - width  # each block's first unit
+    top = np.repeat(before + prefix.max(axis=0), width)
+    bottom = np.repeat(before + prefix.min(axis=0), width)
+    cells = first[parts, None] + np.arange(block)
+    top[cells] = bottom[cells] = prefix[:, parts].T + before[parts, None]
+    # an interval starting in an unsplit block starts at its first value
+    starts = np.concatenate(([0], e[:-1] + 1))
+    su = first[starts // block] + starts % block
+    return (
+        (before[eb] + prefix[e % block, eb]).tolist(),
+        np.maximum.reduceat(top, su).tolist(),
+        np.minimum.reduceat(bottom, su).tolist(),
+    )
 
 
 def _usable_cpus() -> int:

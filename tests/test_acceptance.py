@@ -217,7 +217,7 @@ def test_criterion_11_property_suites(chi3):
     b = direct_summatory(f, 10**6, segment_size=2**20)
     assert a.checkpoints == b.checkpoints and a.running_abs_max == b.running_abs_max
 
-    c = direct_summatory(f, 10**6, threads=4)
+    c = direct_summatory(f, 10**6, segment_size=2**16, threads=4)
     assert c.checkpoints == b.checkpoints and c.running_abs_max == b.running_abs_max
 
     for beta in (0.2, 0.25, 0.5):

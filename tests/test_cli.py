@@ -34,9 +34,10 @@ def test_sum_command(tmp_path, capsys):
 
 
 def test_sum_thread_determinism(tmp_path):
+    # 3,000,000 spans three 2^20 windows, so the workers overlap
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["sum", "--modulus", "3", "--k", "2", "--limit", "200000", "--out", str(a)])
-    main(["sum", "--modulus", "3", "--k", "2", "--limit", "200000", "--threads", "4", "--out", str(b)])
+    main(["sum", "--modulus", "3", "--k", "2", "--limit", "3000000", "--out", str(a)])
+    main(["sum", "--modulus", "3", "--k", "2", "--limit", "3000000", "--threads", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

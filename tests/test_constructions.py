@@ -284,6 +284,13 @@ def test_budget_verifier_with_a_valley_past_the_float_range(chi3):
     assert report.first_violation[:2] == (10, 1) and not report.passed
 
 
+@pytest.mark.parametrize("small_c, k", [(30.0, 2), (1e200, 2), (18.0, 3)])
+def test_budget_valley_past_the_float_range_is_infinite(small_c, k):
+    # (c k / 2)^2 > 709 leaves exp's float range; the valley is then inf
+    assert DeviationBudget(big_c=2.0, small_c=small_c, k=k).valley() == math.inf
+    assert DeviationBudget(big_c=2.0, small_c=1.0, k=2).valley() == math.e
+
+
 def _budget_meeting(target: int, x: int, small_c: float, k: int) -> DeviationBudget:
     """A budget starting at x whose scalar value at x is exactly `target`."""
     big_c = target / (x ** (1.0 / k) * math.exp(-small_c * math.sqrt(math.log(x))))

@@ -81,6 +81,24 @@ def test_convolve_refuses_to_wrap_int64():
         dirichlet_convolve(big, big)
 
 
+def test_algebra_names_an_operand_value_outside_int64():
+    # object values past int64 raised an untyped OverflowError in astype
+    big = DenseValueTable(1, 3, np.array([1, 5, 2**70], dtype=object))
+    ones = DenseValueTable(1, 3, np.ones(3, dtype=np.int8))
+    with pytest.raises(CapacityError, match=f"left operand value at n=3 is {2**70},"):
+        dirichlet_convolve(big, ones)
+    with pytest.raises(CapacityError, match=f"right operand value at n=3 is {2**70},"):
+        dirichlet_convolve(ones, big)
+    with pytest.raises(CapacityError, match=f"^operand value at n=3 is {2**70},"):
+        dirichlet_inverse(big)
+    # object and uint64 values inside int64 are read as they are
+    small = DenseValueTable(1, 3, np.array([1, 5, -7], dtype=object))
+    assert dirichlet_inverse(small).values.tolist() == [0, 1, -5, 7]
+    unsigned = DenseValueTable(1, 3, np.array([1, 5, 2**63], dtype=np.uint64))
+    with pytest.raises(CapacityError, match=f"n=3 is {2**63},"):
+        dirichlet_convolve(unsigned, ones)
+
+
 def test_convolve_at_the_int64_bound():
     ones = DenseValueTable(1, 2, np.ones(2, dtype=np.int8))
     # N max|a| max|b| = 2^63 - 2 runs in int64, and 2 (2^62 - 1) fits

@@ -110,30 +110,101 @@ def test_schedule_independence(chi3):
 
 def test_thread_determinism(chi3):
     f = character_rule(chi3, k=2)
-    a = direct_summatory(f, 10**6, threads=1)
-    b = direct_summatory(f, 10**6, threads=4)
+    # 16 windows, so the workers overlap
+    a = direct_summatory(f, 10**6, segment_size=2**16, threads=1)
+    b = direct_summatory(f, 10**6, segment_size=2**16, threads=4)
     assert a.checkpoints == b.checkpoints
     assert a.running_abs_max == b.running_abs_max
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_stream_matches_naive_prefix(data):
-    # any values, schedule, window length and thread count: the interval
-    # reduction equals a full cumsum and running max of |prefix|
-    n = data.draw(st.integers(1, 3000))
-    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
-    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
-    schedule = data.draw(st.lists(st.integers(1, n), max_size=60))
-    segment_size = data.draw(st.integers(1, 4096))
-    threads = data.draw(st.sampled_from([1, 2]))
+def assert_naive_prefix(vals, schedule, segment_size, threads):
+    """The stream of `vals` equals a full cumsum and running max of |prefix|."""
+    n = len(vals)
     series = stream_summatory(lambda lo, hi: vals[lo - 1 : hi], n, schedule=schedule,
                               segment_size=segment_size, threads=threads)
     prefix = np.cumsum(vals, dtype=np.int64)
     running = np.maximum.accumulate(np.abs(prefix))
-    xs = sorted(set(schedule) | {n})
+    xs = sorted({x for x in schedule if 1 <= x <= n} | {n})
     assert series.checkpoints == [(x, int(prefix[x - 1])) for x in xs]
     assert series.running_abs_max == [(x, int(running[x - 1])) for x in xs]
+
+
+B = summatory.BLOCK
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stream_matches_naive_prefix(data):
+    # any values, schedule, window length and thread count; schedules and
+    # windows at and next to block edges, and a checkpoint at every integer
+    n = data.draw(st.integers(1, 3000))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    edges = st.builds(lambda m, d: m * B + d, st.integers(0, n // B + 1), st.sampled_from([-1, 0, 1]))
+    schedule = data.draw(st.one_of(
+        st.lists(st.integers(1, n), max_size=60),
+        st.lists(edges, max_size=60),
+        st.just(list(range(1, n + 1))),
+    ))
+    segment_size = data.draw(st.one_of(
+        st.integers(1, 4096),
+        st.sampled_from([B - 1, B, B + 1, 2 * B + 1, 3 * B]),
+    ))
+    threads = data.draw(st.sampled_from([1, 2, 4]))
+    assert_naive_prefix(vals, schedule, segment_size, threads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reduce_window_matches_naive_prefix(data):
+    # every block length up to BLOCK, on short windows: ends at and next to
+    # block edges, at random, and at every position
+    block = data.draw(st.one_of(st.integers(1, B), st.sampled_from([1, 2, B - 1, B])))
+    n = data.draw(st.integers(1, 12 * block))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    edges = st.builds(lambda m, d: m * block + d, st.integers(0, n // block + 1), st.sampled_from([-2, -1, 0]))
+    ends = data.draw(st.one_of(
+        st.lists(st.integers(0, n - 1)),
+        st.lists(edges),
+        st.just(list(range(n))),
+    ))
+    ends = sorted({e for e in ends if 0 <= e < n} | {n - 1})
+    at, tops, bottoms = summatory._reduce_window(vals, ends, block)
+    prefix = np.cumsum(vals, dtype=np.int64).tolist()
+    starts = [0] + [e + 1 for e in ends[:-1]]
+    assert at == [prefix[e] for e in ends]
+    assert tops == [max(prefix[a : e + 1]) for a, e in zip(starts, ends)]
+    assert bottoms == [min(prefix[a : e + 1]) for a, e in zip(starts, ends)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_stream_block_edges(dtype, threads):
+    # a 2^18-value window takes blocks of BLOCK values, the 2^17 + 5 after
+    # it shorter ones; checkpoints at and next to every multiple of BLOCK
+    n = 2**18 + 2**17 + 5
+    assert summatory._block_length(2**18) == B > summatory._block_length(2**17 + 5)
+    vals = np.random.default_rng(threads).integers(-1, 2, n).astype(dtype)
+    points = [m * B + d for m in range(1, n // B + 1) for d in (-1, 0, 1)]
+    assert_naive_prefix(vals, points, 2**18, threads)
+
+
+@pytest.mark.parametrize(
+    "window, limit, message",
+    [
+        (lambda lo, hi: np.full(hi - lo + 1, 0.5), 10, r"window \[1, 10\] has float64"),
+        (lambda lo, hi: np.ones(hi - lo, dtype=np.int8), 100, r"window \[1, 100\] .* shape \(99,\)"),
+        (lambda lo, hi: np.ones((hi - lo + 1, 1), dtype=np.int8), 10, r"window \[1, 10\]"),
+        (lambda lo, hi: np.ones(hi - lo + 1, dtype=np.uint64), 10, r"window \[1, 10\] has uint64"),
+        (lambda lo, hi: np.ones(hi - lo + 1, dtype=bool), 10, r"window \[1, 10\] has bool"),
+        # only the last window is short, and a worker finds it
+        (lambda lo, hi: np.ones(hi - lo + (hi < 300), dtype=np.int8), 300, r"window \[257, 300\]"),
+    ],
+)
+def test_stream_rejects_malformed_windows(window, limit, message):
+    with pytest.raises(ShapeError, match=message):
+        stream_summatory(window, limit, segment_size=128, threads=2)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
