@@ -9,7 +9,11 @@ for very large ranges never have to be materialised at once.
 
 Values are stored as signed bytes; {-1, 0, 1} covers every function this
 module produces, and the convolution machinery widens to 64-bit integers
-where products can grow.
+where products can grow.  The Liouville kernel also works in bytes: it
+finds the one prime factor above sqrt(hi) that a k-free n may carry by
+comparing a byte-wide sum of exact quarter-bit logarithms, floor(4 log2 p),
+of the primes it sieved with a threshold fixed by n's bit length, a test
+that is exact for every hi up to 2^63-1 (see liouville_kfree_segment).
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ MAX_LIMIT = 2**63 - 1
 MAX_KFREE_ORDER = 60
 
 DEFAULT_SEGMENT_SIZE = 2**20
+
+# The Liouville kernel reads the first powers of these primes from one
+# pattern of period _WHEEL instead of sieving them with strided passes.
+_WHEEL_PRIMES = (2, 3, 5, 7)
+_WHEEL = 2 * 3 * 5 * 7
 
 # Largest table a sieve from 0 to its limit allocates (2 GiB): build_spf's
 # smallest prime factors, and sieve_primes' flags at one byte per integer.
@@ -201,13 +210,26 @@ def liouville_kfree_segment(
     """lambda(n) * [n is k-free] for n in [lo, hi] as a fresh int8 array.
 
     lambda(n) = (-1)^Omega(n) is the Liouville function; k = None leaves
-    it untruncated and k = 2 gives mu.  For each prime p up to sqrt(hi)
-    the sign is flipped on the multiples of p, p^2, ..., p^(k-1) and p is
-    multiplied into a running product of detected prime factors; the
-    multiples of p^k are zeroed.  A k-free n whose product falls short of
-    n carries exactly one prime factor above sqrt(hi), flipping its sign
-    once more.  The product divides n, so it is held in uint32 when
-    hi < 2^32 and in int64 otherwise.
+    it untruncated and k = 2 gives mu.  The window is sieved on two byte
+    arrays, the sign and a log sum S(n).  For each prime p up to
+    B = isqrt(hi) the sign is negated on the multiples of p, p^2, ...,
+    p^(k-1) and l(p) = floor(4 log2 p), an exact integer, is added to S;
+    the multiples of p^k are zeroed.  The first powers of 2, 3, 5 and 7
+    come from a 210-periodic pattern, the rest from the loop.
+
+    Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
+    k-free n carries at most one, which flips its sign once more.  It is
+    there exactly when S(n) < T(n) = 4 (bitlen(n) - 1) - E, E = floor(log3 hi):
+    - If every prime factor of n was sieved, S(n) >= T(n): each odd
+      prime-power slice through n loses less than a quarter bit, at most
+      E odd slices pass through it, and p = 2 loses nothing.
+    - Otherwise the sieved part of n is at most n / (B + 1), so
+      S(n) <= 4 log2 n - 4 log2 (B + 1) < T(n) once
+      4 log2 (B + 1) >= 4 + E, which holds for hi >= 8.  The tests check
+      every window with hi <= 64, and so those below 8.
+    S(n) <= 4 log2 n <= 252 for n <= 2^63-1, so the uint8 sum never wraps.
+    T is constant on each [2^m, 2^(m+1)) range, so the window takes one
+    compare per range it meets.
 
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
@@ -222,26 +244,61 @@ def liouville_kfree_segment(
     if primes is None:
         primes = sieve_primes(root)
     primes = np.asarray(primes)
-    dtype = _product_dtype(hi)
-    sign = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=dtype)
+    period, periods = slice(lo % _WHEEL, lo % _WHEEL + _WHEEL), -(-size // _WHEEL)
+    sign = np.tile(_WHEEL_SIGN[period], periods)[:size]
+    log = np.tile(_WHEEL_LOG[period], periods)[:size]
     for p in primes[: np.searchsorted(primes, root, side="right")].tolist():
-        pj, j = p, 1
+        pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
+        lp = _quarter_log2(p)
         while pj <= hi and (k is None or j < k):
             sel = slice(-lo % pj, size, pj)
-            np.negative(sign[sel], out=sign[sel])
-            prod[sel] *= p
+            s, t = sign[sel], log[sel]
+            np.negative(s, out=s)
+            np.add(t, lp, out=t)
             pj *= p
             j += 1
         if k is not None and pj <= hi:  # pj = p^k
             sign[-lo % pj :: pj] = 0
-    sign *= 1 - 2 * (prod != np.arange(lo, hi + 1, dtype=dtype)).view(np.int8)
+    e = 0  # E = floor(log3 hi), exactly
+    while 3 ** (e + 1) <= hi:
+        e += 1
+    a = lo
+    while a <= hi:
+        m = a.bit_length() - 1
+        b = min(hi, 2 ** (m + 1) - 1)
+        if 4 * m - e > 0:
+            # the range's log bytes become the factor 1 - 2 [S < T] in place
+            s, t = sign[a - lo : b - lo + 1], log[a - lo : b - lo + 1]
+            np.less(t, 4 * m - e, out=t.view(np.bool_))
+            factor = t.view(np.int8)
+            np.multiply(factor, -2, out=factor)
+            np.add(factor, 1, out=factor)
+            np.multiply(s, factor, out=s)
+        a = b + 1
     return sign
 
 
-def _product_dtype(hi: int) -> type:
-    """uint32 when it holds every n <= hi, and so every divisor of one."""
-    return np.uint32 if hi <= np.iinfo(np.uint32).max else np.int64
+def _quarter_log2(p: int) -> int:
+    """floor(4 log2 p), exactly."""
+    return (p**4).bit_length() - 1
+
+
+def _wheel_pattern() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (sign, log) of the first powers of 2, 3, 5 and 7 over two
+    periods of n mod 210, so that any period is one slice."""
+    n = np.arange(2 * _WHEEL)
+    sign = np.ones(2 * _WHEEL, dtype=np.int8)
+    log = np.zeros(2 * _WHEEL, dtype=np.uint8)
+    for p in _WHEEL_PRIMES:
+        hit = n % p == 0
+        sign[hit] *= -1
+        log[hit] += _quarter_log2(p)
+    sign.setflags(write=False)
+    log.setflags(write=False)
+    return sign, log
+
+
+_WHEEL_SIGN, _WHEEL_LOG = _wheel_pattern()
 
 
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:

@@ -55,6 +55,32 @@ def mobius_brute(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
+def liouville_product_segment(lo: int, hi: int, k=None, primes=None) -> np.ndarray:
+    """lambda(n) * [n is k-free] over [lo, hi] as int8, by multiplying each
+    sieved prime p <= sqrt(hi) into a product of n's detected factors: for
+    a k-free n, a product short of n leaves one prime above sqrt(hi), which
+    flips the sign once more.  The product divides n, so int64 holds it."""
+    root = math.isqrt(hi)
+    primes = np.asarray(primes_eratosthenes(root) if primes is None else primes)
+    size = hi - lo + 1
+    sign = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=np.int64)
+    for p in primes[: bisect.bisect_right(primes, root)].tolist():
+        if -lo % p >= size:  # no multiple of p, nor of its powers, in the window
+            continue
+        pj, j = p, 1
+        while pj <= hi and (k is None or j < k):
+            sel = slice(-lo % pj, size, pj)
+            sign[sel] *= -1
+            prod[sel] *= p
+            pj *= p
+            j += 1
+        if k is not None and pj <= hi:  # pj = p^k
+            sign[-lo % pj :: pj] = 0
+    sign[prod != lo + np.arange(size, dtype=np.int64)] *= -1
+    return sign
+
+
 def kfree_brute(n: int, k: int) -> int:
     return 0 if any(r >= k for _, r in factorize_trial(n)) else 1
 

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,16 @@ from kfreesums.sieve import (
     segments,
 )
 
-from oracles import factorize_trial, is_prime_trial, kfree_brute, mobius_brute, primes_trial, rule_value_brute
+from oracles import (
+    factorize_trial,
+    is_prime_trial,
+    kfree_brute,
+    liouville_product_segment,
+    mobius_brute,
+    primes_eratosthenes,
+    primes_trial,
+    rule_value_brute,
+)
 
 
 def test_primes_small():
@@ -93,7 +104,7 @@ def test_mobius_segment_concatenation_matches_one_shot():
     assert np.array_equal(np.concatenate(parts), full)
 
 
-# windows near 2^32 cross the kernel's switch from a uint32 to an int64 product
+# windows up to 5*10^9, with some either side of 2^32, against trial division
 @settings(max_examples=30, deadline=None)
 @given(
     lo=st.integers(1, 10**3) | st.integers(1, 5 * 10**9) | st.integers(2**32 - 64, 2**32 + 64),
@@ -111,6 +122,41 @@ def test_liouville_kfree_segment_matches_brute_force(lo, size, k):
         rule = MultiplicativeRule(base=-1, k_truncation=k)
         expect = [rule_value_brute(rule, n) for n in range(lo, hi + 1)]
     assert vals.tolist() == expect
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4])
+def test_liouville_kfree_segment_every_small_window(k):
+    # below hi = 8 the log test's margin is not proved, so every window
+    # there, and on to hi = 64, is checked
+    primes = np.array(primes_trial(8))
+    for hi in range(1, 65):
+        for lo in range(1, hi + 1):
+            assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes),
+                                  liouville_product_segment(lo, hi, k, primes)), (lo, hi)
+
+
+# the log threshold changes at each 2^m, so a window across one compares
+# on two ranges
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(3, 32),
+    below=st.integers(0, 200),
+    above=st.integers(0, 200),
+    k=st.sampled_from((None, 2, 3, 4)),
+)
+def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, above, k):
+    lo, hi = max(1, 2**m - below), 2**m + above
+    primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
+    vals = liouville_kfree_segment(lo, hi, k, primes)
+    assert vals.flags.writeable and vals.dtype == np.int8
+    assert np.array_equal(vals, liouville_product_segment(lo, hi, k, primes))
+
+
+@pytest.mark.parametrize("lo, hi, k", [(2**40 - 100, 2**40 + 100, None), (10**12 - 100, 10**12 + 100, 2)])
+def test_liouville_kfree_segment_matches_product_at_large_offsets(lo, hi, k):
+    primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
+    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes),
+                          liouville_product_segment(lo, hi, k, primes))
 
 
 def test_liouville_kfree_order_validation():

@@ -117,6 +117,17 @@ def test_thread_determinism(chi3):
     assert a.running_abs_max == b.running_abs_max
 
 
+@pytest.mark.parametrize("f", [mobius_rule(), MultiplicativeRule(base=-1)], ids=["mu", "liouville"])
+def test_liouville_stream_thread_and_segment_identity(f):
+    # the -1 base streams through the Liouville kernel; its series must not
+    # depend on how the range is cut into windows or on the thread count
+    runs = [direct_summatory(f, 3 * 10**6, segment_size=size, threads=threads)
+            for size, threads in ((2**20, 1), (2**20, 2), (2**12, 1))]
+    for run in runs[1:]:
+        assert run.checkpoints == runs[0].checkpoints
+        assert run.running_abs_max == runs[0].running_abs_max
+
+
 def assert_naive_prefix(vals, schedule, segment_size, threads):
     """The stream of `vals` equals a full cumsum and running max of |prefix|."""
     n = len(vals)
@@ -244,6 +255,8 @@ def test_mertens_known_values():
     assert mertens(10**4) == -23
     assert mertens(10**5) == -48
     assert mertens(10**6) == 212
+    # OEIS A084237
+    assert mertens(10**7) == mertens_recursive(10**7) == 1037
 
 
 def test_summatory_mu_chi(chi3):
