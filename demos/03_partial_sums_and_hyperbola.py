@@ -37,7 +37,7 @@ for e in range(1, 7):
 print(f"running max |M| over [1, 1e6]: {int(series.abs_max[-1])}")
 
 # --- Mertens, two independent algorithms ----------------------------------
-print("\nMertens function, streaming sieve vs memoised recursion:")
+print("\nMertens function, streaming sieve vs floor-set recursion:")
 for x in (10**3, 10**4, 10**5, 10**6):
     a, b = mertens(x), mertens_recursive(x)
     print(f"  M_mu({x:>8}) = {a:+d}   recursive {b:+d}   agree = {a == b}")

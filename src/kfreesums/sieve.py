@@ -212,10 +212,12 @@ def liouville_kfree_segment(
     lambda(n) = (-1)^Omega(n) is the Liouville function; k = None leaves
     it untruncated and k = 2 gives mu.  The window is sieved on two byte
     arrays, the sign and a log sum S(n).  For each prime p up to
-    B = isqrt(hi) the sign is negated on the multiples of p, p^2, ...,
-    p^(k-1) and l(p) = floor(4 log2 p), an exact integer, is added to S;
-    the multiples of p^k are zeroed.  The first powers of 2, 3, 5 and 7
-    come from a 210-periodic pattern, the rest from the loop.
+    B = isqrt(hi) with a multiple in the window (every p up to its length,
+    and each larger p that one remainder test finds) the sign is negated on
+    the multiples of p, p^2, ..., p^(k-1) and l(p) = floor(4 log2 p), an
+    exact integer, is added to S; the multiples of p^k are zeroed.  The
+    first powers of 2, 3, 5 and 7 come from a 210-periodic pattern, the
+    rest from the loop.
 
     Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
     k-free n carries at most one, which flips its sign once more.  It is
@@ -243,11 +245,18 @@ def liouville_kfree_segment(
     root = isqrt(hi)
     if primes is None:
         primes = sieve_primes(root)
-    primes = np.asarray(primes)
+    primes = np.asarray(primes, dtype=np.int64)
+    primes = primes[: np.searchsorted(primes, root, side="right")]
+    # a prime past the window's length may have no multiple in it, and then
+    # none of its powers has one either
+    near = np.searchsorted(primes, size, side="right")
+    if near < len(primes):
+        far = primes[near:]
+        primes = np.concatenate((primes[:near], far[-lo % far < size]))
     period, periods = slice(lo % _WHEEL, lo % _WHEEL + _WHEEL), -(-size // _WHEEL)
     sign = np.tile(_WHEEL_SIGN[period], periods)[:size]
     log = np.tile(_WHEEL_LOG[period], periods)[:size]
-    for p in primes[: np.searchsorted(primes, root, side="right")].tolist():
+    for p in primes.tolist():
         pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
         lp = _quarter_log2(p)
         while pj <= hi and (k is None or j < k):

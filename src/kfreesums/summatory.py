@@ -33,6 +33,7 @@ the S-smooth oracle on the g side, so that route streams nothing.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -60,16 +61,22 @@ from .sieve import (
 # Streaming budget: ranges past this need more than the intended memory/time
 # envelope of the workbench.
 MAX_STREAM_LIMIT = 4 * 10**9
-# Budget of the memoised recursion in mertens_recursive.
-MAX_RECURSIVE_MERTENS = 10**9
+# Budget of the floor-set recursion in mertens_recursive.
+MAX_RECURSIVE_MERTENS = 10**10
 
 
-def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "streaming") -> None:
-    """RangeError below 1, CapacityError past `budget`; both name the limit."""
+def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "streaming") -> int:
+    """limit as an int.  RangeError if it is not an integer or is below 1,
+    CapacityError past `budget`; each names the limit."""
+    try:
+        limit = operator.index(limit)
+    except TypeError:
+        raise RangeError(f"limit must be an integer, got {limit!r}") from None
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
     if limit > budget:
         raise CapacityError(f"limit {limit} beyond {what} budget {budget}")
+    return limit
 
 
 def checkpoint_schedule(limit: int, ratio: float | None = None, start: int = 10) -> list[int]:
@@ -177,7 +184,7 @@ def stream_summatory(
         ShapeError: a window's values are not integers, or not one per
             integer of the window; names the window [lo, hi].
     """
-    _check_limit(limit)
+    limit = _check_limit(limit)
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
     threads = min(threads, _usable_cpus())
@@ -304,7 +311,7 @@ def direct_summatory(
     threads: int = 1,
 ) -> PartialSumSeries:
     """Exact M_f for a multiplicative rule, by streaming segmented sieving."""
-    primes = sieve_primes(isqrt(limit))
+    primes = sieve_primes(isqrt(_check_limit(limit)))
 
     def seg(lo: int, hi: int) -> np.ndarray:
         return rule.segment_values(lo, hi, primes=primes)
@@ -323,7 +330,7 @@ def summatory_mu_chi(
     threads: int = 1,
 ) -> PartialSumSeries:
     """Exact partial sums of mu(n) * chi(n)."""
-    primes = sieve_primes(isqrt(limit))
+    primes = sieve_primes(isqrt(_check_limit(limit)))
 
     def seg(lo: int, hi: int) -> np.ndarray:
         mu = sieve_mobius_segment(lo, hi, primes=primes).values
@@ -337,7 +344,7 @@ def summatory_mu_chi(
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """M_mu(limit), exactly, via the segmented Mobius sieve."""
-    _check_limit(limit)
+    limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
     total = 0
     for lo, hi in segments(1, limit, segment_size):
@@ -348,34 +355,53 @@ def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
 
 
 def mertens_recursive(limit: int) -> int:
-    """Independent Mertens path: M(x) = 1 - sum_{d=2}^{x} M(floor(x/d)).
+    """Independent Mertens path: M(y) = 1 - sum_{d=2}^{y} M(y // d), filled
+    bottom-up over the floor set {x // a} of x = limit.
 
-    Memoised over the O(sqrt x) distinct floor values, seeded by a dense
-    sieved prefix; shares no code with the streaming path beyond the raw
-    Mobius segment sieve used for seeding.
+    mu is sieved window by window on [1, S], S = max(2 x^(2/3), 1024) by an
+    exact cube root (capped at x), into `small`, the int32 table of M(v)
+    for v <= S.  With A = x // (S + 1) (`top`), x // a > S exactly when
+    a <= A, so big[a] = M(x // a) is filled for a = A down to 1.  For
+    y = x // a and r = isqrt(y) the sum over d is three int64 reductions:
+
+    - d <= A // a reads big[a d], one strided slice, as y // d = x // (a d);
+    - A // a < d <= r reads small[y // d];
+    - the d > r have y // d = v <= y // (r + 1), and each v is taken
+      small[v] times for its d in (y // (v + 1), y // v]; at the last v
+      that interval starts at y // (y // (r + 1) + 1) = r, so no d <= r
+      is counted twice.
+
+    The loop runs A ~ x^(1/3) / 2 times over O(sqrt(x / a)) array work, so
+    a call costs O(x^(2/3)) time and 4 S bytes.  It shares no code with the
+    streaming path beyond the Mobius segment sieve that seeds `small`.
+
+    Raises:
+        RangeError: limit is not an integer, or below 1.
+        CapacityError: limit beyond MAX_RECURSIVE_MERTENS.
     """
-    _check_limit(limit, MAX_RECURSIVE_MERTENS, "recursive Mertens")
-    seed = min(limit, max(2 * int(limit ** (2 / 3)), 1024))
-    mu = sieve_mobius_segment(1, seed).values
-    small = np.concatenate(([0], np.cumsum(mu, dtype=np.int64)))
-    memo: dict[int, int] = {}
-
-    def m(x: int) -> int:
-        if x <= seed:
-            return int(small[x])
-        if x in memo:
-            return memo[x]
-        total = 1
-        d = 2
-        while d <= x:
-            v = x // d
-            d2 = x // v
-            total -= (d2 - d + 1) * m(v)
-            d = d2 + 1
-        memo[x] = total
-        return total
-
-    return m(limit)
+    x = _check_limit(limit, MAX_RECURSIVE_MERTENS, "recursive Mertens")
+    s = min(x, max(2 * introot(x * x, 3), 1024))
+    # |M(v)| <= v <= S < 2^31, and every sum below is at most x * S < 2^63
+    small = np.zeros(s + 1, dtype=np.int32)
+    primes = sieve_primes(isqrt(s))
+    for lo, hi in segments(1, s):
+        np.cumsum(sieve_mobius_segment(lo, hi, primes).values, dtype=np.int32, out=small[lo : hi + 1])
+        small[lo : hi + 1] += small[lo - 1]
+    top = x // (s + 1)
+    big = np.zeros(top + 1, dtype=np.int64)
+    for a in range(top, 0, -1):
+        y = x // a
+        r = isqrt(y)
+        q = top // a  # <= y // (S + 1) <= r, as y <= x < (S + 1)^2
+        d = np.arange(q + 1, r + 1, dtype=np.int64)
+        ends = y // np.arange(1, y // (r + 1) + 2, dtype=np.int64)  # ends[-1] = r
+        big[a] = (
+            1
+            - big[2 * a : a * q + 1 : a].sum()
+            - small[y // d].sum(dtype=np.int64)
+            - np.dot(ends[:-1] - ends[1:], small[1 : len(ends)])
+        )
+    return int(big[1]) if top else int(small[x])
 
 
 # -- oracles ------------------------------------------------------------

@@ -218,3 +218,30 @@ def greedy_plan_loop(chi, budget, limit: int) -> tuple[int, ...]:
 
 def gcd_coprime(n: int, q: int) -> bool:
     return gcd(n, q) == 1
+
+
+def mertens_memo_recursion(x: int) -> int:
+    """M(x) = 1 - sum_{d=2}^{x} M(x // d), top-down: memoised over the
+    floor values above a seed, each summed over its blocks of equal
+    x // d by a Python loop; M up to the seed 2 x^(2/3) (at least 1024)
+    is the prefix of mu from liouville_product_segment."""
+    seed = min(x, max(2 * int(x ** (2 / 3)), 1024))
+    small = np.concatenate(([0], np.cumsum(liouville_product_segment(1, seed, 2), dtype=np.int64)))
+    memo: dict[int, int] = {}
+
+    def m(y: int) -> int:
+        if y <= seed:
+            return int(small[y])
+        if y in memo:
+            return memo[y]
+        total = 1
+        d = 2
+        while d <= y:
+            v = y // d
+            d2 = y // v
+            total -= (d2 - d + 1) * m(v)
+            d = d2 + 1
+        memo[y] = total
+        return total
+
+    return m(x)

@@ -14,6 +14,7 @@ from kfreesums import (
     sieve_mobius_segment,
     sieve_primes,
 )
+from kfreesums import sieve
 from kfreesums.sieve import (
     MAX_LIMIT,
     MAX_SPF_BYTES,
@@ -139,7 +140,7 @@ def test_liouville_kfree_segment_every_small_window(k):
 # on two ranges
 @settings(max_examples=30, deadline=None)
 @given(
-    m=st.integers(3, 32),
+    m=st.integers(3, 40),
     below=st.integers(0, 200),
     above=st.integers(0, 200),
     k=st.sampled_from((None, 2, 3, 4)),
@@ -152,11 +153,30 @@ def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, 
     assert np.array_equal(vals, liouville_product_segment(lo, hi, k, primes))
 
 
-@pytest.mark.parametrize("lo, hi, k", [(2**40 - 100, 2**40 + 100, None), (10**12 - 100, 10**12 + 100, 2)])
+@pytest.mark.parametrize("k", [None, 2, 3])
+@pytest.mark.parametrize("lo, hi", [
+    (2**40 - 100, 2**40 + 100), (2**40 - 1, 2**40), (10**12 - 100, 10**12 + 100), (10**12, 10**12),
+    (1009 * 10**9 - 200, 1009 * 10**9),  # the prime 1009 hits the window at hi only
+])
 def test_liouville_kfree_segment_matches_product_at_large_offsets(lo, hi, k):
     primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
     assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes),
                           liouville_product_segment(lo, hi, k, primes))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**12 - 100, 10**12 + 100), (2**40 - 100, 2**40 + 100), (1, 5000),
+    (1009 * 10**9 - 201, 1009 * 10**9 - 1),  # 1009 first hits at hi + 1
+])
+def test_liouville_kfree_segment_visits_only_primes_hitting_the_window(lo, hi, monkeypatch):
+    # each visited prime takes one quarter-bit log; a prime with no multiple
+    # in the window takes none
+    primes = sieve_primes(isqrt(hi))
+    visited = []
+    real = sieve._quarter_log2
+    monkeypatch.setattr(sieve, "_quarter_log2", lambda p: visited.append(p) or real(p))
+    liouville_kfree_segment(lo, hi, 2, primes)
+    assert visited == [p for p in primes.tolist() if -lo % p <= hi - lo]
 
 
 def test_liouville_kfree_order_validation():

@@ -1,4 +1,5 @@
 import re
+from bisect import bisect_left
 from itertools import accumulate
 from unittest.mock import patch
 
@@ -47,7 +48,7 @@ from kfreesums import (
     summatory_mu_chi,
 )
 
-from oracles import mobius_brute, partial_sum_enumeration, primes_trial
+from oracles import mertens_memo_recursion, mobius_brute, partial_sum_enumeration, primes_trial
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,69 @@ def test_mertens_known_values():
     assert mertens(10**6) == 212
     # OEIS A084237
     assert mertens(10**7) == mertens_recursive(10**7) == 1037
+
+
+def _recursion_seed(x):
+    # the sieved prefix S of mertens_recursive, and A = x // (S + 1)
+    s = min(x, max(2 * introot(x * x, 3), 1024))
+    return s, x // (s + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(1, 3 * 10**6))
+def test_mertens_recursive_matches_memo_recursion(x):
+    assert mertens_recursive(x) == mertens_memo_recursion(x)
+
+
+def _edge_points():
+    points = {1, 2, 3, 1023, 1024, 1025, 2 * 10**6, 3 * 10**6}
+    for r in (33, 1000, 1732):
+        points |= {r * r - 1, r * r, r * (r + 1)}
+    for x in (10**4, 10**5, 10**6):  # S and S + 1 for the seed at x
+        s, _ = _recursion_seed(x)
+        points |= {s, s + 1}
+    # the least x with A >= t, where A steps up; the seed leaves its
+    # floor 1024 near x = 11600
+    for t in (1, 2, 3, 10, 11, 12, 40, 72):
+        x = bisect_left(range(3 * 10**6), t, key=lambda x: _recursion_seed(x)[1])
+        assert _recursion_seed(x - 1)[1] < t <= _recursion_seed(x)[1]
+        points |= {x - 1, x, x + 1}
+    return sorted(points)
+
+
+@pytest.mark.parametrize("x", _edge_points())
+def test_mertens_recursive_edges(x):
+    expect = mertens_memo_recursion(x)
+    assert mertens_recursive(x) == expect
+    if x <= 2 * 10**6:
+        assert mertens(x, segment_size=2**16) == expect
+
+
+def test_mertens_recursive_reach():
+    # OEIS A084237; M(10^10) is the last value within the budget
+    assert mertens_recursive(10**9) == -222
+    assert summatory.MAX_RECURSIVE_MERTENS == 10**10
+    assert mertens_recursive(10**10) == -33722
+
+
+@pytest.mark.parametrize("bad", [1e6, 10.5, "100", None])
+def test_limits_must_be_integers(bad, chi3):
+    shown = re.escape(repr(bad))
+    for call in (
+        lambda: mertens(bad),
+        lambda: mertens_recursive(bad),
+        lambda: direct_summatory(character_rule(chi3, k=2), bad),
+        lambda: summatory_mu_chi(chi3, bad),
+        lambda: stream_summatory(lambda lo, hi: np.ones(hi - lo + 1, np.int8), bad),
+    ):
+        with pytest.raises(RangeError, match=f"limit must be an integer, got {shown}$"):
+            call()
+
+
+def test_limits_accept_integer_types():
+    assert mertens_recursive(np.int64(10**5)) == mertens(np.int32(10**5)) == -48
+    with pytest.raises(RangeError, match="got -5$"):
+        direct_summatory(mobius_rule(), -5)
 
 
 def test_summatory_mu_chi(chi3):
@@ -538,8 +602,8 @@ def test_capacity_budgets(chi3):
     with pytest.raises(CapacityError, match=f"limit 5000000000 .*budget {stream}"):
         mertens(5 * 10**9)
     recursive = f"{summatory.MAX_RECURSIVE_MERTENS}"
-    with pytest.raises(CapacityError, match=f"limit 2000000000 .*budget {recursive}"):
-        mertens_recursive(2 * 10**9)
+    with pytest.raises(CapacityError, match=f"limit 20000000000 .*budget {recursive}"):
+        mertens_recursive(2 * 10**10)
     with pytest.raises(CapacityError, match=f"limit {10**18} .*budget {stream}"):
         kfree_hyperbola_sum(character_rule(chi3), 2, sqrt_split(10**18))
 
