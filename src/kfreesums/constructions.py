@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,8 @@ import numpy as np
 from .characters import RealCharacter
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
-from .sieve import is_prime, sieve_primes
+from .sieve import as_int, is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
-
-
-def _as_int(value, what: str, error: type[Exception]) -> int:
-    """value as a Python int; a Python or numpy integer, nothing non-integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class ModificationPlan:
 
     def __post_init__(self) -> None:
         q = self.character.modulus
-        flips = tuple(sorted({_as_int(p, "flipped prime", PlanError) for p in self.flipped_primes}))
+        flips = tuple(sorted({as_int(p, "flipped prime", PlanError) for p in self.flipped_primes}))
         object.__setattr__(self, "flipped_primes", flips)
         for p in flips:
             if q % p == 0:
@@ -275,7 +266,7 @@ def greedy_plan(chi: RealCharacter, budget: DeviationBudget, limit: int) -> Modi
         RangeError: limit is not an integer.
         CapacityError: the prime table to limit exceeds the sieve's byte budget.
     """
-    limit = _as_int(limit, "limit", RangeError)
+    limit = as_int(limit, "limit")
     primes = sieve_primes(limit)
     q_contrib = [p for p in chi.q_divisor_primes() if p <= limit]
     if budget.x0 > limit:
@@ -345,7 +336,7 @@ def pretentious_distance(f: MultiplicativeRule, g: MultiplicativeRule, x: int) -
         CapacityError: a deviating class needs the prime table to x, and
             that exceeds the sieve's byte budget.
     """
-    x = _as_int(x, "x", RangeError)
+    x = as_int(x, "x")
     if x < 2:
         return 0.0
     (f_base, f_primes), (g_base, g_primes) = _base_period(f), _base_period(g)

@@ -31,6 +31,7 @@ from .errors import PlanError, RangeError
 from .sieve import (
     DenseValueTable,
     SpfTable,
+    as_int,
     introot,
     is_prime,
     liouville_kfree_segment,
@@ -141,6 +142,7 @@ class MultiplicativeRule:
     def segment_values(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
         """int8 values over [lo, hi].  primes, when given, must hold every
         prime up to sqrt(hi); only the -1 base and the truncation use them."""
+        lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         liouville = not isinstance(self.base, RealCharacter) and self.base == -1
         k = self.k_truncation
         if primes is None and (liouville or k is not None):

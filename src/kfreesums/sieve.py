@@ -57,11 +57,21 @@ MILLER_RABIN_BASES = (
 MILLER_RABIN_LIMIT = MILLER_RABIN_BASES[-1][1]
 
 
-def _check_range(lo: int, hi: int) -> None:
+def as_int(value, what: str, error: type[Exception] = RangeError) -> int:
+    """value as a Python int; a Python or numpy integer, nothing non-integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
+def _check_range(lo: int, hi: int) -> tuple[int, int]:
+    lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
     if lo < 1 or hi < lo:
         raise RangeError(f"invalid range [{lo}, {hi}]: need 1 <= lo <= hi")
     if hi > MAX_LIMIT:
         raise RangeError(f"upper bound {hi} exceeds the 2^63-1 exact-arithmetic cap")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -137,10 +147,7 @@ def is_prime(n: int) -> bool:
     Raises:
         RangeError: n is not an integer, or n >= MILLER_RABIN_LIMIT.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise RangeError(f"primality needs an integer, got {n!r}") from None
+    n = as_int(n, "primality argument")
     if n >= MILLER_RABIN_LIMIT:
         raise RangeError(f"primality of {n} is not decided below {MILLER_RABIN_LIMIT}")
     if n < 2:
@@ -169,9 +176,10 @@ def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending.  limit < 2 yields an empty array.
 
     Raises:
-        RangeError: limit past 2^63-1.
+        RangeError: limit is not an integer, or past 2^63-1.
         CapacityError: the limit + 1 bytes of flags exceed MAX_SPF_BYTES.
     """
+    limit = as_int(limit, "limit")
     if limit < 2:
         return np.array([], dtype=np.int64)
     if limit > MAX_LIMIT:
@@ -238,7 +246,7 @@ def liouville_kfree_segment(
         k: Truncation order (>= 2), or None for no truncation.
         primes: Optional precomputed primes covering sqrt(hi).
     """
-    _check_range(lo, hi)
+    lo, hi = _check_range(lo, hi)
     if k is not None and k < 2:
         raise RangeError(f"truncation order k={k} must be >= 2")
     size = hi - lo + 1
@@ -314,7 +322,7 @@ def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = No
     """Indicator of k-free n (no prime power p^k divides n) over [lo, hi]."""
     if not 2 <= k <= MAX_KFREE_ORDER:
         raise RangeError(f"k={k} outside supported order range [2, {MAX_KFREE_ORDER}]")
-    _check_range(lo, hi)
+    lo, hi = _check_range(lo, hi)
     size = hi - lo + 1
     vals = np.ones(size, dtype=np.int8)
     kroot = introot(hi, k)
@@ -333,9 +341,11 @@ def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = No
 def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table for 1..limit.
 
-    Raises CapacityError when the table would exceed MAX_SPF_BYTES; the
-    dtype is the narrowest signed integer covering limit.
+    Raises CapacityError when the table would exceed MAX_SPF_BYTES, and
+    RangeError when limit is not an integer >= 1; the dtype is the
+    narrowest signed integer covering limit.
     """
+    limit = as_int(limit, "limit")
     if limit < 1:
         raise RangeError(f"limit {limit} must be >= 1")
     dtype = np.int32 if limit < 2**31 else np.int64
@@ -357,8 +367,9 @@ def build_spf(limit: int) -> SpfTable:
 
 def segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
     """Yield (a, b) windows partitioning [lo, hi] in ascending order."""
+    segment_size = as_int(segment_size, "segment_size")
     if segment_size < 1:
-        raise RangeError("segment_size must be positive")
+        raise RangeError(f"segment_size must be positive, got {segment_size}")
     a = lo
     while a <= hi:
         b = min(a + segment_size - 1, hi)
@@ -368,6 +379,7 @@ def segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
 
 def introot(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, by exact binary search."""
+    n, k = as_int(n, "introot argument"), as_int(k, "introot order")
     if n < 0 or k < 1:
         raise RangeError(f"introot undefined for n={n}, k={k}")
     if n < 2 or k == 1:

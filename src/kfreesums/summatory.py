@@ -14,7 +14,8 @@ The Dirichlet hyperbola identity
                         + sum_{n<=V} g(n) M_h(x/n) - M_g(V) M_h(U)
 
 with U*V = x is evaluated with all bounds discretised to integer floors.
-Its value sides are DenseValueTables over [1, N]; its summatory sides are
+Each value side is its function's support, a pair (n, values) of
+ascending int64 n >= 1 with one value each; its summatory sides are
 oracles: callables that take an int64 array of arguments y >= 0 and return
 the int64 array of M(y), raising OracleDomainError that names the first
 argument outside their domain (a scalar argument gives a Python int).
@@ -24,16 +25,17 @@ only on a finite prime set S (M_g from a few hundred S-smooth terms and
 chi's one-period prefix), a MappedSummatory of precomputed checkpoints, or
 a character's own partial_sum.  Roots come from searchsorted over exact
 int64 tables of m^k, never from floats.  Each side of the identity is
-whole-array work: one oracle call per block of nonzero table entries and an
-int64 dot product, taken in Python ints whenever a bound on its terms could
-pass 2^63 - 1.  `kfree_hyperbola_sum` wires them up for f = [k-free]*g with
-the S-smooth oracle on the g side, so that route streams nothing.
+whole-array work: one oracle call per block of nonzero support values and
+an int64 dot product, taken in Python ints whenever a bound on its terms
+could pass 2^63 - 1.  `kfree_hyperbola_sum` wires them up for
+f = [k-free]*g: h's support on the k-th powers and its oracle from one
+sieve of mu(m) g(m)^k, and the S-smooth oracle on the g side, so that
+route streams nothing.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -46,12 +48,12 @@ from typing import Callable
 import numpy as np
 
 from .characters import RealCharacter
-from .convolution import kfree_factor, kfree_factor_at_powers, smooth_terms
+from .convolution import kfree_factor_at_powers, smooth_terms
 from .errors import CapacityError, OracleDomainError, RangeError, ShapeError
 from .rules import MultiplicativeRule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
-    DenseValueTable,
+    as_int,
     introot,
     segments,
     sieve_mobius_segment,
@@ -68,10 +70,7 @@ MAX_RECURSIVE_MERTENS = 10**10
 def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "streaming") -> int:
     """limit as an int.  RangeError if it is not an integer or is below 1,
     CapacityError past `budget`; each names the limit."""
-    try:
-        limit = operator.index(limit)
-    except TypeError:
-        raise RangeError(f"limit must be an integer, got {limit!r}") from None
+    limit = as_int(limit, "limit")
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
     if limit > budget:
@@ -79,17 +78,21 @@ def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "stream
     return limit
 
 
-def checkpoint_schedule(limit: int, ratio: float | None = None, start: int = 10) -> list[int]:
-    """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from `start`,
+SCHEDULE_START = 10
+
+
+def checkpoint_schedule(limit: int, ratio: float | None = None) -> list[int]:
+    """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from SCHEDULE_START,
     plus every power of 10 and the endpoint itself; ratio 1.05 unless given."""
     if ratio is None:
         ratio = 1.05
+    limit = as_int(limit, "schedule limit")
     if limit < 1:
-        raise RangeError("schedule limit must be >= 1")
+        raise RangeError(f"schedule limit must be >= 1, got {limit}")
     if ratio <= 1.0:
         raise RangeError("schedule ratio must exceed 1")
     pts = {limit}
-    x = start
+    x = SCHEDULE_START
     while x <= limit:
         pts.add(x)
         nxt = math.ceil(ratio * x)
@@ -179,12 +182,13 @@ def stream_summatory(
             most as many as this process may use CPUs.
 
     Raises:
-        RangeError: limit < 1, or threads < 1.
+        RangeError: limit, threads or segment_size is not an integer >= 1.
         CapacityError: limit beyond MAX_STREAM_LIMIT.
         ShapeError: a window's values are not integers, or not one per
             integer of the window; names the window [lo, hi].
     """
     limit = _check_limit(limit)
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
     threads = min(threads, _usable_cpus())
@@ -409,8 +413,7 @@ def mertens_recursive(limit: int) -> int:
 # A summatory oracle maps an int64 array of arguments y >= 0 to the int64
 # array of M(y), of the same shape, exact on its domain, and raises
 # OracleDomainError naming the first argument outside it.  A scalar argument
-# gives a Python int.  The value side of the hyperbola identity is a
-# DenseValueTable over [1, N].
+# gives a Python int.  A value side of the hyperbola identity is a support.
 Summatory = Callable[[np.ndarray], np.ndarray]
 
 _INT64_MAX = 2**63 - 1
@@ -574,6 +577,8 @@ class HyperbolaSplit:
     v_floor: int
 
     def __post_init__(self) -> None:
+        for name in ("x", "u_floor", "v_floor"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"split {name}"))
         if self.x < 1 or self.u_floor < 1 or self.v_floor < 1:
             raise RangeError("split requires x, floor(U), floor(V) >= 1")
         if self.u_floor * self.v_floor > self.x:
@@ -584,11 +589,15 @@ class HyperbolaSplit:
 
 def explicit_split(x: int, u: float, v: float) -> HyperbolaSplit:
     """Split from user-provided real U, V with U*V = x (validated via floors)."""
-    return HyperbolaSplit(x=x, u_floor=math.floor(u), v_floor=math.floor(v))
+    try:
+        u_floor, v_floor = math.floor(u), math.floor(v)
+    except (TypeError, ValueError, OverflowError):
+        raise RangeError(f"split U = {u!r}, V = {v!r} needs finite real U and V") from None
+    return HyperbolaSplit(x=x, u_floor=u_floor, v_floor=v_floor)
 
 
 def sqrt_split(x: int) -> HyperbolaSplit:
-    r = isqrt(x)
+    r = isqrt(max(as_int(x, "split x"), 0))  # x < 1 fails in HyperbolaSplit
     return HyperbolaSplit(x=x, u_floor=r, v_floor=r)
 
 
@@ -599,13 +608,14 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     on k-th powers; both floors come from exact integer root extraction,
     never floating-point powers.
     """
+    x, k = as_int(x, "split x"), as_int(k, "split order k")
     if x < 1 or k < 2:
-        raise RangeError("optimal split needs x >= 1 and k >= 2")
+        raise RangeError(f"optimal split needs x >= 1 and k >= 2, got x = {x}, k = {k}")
     m = 2 * k + 1
     return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
 
 
-# hyperbola_sum reads each value table a block at a time, so the index,
+# hyperbola_sum reads each support a block at a time, so the index,
 # argument and oracle arrays of a side stay a few MiB at any floor.
 _VALUE_BLOCK = 2**16
 
@@ -613,43 +623,44 @@ _VALUE_BLOCK = 2**16
 def hyperbola_sum(
     h_summatory: Summatory,
     g_summatory: Summatory,
-    h_values: DenseValueTable,
-    g_values: DenseValueTable,
+    h_support: tuple[np.ndarray, np.ndarray],
+    g_support: tuple[np.ndarray, np.ndarray],
     split: HyperbolaSplit,
 ) -> int:
     """Exact sum_{n<=x} (h*g)(n) from the two short sums and the correction.
 
-    Each value table must cover [1, its floor]; each summatory oracle must
-    be exact on the floor arguments x // n it receives.  A side takes, per
-    block of its table, the nonzero entries n, one oracle call on the array
-    of x // n, and their dot product: in int64 when count * max|value| *
-    max|M| stays below 2^63, else in Python ints, so it never wraps.
+    Each side is its function's support (n, values): ascending integers
+    n >= 1, one value each, zero at every other n.  Per block of its terms
+    n <= floor a side makes one oracle call on x // n at the nonzero values
+    and one dot product, int64 only while count * max|v| * max|M| < 2^63.
 
     Raises:
-        ShapeError: a value table does not start at 1.
-        OracleDomainError: a value table ends before its floor, or an
-            oracle is queried outside its domain.
+        ShapeError: a support is not ascending int64 n >= 1, one value each.
+        OracleDomainError: an oracle is queried outside its domain.
         CapacityError: x beyond int64.
     """
     x = split.x
     if x > _INT64_MAX:
         raise CapacityError(f"x = {x} beyond the int64 oracle domain {_INT64_MAX}")
     total = 0
-    for values, floor, other in (
-        (h_values, split.u_floor, g_summatory),
-        (g_values, split.v_floor, h_summatory),
+    for name, (n, values), floor, other in (
+        ("h", h_support, split.u_floor, g_summatory),
+        ("g", g_support, split.v_floor, h_summatory),
     ):
-        if values.lo != 1:
-            raise ShapeError(f"value table '{values.label}' must start at 1, got lo={values.lo}")
-        if values.hi < floor:
-            raise OracleDomainError(
-                f"value table '{values.label}' ends at {values.hi}, before its floor {floor}"
-            )
-        for start in range(0, floor, _VALUE_BLOCK):
-            block = values.values[start : min(start + _VALUE_BLOCK, floor)]
-            idx = np.flatnonzero(block)
-            if len(idx):
-                total += _exact_dot(block[idx], other(x // (idx + start + 1)))
+        n, values = np.asarray(n), np.asarray(values)
+        if n.ndim != 1 or n.shape != values.shape or not all(
+                np.can_cast(a.dtype, np.int64) for a in (n, values)):
+            raise ShapeError(f"{name} support needs one int64 value per int64 n, got n "
+                             f"{n.dtype}{n.shape} and values {values.dtype}{values.shape}")
+        n = n.astype(np.int64, copy=False)
+        bad = [0] if len(n) and n[0] < 1 else np.flatnonzero(n[1:] <= n[:-1]) + 1
+        if len(bad):  # n[0] < 1, or n[i] <= n[i - 1]
+            raise ShapeError(f"{name} support n[{bad[0]}] = {n[bad[0]]} is below 1 or not ascending")
+        stop = np.searchsorted(n, floor, side="right")
+        for start in range(0, stop, _VALUE_BLOCK):
+            keep = np.flatnonzero(values[start : min(start + _VALUE_BLOCK, stop)]) + start
+            if len(keep):
+                total += _exact_dot(values[keep], other(x // n[keep]))
     total -= int(g_summatory(split.v_floor)) * int(h_summatory(split.u_floor))
     return total
 
@@ -667,20 +678,21 @@ def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) ->
     """M_f(x) for f = [n k-free] * g by the hyperbola identity over f = g * h.
 
     g must be completely multiplicative (untruncated) with a character
-    base; h = kfree_factor is supported on k-th powers.  The h side is read
-    from its short prefix over m <= x^(1/k), and the g side from the
-    S-smooth oracle of g, so the route streams nothing.
+    base; h is supported on k-th powers, h(m^k) = w(m) = mu(m) g(m)^k.  One
+    sieve of w over m <= x^(1/k) gives both h's support (m^k, w(m)) for
+    m^k <= U and its summatory oracle, and the g side pairs g's values on
+    [1, V] with the S-smooth oracle of g, so the route streams nothing.
 
     Raises:
         ShapeError: g is truncated or has a constant base.
         RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
     """
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    _check_limit(x)  # before the dense h table of length U <= x is built
+    _check_limit(x)  # before the dense g side of length V <= x is built
     # M_g is read at V and at x // m^k for the nonzero h(m^k), m^k <= U;
     # m = 1 gives the largest argument, x
     g_summatory = SmoothSummatory(g, x)
-    h_values = kfree_factor(k, g, uf)
-    g_values = g.values(1, vf)
-    h_summatory = PrefixSummatory(kfree_factor_at_powers(k, g, introot(x, k)), k=k)
-    return hyperbola_sum(h_summatory, g_summatory, h_values, g_values, split)
+    w = kfree_factor_at_powers(k, g, introot(x, k))
+    m = np.arange(1, introot(uf, k) + 1, dtype=np.int64)
+    g_support = (np.arange(1, vf + 1, dtype=np.int64), g.segment_values(1, vf))
+    return hyperbola_sum(PrefixSummatory(w, k=k), g_summatory, (m**k, w[: len(m)]), g_support, split)

@@ -245,3 +245,47 @@ def mertens_memo_recursion(x: int) -> int:
         return total
 
     return m(x)
+
+
+def kfree_sum_sublinear(rule, k: int, x: int) -> int:
+    """M_f(x) for f = [n k-free] * g, g the completely multiplicative rule
+    with g(p) = rule.overrides.get(p, chi(p)) over a real character chi, by
+    the sublinear identity
+
+        M_f(x) = sum_{m <= x^(1/k)} mu(m) g(m)^k M_g(x // m^k),
+        M_g(y) = sum_{n S-smooth} e(n) M_chi(y // n),
+
+    with e(p^r) = g(p)^(r-1) (g(p) - chi(p)) on the set S of primes where g
+    departs from chi, and M_chi(y) from one period of chi's prefix sums.
+    It reads only the rule's period table and overrides; mu comes from
+    liouville_product_segment, g(m) from peeling the override primes, and
+    each term n reads only the y = x // m^k >= n."""
+    chi = np.asarray(rule.base.period_values, dtype=np.int64)
+    q = len(chi)
+    prefix = np.cumsum(chi)  # M_chi(y) = prefix[y % q]: full periods sum to 0
+    g_at = dict(rule.overrides)
+    root = int(round(x ** (1 / k)))  # then corrected to the exact floor
+    while root**k > x:
+        root -= 1
+    while (root + 1) ** k <= x:
+        root += 1
+    m = np.arange(1, root + 1, dtype=np.int64)
+    cof, sign = m.copy(), np.ones_like(m)
+    for p, gp in g_at.items():
+        while (hit := cof % p == 0).any():
+            cof[hit] //= p
+            sign[hit] *= gp
+    weight = liouville_product_segment(1, root, 2).astype(np.int64) * (sign * chi[cof % q]) ** k
+    keep = np.flatnonzero(weight)  # ascending m, so descending y
+    y, weight = x // (keep + 1) ** k, weight[keep]
+    terms = [(1, 1)]
+    for p in sorted(p for p, gp in g_at.items() if gp != chi[p % q]):
+        gp, cp = g_at[p], int(chi[p % q])
+        terms += [(n * p**r, e * gp ** (r - 1) * (gp - cp))
+                  for n, e in terms for r in range(1, 64) if n * p**r <= x]
+    m_g = np.zeros_like(y)
+    for n, e in terms:
+        if e:  # only the y >= n have M_chi(y // n) != 0
+            top = len(y) - np.searchsorted(y[::-1], n)
+            m_g[:top] += e * prefix[y[:top] // n % q]
+    return int(np.dot(weight, m_g))

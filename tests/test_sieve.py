@@ -1,3 +1,4 @@
+import re
 from math import isqrt
 
 import numpy as np
@@ -6,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
     CapacityError,
+    DenseValueTable,
     MultiplicativeRule,
     RangeError,
+    build_real_character,
     build_spf,
+    character_rule,
     introot,
+    mobius_rule,
     sieve_kfree_segment,
     sieve_mobius_segment,
     sieve_primes,
@@ -274,6 +279,37 @@ def test_range_rejections():
         sieve_mobius_segment(10, 5)
     with pytest.raises(RangeError):
         sieve_mobius_segment(1, MAX_LIMIT + 1)
+
+
+_CHI3 = build_real_character(3)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: sieve_mobius_segment(1.5, 10), "lo 1.5"),
+    (lambda: sieve_mobius_segment(1, "10"), "hi '10'"),
+    (lambda: sieve_kfree_segment(1, 10.0, 2), "hi 10.0"),
+    (lambda: liouville_kfree_segment(None, 10, 2), "lo None"),
+    (lambda: DenseValueTable(1.0, 2, np.zeros(2, np.int8)), "lo 1.0"),
+    (lambda: character_rule(_CHI3, k=2).values(1.5, 10), "lo 1.5"),
+    (lambda: character_rule(_CHI3).segment_values(1, 10.5), "hi 10.5"),
+    (lambda: mobius_rule().segment_values(2.0, 10), "lo 2.0"),
+    (lambda: sieve_primes(10.5), "limit 10.5"),
+    (lambda: sieve_primes("10"), "limit '10'"),
+    (lambda: build_spf(1e3), "limit 1000.0"),
+    (lambda: introot(10.0, 2), "introot argument 10.0"),
+    (lambda: introot(10, 2.0), "introot order 2.0"),
+    (lambda: list(segments(1, 10, 2.5)), "segment_size 2.5"),
+])
+def test_sieve_bounds_must_be_integers(call, shown):
+    with pytest.raises(RangeError, match=re.escape(shown) + " is not an integer$"):
+        call()
+
+
+def test_sieve_bounds_accept_integer_types():
+    assert sieve_primes(np.int64(10)).tolist() == [2, 3, 5, 7]
+    assert sieve_mobius_segment(np.int32(1), np.uint8(4)).values.tolist() == [1, -1, -1, 0]
+    assert introot(np.int64(10**10), np.int8(5)) == 100
+    assert build_spf(np.int16(12)).factorize(12) == [(2, 2), (3, 1)]
 
 
 def test_value_table_immutable_and_bounds():

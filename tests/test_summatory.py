@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from bisect import bisect_left
 from itertools import accumulate
 from unittest.mock import patch
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kfreesums import summatory
+import kfreesums
+from kfreesums import convolution, summatory
 from kfreesums import (
     CapacityError,
-    DenseValueTable,
     HyperbolaSplit,
     MappedSummatory,
     MultiplicativeRule,
@@ -48,7 +50,13 @@ from kfreesums import (
     summatory_mu_chi,
 )
 
-from oracles import mertens_memo_recursion, mobius_brute, partial_sum_enumeration, primes_trial
+from oracles import (
+    kfree_sum_sublinear,
+    mertens_memo_recursion,
+    mobius_brute,
+    partial_sum_enumeration,
+    primes_trial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -313,8 +321,44 @@ def test_limits_must_be_integers(bad, chi3):
         lambda: summatory_mu_chi(chi3, bad),
         lambda: stream_summatory(lambda lo, hi: np.ones(hi - lo + 1, np.int8), bad),
     ):
-        with pytest.raises(RangeError, match=f"limit must be an integer, got {shown}$"):
+        with pytest.raises(RangeError, match=f"limit {shown} is not an integer$"):
             call()
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: direct_summatory(mobius_rule(), 100, threads=1.5), "threads 1.5"),
+    (lambda: direct_summatory(mobius_rule(), 100, threads="2"), "threads '2'"),
+    (lambda: direct_summatory(mobius_rule(), 100, segment_size=2.5), "segment_size 2.5"),
+    (lambda: mertens(100, segment_size=2.5), "segment_size 2.5"),
+    (lambda: checkpoint_schedule(10.5), "schedule limit 10.5"),
+    (lambda: HyperbolaSplit(x=100.0, u_floor=10, v_floor=10), "split x 100.0"),
+    (lambda: HyperbolaSplit(x=100, u_floor=10, v_floor="10"), "split v_floor '10'"),
+    (lambda: optimal_split(1e4, 2), "split x 10000.0"),
+    (lambda: optimal_split(10**4, 2.0), "split order k 2.0"),
+    (lambda: sqrt_split(1e4), "split x 10000.0"),
+    (lambda: explicit_split(100.0, 10.0, 10.0), "split x 100.0"),
+])
+def test_counts_sizes_and_splits_must_be_integers(call, shown):
+    with pytest.raises(RangeError, match=re.escape(shown) + " is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize("u, v", [(math.nan, 10.0), (10.0, math.inf), (-math.inf, 1.0), ("10", 10.0)])
+def test_explicit_split_needs_finite_reals(u, v):
+    with pytest.raises(RangeError, match=re.escape(f"split U = {u!r}, V = {v!r}")):
+        explicit_split(100, u, v)
+
+
+def test_integer_types_are_read_as_python_ints():
+    split = HyperbolaSplit(x=np.int64(100), u_floor=np.int32(10), v_floor=10)
+    assert split == sqrt_split(100) and type(split.x) is int and type(split.u_floor) is int
+    assert optimal_split(np.int64(128), np.int8(3)) == optimal_split(128, 3)
+    f = mobius_rule()
+    assert direct_summatory(f, 1000, threads=np.int64(2), segment_size=np.int32(64)) == \
+        direct_summatory(f, 1000)
+    assert checkpoint_schedule(np.int64(100)) == checkpoint_schedule(100)
+    with pytest.raises(RangeError, match="schedule limit must be >= 1, got 0"):
+        checkpoint_schedule(0)
 
 
 def test_limits_accept_integer_types():
@@ -350,18 +394,31 @@ def test_split_validation():
     assert s.u_floor == s.v_floor == 316
 
 
+def _dense_support(table):
+    """A value table over [1, N] as the support (1..N, values), zeros kept."""
+    assert table.lo == 1
+    return np.arange(1, table.hi + 1), table.values
+
+
+def _kth_power_support(k, g, limit):
+    """h's support (m^k, mu(m) g(m)^k) for m^k <= limit, from the dense
+    factor table, so it shares no step with kfree_hyperbola_sum."""
+    h = kfree_factor(k, g, limit).values
+    n = np.flatnonzero(h) + 1
+    return n, h[n - 1]
+
+
 def test_hyperbola_identity_element(chi3):
     # h = unit: the sum reduces to M_g(x) for any split
     x = 10**4
     g = character_rule(chi3)
-    g_vals = g.values(1, x)
     g_sum = PrefixSummatory(g.values(1, x).values)
     eps = np.zeros(x, dtype=np.int8)
     eps[0] = 1
-    h_vals = DenseValueTable(1, x, eps, label="unit")
     h_sum = PrefixSummatory(eps)
+    unit = (np.array([1]), np.array([1]))
     for split in (optimal_split(x, 2), sqrt_split(x), explicit_split(x, 20.0, 500.0)):
-        assert hyperbola_sum(h_sum, g_sum, h_vals, g_vals, split) == g_sum(x)
+        assert hyperbola_sum(h_sum, g_sum, unit, _dense_support(g.values(1, x)), split) == g_sum(x)
 
 
 def test_hyperbola_degenerate_v1(chi3):
@@ -370,14 +427,14 @@ def test_hyperbola_degenerate_v1(chi3):
     g = character_rule(chi3)
     h_t = kfree_factor(2, g, x)
     g_sum = PrefixSummatory(g.values(1, x).values)
-    h_vals = h_t
     h_sum = PrefixSummatory(h_t.values)
     split = explicit_split(x, float(x), 1.0)
     expect = sum(
         h_t.value_at(n) * g_sum(x // n) for n in range(1, x + 1) if h_t.value_at(n)
     )
-    assert hyperbola_sum(h_sum, g_sum, h_vals, g.values(1, 1),
-                         split) == expect
+    for h_support in (_dense_support(h_t), _kth_power_support(2, g, x)):
+        assert hyperbola_sum(h_sum, g_sum, h_support, _dense_support(g.values(1, 1)),
+                             split) == expect
     direct = direct_summatory(g.truncated(2), x, schedule=[x]).final[1]
     assert expect == direct
 
@@ -387,15 +444,14 @@ def test_hyperbola_equals_direct_for_figure_function(chi3):
     g = character_rule(chi3)
     f = g.truncated(2)
     direct = direct_summatory(f, x, schedule=[x]).final[1]
-    h_t = kfree_factor(2, g, x)
-    h_vals = h_t
+    h_support = _kth_power_support(2, g, x)
     mu = sieve_mobius_segment(1, 316).values.astype(np.int64)
     gv = g.segment_values(1, 316).astype(np.int64)
     h_sum = PrefixSummatory(mu * np.abs(gv), k=2)
-    g_vals = g.values(1, x)
+    g_support = _dense_support(g.values(1, x))
     g_sum = chi3.partial_sum
     for split in (optimal_split(x, 2), sqrt_split(x), explicit_split(x, float(x), 1.0)):
-        assert hyperbola_sum(h_sum, g_sum, h_vals, g_vals, split) == direct
+        assert hyperbola_sum(h_sum, g_sum, h_support, g_support, split) == direct
 
 
 def test_hyperbola_random_rules_and_splits():
@@ -411,15 +467,40 @@ def test_hyperbola_random_rules_and_splits():
         g = modified_character(ModificationPlan(character=chi, flipped_primes=flips))
         f = g.truncated(k)
         direct = direct_summatory(f, x, schedule=[x]).final[1]
-        g_vals = g.values(1, x)
+        g_support = _dense_support(g.values(1, x))
         g_sum = PrefixSummatory(g.values(1, x).values)
-        h_t = kfree_factor(k, g, x)
-        h_vals = h_t
-        h_sum = PrefixSummatory(h_t.values)
+        h_support = _kth_power_support(k, g, x)
+        h_sum = PrefixSummatory(kfree_factor(k, g, x).values)
         for _ in range(5):
             u = float(rng.uniform(1.0, float(x)))
             split = explicit_split(x, u, x / u)
-            assert hyperbola_sum(h_sum, g_sum, h_vals, g_vals, split) == direct
+            assert hyperbola_sum(h_sum, g_sum, h_support, g_support, split) == direct
+
+
+@pytest.mark.parametrize("n, values, message", [
+    ([1, 3, 2], [1, 1, 1], r"h support n\[2\] = 2 is below 1 or not ascending"),
+    ([1, 2, 2], [1, 1, 1], r"h support n\[2\] = 2 is below 1 or not ascending"),
+    ([0, 1], [1, 1], r"h support n\[0\] = 0 is below 1"),
+    ([-5], [1], r"h support n\[0\] = -5 is below 1"),
+    ([1, 2], [1, 1, 1], r"h support needs one int64 value per int64 n, got n int64\(2,\) and "
+                        r"values int64\(3,\)$"),
+    ([1.0, 2.0], [1, 1], r"h support needs .*, got n float64\(2,\)"),
+    ([1, 2], [0.5, 1.0], r"h support needs .* and values float64\(2,\)$"),
+    (np.array([1, 2], dtype=np.uint64), [1, 1], r"h support needs .*, got n uint64\(2,\)"),
+    ([[1, 2]], [[1, 1]], r"h support needs .*, got n int64\(1, 2\)"),
+])
+def test_hyperbola_support_shape_errors(chi3, n, values, message):
+    g = character_rule(chi3)
+    small = PrefixSummatory(g.values(1, 100).values)
+    g_support = _dense_support(g.values(1, 10))
+    split = sqrt_split(100)  # floors 10, 10
+    with pytest.raises(ShapeError, match=message):
+        hyperbola_sum(small, small, (np.array(n), np.array(values)), g_support, split)
+    # the g side is checked the same way, past its floor too
+    with pytest.raises(ShapeError, match=message.replace("h support", "g support")):
+        hyperbola_sum(small, small, g_support, (np.array(n), np.array(values)), split)
+    with pytest.raises(ShapeError, match=r"g support n\[3\] = 40 is below 1 or not ascending"):
+        hyperbola_sum(small, small, g_support, (np.array([1, 2, 50, 40]), np.ones(4, int)), split)
 
 
 def test_oracle_domain_errors(chi3):
@@ -427,11 +508,11 @@ def test_oracle_domain_errors(chi3):
     small = PrefixSummatory(g.values(1, 100).values)
     with pytest.raises(OracleDomainError):
         small(101)
+    # a support ending before its floor is zero past its last n
     split = sqrt_split(100)  # floors 10, 10
-    with pytest.raises(ShapeError):
-        hyperbola_sum(small, small, g.values(2, 20), g.values(1, 20), split)
-    with pytest.raises(OracleDomainError):
-        hyperbola_sum(small, small, g.values(1, 20), g.values(1, 9), split)
+    short = (np.arange(1, 10), g.values(1, 9).values)
+    assert hyperbola_sum(small, small, short, short, split) == hyperbola_sum(
+        small, small, _dense_support(g.values(1, 10)), short, split) - g.values(1, 10).value_at(10) * small(10)
     k_sum = PrefixSummatory(np.array([1, -1], dtype=np.int64), k=2)
     with pytest.raises(OracleDomainError):
         k_sum(10**6)
@@ -555,20 +636,25 @@ def test_hyperbola_sum_is_exact_near_int64_limits(data):
     m_size = data.draw(st.sampled_from([3, 2**31, 2**62]), label="max |M|")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
 
-    def table(floor, label):
-        # nonzero entries past the floor must not be read
+    def support(floor, label):
         at = data.draw(st.lists(st.one_of(
             st.integers(1, floor), st.sampled_from([1, floor, min(2**16, floor), min(2**16 + 1, floor)])),
             max_size=20), label=f"{label} positions")
         entries = {n: data.draw(entry, label=f"{label}({n})") for n in at}
-        vals = np.ones(floor + 3, dtype=np.int64)
-        vals[:floor] = 0
-        for n, v in entries.items():
-            vals[n - 1] = v
-        return DenseValueTable(1, floor + 3, vals, label=label), entries
+        # nonzero terms past the floor must not be read: they would change
+        # the sum, or ask for M(x // n) = M(0), which the oracles do not hold
+        if data.draw(st.booleans(), label=f"{label} dense"):  # 1..floor + 3, zeros kept
+            past = range(floor + 1, floor + 4)
+            n = np.arange(1, floor + 4, dtype=np.int64)
+        else:
+            past = data.draw(st.lists(st.one_of(st.just(floor + 1), st.integers(floor + 1, 2**62)),
+                                      min_size=1, max_size=3, unique=True), label=f"{label} past")
+            n = np.array(sorted({*entries, *past}), dtype=np.int64)
+        terms = {i: 0 for i in n.tolist()} | entries | {i: 2**62 for i in past}
+        return (n, np.array([terms[i] for i in n.tolist()], dtype=np.int64)), entries
 
-    h_table, h_entries = table(split.u_floor, "h")
-    g_table, g_entries = table(split.v_floor, "g")
+    h_support, h_entries = support(split.u_floor, "h")
+    g_support, g_entries = support(split.v_floor, "g")
     args = set((x // np.arange(1, x + 1)).tolist()) | {split.u_floor, split.v_floor}
 
     def sums():
@@ -576,7 +662,7 @@ def test_hyperbola_sum_is_exact_near_int64_limits(data):
                                                              endpoint=True))}
 
     mh, mg = sums(), sums()
-    value = hyperbola_sum(MappedSummatory(mh), MappedSummatory(mg), h_table, g_table, split)
+    value = hyperbola_sum(MappedSummatory(mh), MappedSummatory(mg), h_support, g_support, split)
     assert value == _hyperbola_reference(h_entries, g_entries, mh, mg, split)
 
 
@@ -584,8 +670,8 @@ def test_hyperbola_dot_at_the_int64_edge():
     # h(1) M_g(4) + h(2) M_g(2) = 2 * 2^62 = 2^63, one past int64: the bound
     # count * max|h| * max|M_g| = 2^63 sends the block to Python ints
     split = HyperbolaSplit(x=4, u_floor=2, v_floor=2)
-    h = DenseValueTable(1, 2, np.full(2, 2**31, dtype=np.int64), label="h")
-    g = DenseValueTable(1, 2, np.zeros(2, dtype=np.int64), label="g")
+    h = (np.array([1, 2]), np.full(2, 2**31, dtype=np.int64))
+    g = (np.array([1, 2]), np.zeros(2, dtype=np.int64))
     mg = MappedSummatory({4: 2**31, 2: 2**31})
     mh = MappedSummatory({2: 3})
     assert hyperbola_sum(mh, mg, h, g, split) == 2**63 - 3 * 2**31
@@ -625,6 +711,47 @@ def test_kfree_hyperbola_streams_nothing(q, flips, k, x, u, monkeypatch):
 
     monkeypatch.setattr(summatory, "stream_summatory", no_stream)
     assert kfree_hyperbola_sum(g, k, split) == direct
+
+
+def test_kfree_hyperbola_sieves_the_weights_once(monkeypatch):
+    """The route reads h from its k-th-power support: it never builds the
+    dense factor table, and one sieve of mu(m) g(m)^k serves both sides."""
+    g = modified_character(ModificationPlan(character=build_real_character(15), flipped_primes=(7, 11)))
+    x = 2 * 10**5
+    direct = direct_summatory(g.truncated(3), x, schedule=[x]).final[1]
+
+    def no_dense_factor(*args, **kwargs):
+        raise AssertionError("the hyperbola route built the dense factor table")
+
+    for module in (convolution, kfreesums, summatory):  # every binding of the name
+        monkeypatch.setattr(module, "kfree_factor", no_dense_factor, raising=False)
+    calls = []
+    weights = summatory.kfree_factor_at_powers
+    monkeypatch.setattr(summatory, "kfree_factor_at_powers",
+                        lambda *args: calls.append(args) or weights(*args))
+    for split in (optimal_split(x, 3), sqrt_split(x), explicit_split(x, float(x), 1.0)):
+        calls.clear()
+        assert kfree_hyperbola_sum(g, 3, split) == direct
+        assert len(calls) == 1
+
+
+_FLIPS4 = (7, 11, 101, 151)
+
+
+@pytest.mark.parametrize("k, x", [(2, 4 * 10**9 - 17), (3, 4 * 10**9 - 17), (2, 10**8 + 7), (3, 10**8 + 7)])
+def test_kfree_hyperbola_matches_the_sublinear_identity(k, x):
+    """Past the stream tests' sizes the route equals the m-sum of
+    tests/oracles.py, and allocates nothing of length U while it runs."""
+    g = modified_character(ModificationPlan(character=build_real_character(15), flipped_primes=_FLIPS4))
+    expect = kfree_sum_sublinear(g, k, x)
+    for split in (optimal_split(x, k), sqrt_split(x)):
+        tracemalloc.start()
+        try:
+            assert kfree_hyperbola_sum(g, k, split) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(split.u_floor, 2**24), (split, peak)
 
 
 @pytest.mark.parametrize("base", [1, -1])
