@@ -72,7 +72,6 @@ from .sieve import (
 )
 from .summatory import (
     HyperbolaSplit,
-    MappedSummatory,
     PartialSumSeries,
     PrefixSummatory,
     SmoothSummatory,

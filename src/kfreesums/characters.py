@@ -62,13 +62,11 @@ class RealCharacter:
         modulus: The period q >= 3.
         period_values: Length-q array, period_values[n % q] == chi(n).
         discriminant: Fundamental discriminant backing the Kronecker symbol.
-        principal: Always False here; principal characters are rejected.
     """
 
     modulus: int
     period_values: np.ndarray = field(repr=False)
     discriminant: int
-    principal: bool = False
 
     def __post_init__(self) -> None:
         self.period_values.setflags(write=False)

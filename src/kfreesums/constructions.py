@@ -24,7 +24,7 @@ import numpy as np
 from .characters import RealCharacter
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
-from .sieve import as_int, is_prime, sieve_primes
+from .sieve import as_int, as_order, as_real, is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
 
 
@@ -104,7 +104,11 @@ def deviation_sum(g: MultiplicativeRule, chi: RealCharacter, x: int) -> int:
 
 @dataclass(frozen=True)
 class DeviationBudget:
-    """Concrete budget C * x^(1/k) * exp(-c sqrt(log x)) with start point x0."""
+    """Concrete budget C * x^(1/k) * exp(-c sqrt(log x)) with start point x0.
+
+    C and c are read as finite positive floats, k and x0 as Python ints
+    >= 2; RangeError names any other value.
+    """
 
     big_c: float = 2.0
     small_c: float = 1.0
@@ -112,12 +116,14 @@ class DeviationBudget:
     x0: int = 10
 
     def __post_init__(self) -> None:
-        if self.big_c <= 0 or self.small_c <= 0:
-            raise RangeError(f"budget constants must be positive: C={self.big_c}, c={self.small_c}")
-        if self.k < 2:
-            raise RangeError(f"budget exponent k must be >= 2, got {self.k}")
-        if self.x0 < 2:
-            raise RangeError(f"budget start x0 must be >= 2, got {self.x0}")
+        big_c, small_c = as_real(self.big_c, "budget C"), as_real(self.small_c, "budget c")
+        if big_c <= 0 or small_c <= 0:
+            raise RangeError(f"budget constants must be positive: C={big_c}, c={small_c}")
+        k, x0 = as_order(self.k, "budget exponent k"), as_int(self.x0, "budget start x0")
+        if x0 < 2:
+            raise RangeError(f"budget start x0 must be >= 2, got {x0}")
+        for name, value in zip(("big_c", "small_c", "k", "x0"), (big_c, small_c, k, x0)):
+            object.__setattr__(self, name, value)
 
     def value(self, x: float) -> float:
         return self.big_c * x ** (1.0 / self.k) * math.exp(-self.small_c * math.sqrt(math.log(x)))

@@ -5,9 +5,8 @@ tables over [1, N] with exact 64-bit integers.  Convolution and inversion
 run in int64 when an a-priori bound on their values fits it (always for
 {-1, 0, 1} tables at the oracle scales used here, N <= ~10^6); otherwise
 they run in Python ints and raise CapacityError, naming the first n whose
-value leaves int64, rather than wrap.  Both split their divisor pairs at
-a square root, as the hyperbola method does, so they make O(sqrt N) numpy
-passes rather than one per divisor.
+value leaves int64, rather than wrap.  Both sum over divisor pairs with
+one kernel, `_product_into`.
 
 Two closed-form convolution factors are also built directly from their
 prime-power laws:
@@ -95,15 +94,33 @@ def _int64_values(t: DenseValueTable, what: str) -> np.ndarray:
     return t.values.astype(np.int64)
 
 
-def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTable:
-    """(a * b)(n) = sum_{d|n} a(d) b(n/d) for n <= N, exactly.
+def _product_into(out: np.ndarray, lo: int, hi: int, x: np.ndarray, y: np.ndarray) -> None:
+    """out[m - lo] += sum_{d e = m} x[d] y[e] for every m in [lo, hi].
 
-    The divisor pairs d e = n <= N are split at r = isqrt(N), as in the
-    hyperbola method: each d <= r adds a(d) times the b-prefix along its
-    multiples, and each e <= N // (r + 1) adds b(e) times a(r+1..N//e)
-    along its multiples from (r + 1) e.  Every pair has d <= r or
-    d > r >= e, so it is counted once, and no slice holds an index twice:
-    O(sqrt N) numpy passes and O(N log N) element work.
+    x and y are indexed by n, entry 0 unused, and read up to hi.  The pairs
+    d e = m are split at s = isqrt(hi), as in the hyperbola method: each
+    d <= s adds x[d] times the slice of y along its multiples in [lo, hi],
+    then each e <= hi // (s + 1) adds y[e] times the slice of x over d > s.
+    Every pair has d <= s or d > s >= e, so it is counted once, and no
+    slice holds an index twice: O(sqrt(hi)) numpy passes rather than one
+    per divisor.
+    """
+    s = isqrt(hi)
+    for d in range(1, s + 1):
+        xd = x[d]
+        if xd:
+            e0 = -(-lo // d)
+            out[d * e0 - lo :: d] += xd * y[e0 : hi // d + 1]
+    for e in range(1, hi // (s + 1) + 1):
+        ye = y[e]
+        if ye:
+            d0 = max(s + 1, -(-lo // e))
+            out[d0 * e - lo :: e] += ye * x[d0 : hi // e + 1]
+
+
+def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTable:
+    """(a * b)(n) = sum_{d|n} a(d) b(n/d) for n <= N, exactly: one
+    `_product_into` over [1, N], O(N log N) element work.
 
     |(a * b)(n)| <= tau(n) max|a| max|b| <= N max|a| max|b|; when that bound
     fits int64 the sums run in int64, otherwise in Python ints, and a value
@@ -114,17 +131,9 @@ def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTab
     av = _int64_values(a, "left operand")
     bv = _int64_values(b, "right operand")
     dtype = np.int64 if n * _bound(av) * _bound(bv) <= MAX_LIMIT else object
-    av, bv = av.astype(dtype), bv.astype(dtype)
+    av, bv = (np.concatenate(([0], v)).astype(dtype, copy=False) for v in (av, bv))
     out = np.zeros(n + 1, dtype=dtype)
-    r = isqrt(n)
-    for d in range(1, r + 1):
-        ad = av[d - 1]
-        if ad:
-            out[d::d] += ad * bv[: n // d]
-    for e in range(1, n // (r + 1) + 1):
-        be = bv[e - 1]
-        if be:
-            out[(r + 1) * e :: e] += be * av[r : n // e]
+    _product_into(out[1:], 1, n, av, bv)
     if dtype is object:
         _require_int64(out[1:], 1, "Dirichlet convolution")
     return ConvolutionTable(limit=n, values=out.astype(np.int64), operands=(a.label, b.label))
@@ -134,13 +143,10 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     """Table b with (a * b) = unit (1 at n=1, else 0) on [1, N].
 
     b(1) = a(1) and b(m) = -a(1) sum_{d|m, d<m} b(d) a(m/d), filled over
-    the dyadic blocks [L, 2L).  Every proper divisor d of an m in a block
-    is <= m/2 < L, so the block's sums read only values fixed before it.
-    Within a block the pairs d j = m, j >= 2, are split at s = isqrt(H),
-    H the block's end, as in `dirichlet_convolve`: each d <= s adds b(d)
-    times a slice of a, then each j <= H // (s + 1) adds a(j) times the
-    slice of b over d > s.  About 2 sqrt(H) numpy passes per block and
-    O(N log N) element work in all.
+    the dyadic blocks [L, 2L), each by one `_product_into` of b and a with
+    a(1) zeroed, so that only proper divisors are summed.  Every proper
+    divisor d of an m in a block is <= m/2 < L, so the block's sums read
+    only values fixed before it.  O(N log N) element work in all.
 
     |b(n)| <= n^2 A^(log2 n), A = max_{d>=2} |a(d)|; when that bound fits
     int64 the sums run in int64, otherwise in Python ints, and it raises
@@ -159,27 +165,18 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
         raise NonInvertibleError(f"a(1) = {a1} is not a unit in the integer table ring")
     av = _int64_values(a, "operand")
     checked = n * n * _bound(av[1:]) ** (n.bit_length() - 1) > MAX_LIMIT
-    av = np.concatenate(([0], av)).astype(object if checked else np.int64)  # av[j] = a(j)
+    # av[j] = a(j) for j >= 2, and av[1] = 0
+    av = np.concatenate(([0, 0], av[1:])).astype(object if checked else np.int64, copy=False)
     b = np.zeros(n + 1, dtype=av.dtype)
     b[1] = a1
     lo = 2
     while lo <= n:
         hi = min(2 * lo - 1, n)
-        acc = np.zeros(hi - lo + 1, dtype=av.dtype)  # acc[m - lo] = sum b(d) a(m/d), d < m
-        s = isqrt(hi)
-        for d in range(1, s + 1):
-            bd = b[d]
-            if bd:
-                j0 = max(2, -(-lo // d))
-                acc[d * j0 - lo :: d] += bd * av[j0 : hi // d + 1]
-        for j in range(2, hi // (s + 1) + 1):
-            aj = av[j]
-            if aj:
-                d0 = max(s + 1, -(-lo // j))
-                acc[d0 * j - lo :: j] += aj * b[d0 : hi // j + 1]
-        b[lo : hi + 1] = -a1 * acc
+        block = b[lo : hi + 1]
+        _product_into(block, lo, hi, b, av)
+        block *= -a1
         if checked:
-            _require_int64(b[lo : hi + 1], lo, "Dirichlet inverse")
+            _require_int64(block, lo, "Dirichlet inverse")
         lo = hi + 1
     return ConvolutionTable(limit=n, values=b.astype(np.int64), operands=(a.label, "^-1"))
 

@@ -32,6 +32,7 @@ from .sieve import (
     DenseValueTable,
     SpfTable,
     as_int,
+    as_order,
     introot,
     is_prime,
     liouville_kfree_segment,
@@ -67,8 +68,9 @@ class MultiplicativeRule:
                 raise PlanError(f"override value at p={p} must be +-1, got {v}")
             if not is_prime(p):
                 raise PlanError(f"override index {p} is not prime")
-        if self.k_truncation is not None and self.k_truncation < 2:
-            raise PlanError(f"truncation order must be >= 2, got {self.k_truncation}")
+        if self.k_truncation is not None:
+            k = as_order(self.k_truncation, "truncation order k", PlanError)
+            object.__setattr__(self, "k_truncation", k)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 

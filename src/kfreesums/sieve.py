@@ -18,6 +18,8 @@ that is exact for every hi up to 2^63-1 (see liouville_kfree_segment).
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from math import isqrt
@@ -29,10 +31,6 @@ from .errors import CapacityError, RangeError
 # Exact-arithmetic contract: indices must stay within the signed 64-bit
 # world numpy can address without silent wraparound.
 MAX_LIMIT = 2**63 - 1
-
-# Beyond k = 60, p^k exceeds 2^60 for every prime, so the k-free
-# indicator is identically 1 on any supported range.
-MAX_KFREE_ORDER = 60
 
 DEFAULT_SEGMENT_SIZE = 2**20
 
@@ -63,6 +61,27 @@ def as_int(value, what: str, error: type[Exception] = RangeError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r} is not an integer") from None
+
+
+def as_order(value, what: str, error: type[Exception] = RangeError) -> int:
+    """value as a Python int k >= 2, the order of a k-free truncation or of
+    k-th powers; the error names anything else."""
+    k = as_int(value, what, error)
+    if k < 2:
+        raise error(f"{what}={k} must be >= 2")
+    return k
+
+
+def as_real(value, what: str, error: type[Exception] = RangeError) -> float:
+    """value as a finite float: a Python or numpy real, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int past the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise error(f"{what} {value!r} is not a finite real")
 
 
 def _check_range(lo: int, hi: int) -> tuple[int, int]:
@@ -247,8 +266,8 @@ def liouville_kfree_segment(
         primes: Optional precomputed primes covering sqrt(hi).
     """
     lo, hi = _check_range(lo, hi)
-    if k is not None and k < 2:
-        raise RangeError(f"truncation order k={k} must be >= 2")
+    if k is not None:
+        k = as_order(k, "truncation order k")
     size = hi - lo + 1
     root = isqrt(hi)
     if primes is None:
@@ -319,22 +338,19 @@ _WHEEL_SIGN, _WHEEL_LOG = _wheel_pattern()
 
 
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:
-    """Indicator of k-free n (no prime power p^k divides n) over [lo, hi]."""
-    if not 2 <= k <= MAX_KFREE_ORDER:
-        raise RangeError(f"k={k} outside supported order range [2, {MAX_KFREE_ORDER}]")
+    """Indicator of k-free n (no prime power p^k divides n) over [lo, hi],
+    for any order k >= 2: only the primes p <= hi^(1/k) are sieved."""
+    k = as_order(k, "k-free order k")
     lo, hi = _check_range(lo, hi)
-    size = hi - lo + 1
-    vals = np.ones(size, dtype=np.int8)
+    vals = np.ones(hi - lo + 1, dtype=np.int8)
     kroot = introot(hi, k)
     if primes is None:
         primes = sieve_primes(kroot)
-    for p in primes:
-        p = int(p)
-        pk = p**k
-        if pk > hi:
+    for p in np.asarray(primes, dtype=np.int64).tolist():
+        if p > kroot:  # p^k > hi
             break
-        start = ((lo + pk - 1) // pk) * pk
-        vals[start - lo :: pk] = 0
+        pk = p**k
+        vals[-lo % pk :: pk] = 0
     return DenseValueTable(lo, hi, vals, label=f"mu_{k}^2")
 
 
@@ -384,6 +400,8 @@ def introot(n: int, k: int) -> int:
         raise RangeError(f"introot undefined for n={n}, k={k}")
     if n < 2 or k == 1:
         return n
+    if k >= n.bit_length():  # 2^k > n
+        return 1
     lo_r, hi_r = 1, 1
     while hi_r**k <= n:
         hi_r *= 2

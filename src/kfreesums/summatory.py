@@ -22,15 +22,14 @@ argument outside their domain (a scalar argument gives a Python int).
 They are a PrefixSummatory over a value table or over the k-th-power
 support of h, a SmoothSummatory of a g that departs from its character chi
 only on a finite prime set S (M_g from a few hundred S-smooth terms and
-chi's one-period prefix), a MappedSummatory of precomputed checkpoints, or
-a character's own partial_sum.  Roots come from searchsorted over exact
-int64 tables of m^k, never from floats.  Each side of the identity is
-whole-array work: one oracle call per block of nonzero support values and
-an int64 dot product, taken in Python ints whenever a bound on its terms
-could pass 2^63 - 1.  `kfree_hyperbola_sum` wires them up for
-f = [k-free]*g: h's support on the k-th powers and its oracle from one
-sieve of mu(m) g(m)^k, and the S-smooth oracle on the g side, so that
-route streams nothing.
+chi's one-period prefix), or a character's own partial_sum.  Roots come
+from searchsorted over exact int64 tables of m^k, never from floats.  Each
+side of the identity is whole-array work: one oracle call per block of
+nonzero support values and an int64 dot product, taken in Python ints
+whenever a bound on its terms could pass 2^63 - 1.  `kfree_hyperbola_sum`
+wires them up for f = [k-free]*g: h's support on the k-th powers and its
+oracle from one sieve of mu(m) g(m)^k, and the S-smooth oracle on the g
+side, so that route streams nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ from .rules import MultiplicativeRule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     as_int,
+    as_order,
+    as_real,
     introot,
     segments,
     sieve_mobius_segment,
@@ -84,19 +85,18 @@ SCHEDULE_START = 10
 def checkpoint_schedule(limit: int, ratio: float | None = None) -> list[int]:
     """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from SCHEDULE_START,
     plus every power of 10 and the endpoint itself; ratio 1.05 unless given."""
-    if ratio is None:
-        ratio = 1.05
     limit = as_int(limit, "schedule limit")
     if limit < 1:
         raise RangeError(f"schedule limit must be >= 1, got {limit}")
+    ratio = 1.05 if ratio is None else as_real(ratio, "schedule ratio")
     if ratio <= 1.0:
-        raise RangeError("schedule ratio must exceed 1")
+        raise RangeError(f"schedule ratio must exceed 1, got {ratio}")
     pts = {limit}
     x = SCHEDULE_START
     while x <= limit:
         pts.add(x)
-        nxt = math.ceil(ratio * x)
-        x = nxt if nxt > x else x + 1
+        # past limit + 1 the product only ends the loop (and may be inf)
+        x = max(x + 1, math.ceil(min(ratio * x, limit + 1)))
     p = 10
     while p <= limit:
         pts.add(p)
@@ -472,26 +472,6 @@ class PrefixSummatory:
         return _result(self._cum[r])
 
 
-class MappedSummatory:
-    """Summatory oracle over a precomputed {argument: M} map, read through
-    sorted key and value arrays."""
-
-    def __init__(self, mapping: dict[int, int]):
-        # a first key -1, below every argument, gives each argument a
-        # largest key <= it
-        keys = sorted(mapping)
-        self._keys = np.array([-1, *keys], dtype=np.int64)
-        self._sums = np.array([0, *(mapping[a] for a in keys)], dtype=np.int64)
-
-    def __call__(self, y):
-        args = _arguments(y)
-        at = np.searchsorted(self._keys, args, side="right") - 1
-        missing = self._keys[at] != args
-        if missing.any():
-            raise OracleDomainError(f"M({args[missing][0]}) not among precomputed arguments")
-        return _result(self._sums[at])
-
-
 # SmoothSummatory evaluates its (terms x arguments) table in chunks of at
 # most this many entries, so a call allocates a few MiB at any size.
 _SMOOTH_CHUNK = 2**18
@@ -552,8 +532,9 @@ def streamed_summatory_map(
     args: list[int],
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
-) -> MappedSummatory:
-    """Exact M_f at every requested argument, in one streaming pass."""
+) -> dict[int, int]:
+    """{y: M_f(y)} for every requested argument y >= 0, exactly, from one
+    streaming pass."""
     args = sorted(set(a for a in args if a >= 0))
     out: dict[int, int] = {a: 0 for a in args if a == 0}
     pos = [a for a in args if a >= 1]
@@ -562,7 +543,7 @@ def streamed_summatory_map(
             rule, pos[-1], schedule=pos, segment_size=segment_size, threads=threads
         )
         out.update(dict(series.checkpoints))
-    return MappedSummatory(out)
+    return out
 
 
 # -- hyperbola method ----------------------------------------------------
@@ -608,9 +589,9 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     on k-th powers; both floors come from exact integer root extraction,
     never floating-point powers.
     """
-    x, k = as_int(x, "split x"), as_int(k, "split order k")
-    if x < 1 or k < 2:
-        raise RangeError(f"optimal split needs x >= 1 and k >= 2, got x = {x}, k = {k}")
+    x, k = as_int(x, "split x"), as_order(k, "split order k")
+    if x < 1:
+        raise RangeError(f"optimal split needs x >= 1, got x = {x}")
     m = 2 * k + 1
     return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
 
@@ -685,8 +666,10 @@ def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) ->
 
     Raises:
         ShapeError: g is truncated or has a constant base.
+        RangeError: k is not an integer >= 2.
         RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
     """
+    k = as_order(k, "k-free order k")
     x, uf, vf = split.x, split.u_floor, split.v_floor
     _check_limit(x)  # before the dense g side of length V <= x is built
     # M_g is read at V and at x // m^k for the nonzero h(m^k), m^k <= U;

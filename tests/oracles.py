@@ -289,3 +289,18 @@ def kfree_sum_sublinear(rule, k: int, x: int) -> int:
             top = len(y) - np.searchsorted(y[::-1], n)
             m_g[:top] += e * prefix[y[:top] // n % q]
     return int(np.dot(weight, m_g))
+
+
+class DictSummatory:
+    """A summatory oracle read from a {y: M(y)} dict, one lookup per
+    argument: an int64 array of arguments gives the int64 array of M, a
+    scalar a Python int, and an argument missing from the dict raises
+    KeyError."""
+
+    def __init__(self, sums: dict[int, int]):
+        self.sums = sums
+
+    def __call__(self, y):
+        a = np.asarray(y)
+        out = np.array([self.sums[v] for v in a.ravel().tolist()], dtype=np.int64)
+        return int(out[0]) if a.ndim == 0 else out.reshape(a.shape)

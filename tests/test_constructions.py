@@ -15,6 +15,7 @@ from kfreesums import (
     build_real_character,
     build_spf,
     character_rule,
+    checkpoint_schedule,
     completed_character,
     deviation_sum,
     greedy_plan,
@@ -160,6 +161,42 @@ def test_budget_report_csv(tmp_path, chi3):
     assert lines[0] == "x,S,budget,pass"
     assert len(lines) == 1 + len(report.rows)
     assert lines[1].endswith(",true")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DeviationBudget(big_c=math.nan), "budget C nan is not a finite real"),
+    (lambda: DeviationBudget(big_c=math.inf), "budget C inf is not a finite real"),
+    (lambda: DeviationBudget(small_c=-math.inf), "budget c -inf is not a finite real"),
+    (lambda: DeviationBudget(small_c="1"), "budget c '1' is not a finite real"),
+    (lambda: DeviationBudget(big_c=True), "budget C True is not a finite real"),
+    (lambda: DeviationBudget(big_c=10**400), f"budget C {10**400} is not a finite real"),
+    (lambda: DeviationBudget(small_c=0.0), "budget constants must be positive: C=2.0, c=0.0"),
+    (lambda: DeviationBudget(x0=2.5), "budget start x0 2.5 is not an integer"),
+    (lambda: checkpoint_schedule(100, math.nan), "schedule ratio nan is not a finite real"),
+    (lambda: checkpoint_schedule(100, math.inf), "schedule ratio inf is not a finite real"),
+    (lambda: checkpoint_schedule(100, "1.1"), "schedule ratio '1.1' is not a finite real"),
+    (lambda: checkpoint_schedule(100, 1.0), "schedule ratio must exceed 1, got 1.0"),
+])
+def test_budgets_and_ratios_must_be_finite_reals(call, message):
+    with pytest.raises(RangeError, match=re.escape(message)):
+        call()
+
+
+def test_nan_budget_gives_no_verdict(chi3):
+    # the plan fails the default budget; under C = NaN every comparison
+    # S(x) > budget(x) is False, so that budget would pass it
+    g = modified_character(ModificationPlan(character=chi3, flipped_primes=(5, 7, 11, 13, 17, 19, 23)))
+    assert not verify_deviation_budget(g, chi3, DeviationBudget(), 1000).passed
+    with pytest.raises(RangeError, match="budget C nan"):
+        verify_deviation_budget(g, chi3, DeviationBudget(big_c=math.nan), 1000)
+
+
+def test_budget_fields_and_ratio_are_read_as_python_numbers():
+    budget = DeviationBudget(big_c=np.float32(2), small_c=1, k=np.int64(2), x0=np.int8(10))
+    assert budget == DeviationBudget() and [type(getattr(budget, f)) for f in
+                                            ("big_c", "small_c", "k", "x0")] == [float, float, int, int]
+    # a finite ratio whose product passes the float range ends the schedule
+    assert checkpoint_schedule(100, 1e308) == [10, 100]
 
 
 def test_budget_param_validation():

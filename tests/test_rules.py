@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
+    DeviationBudget,
     ModificationPlan,
     MultiplicativeRule,
     PlanError,
@@ -10,11 +13,16 @@ from kfreesums import (
     build_real_character,
     build_spf,
     character_rule,
+    kfree_hyperbola_sum,
     mobius_rule,
     modified_character,
     one_rule,
+    optimal_split,
+    sieve_kfree_segment,
     sieve_mobius_segment,
+    sqrt_split,
 )
+from kfreesums.sieve import liouville_kfree_segment
 
 from oracles import rule_value_brute
 
@@ -161,3 +169,37 @@ def test_segment_values_match_brute_force(base, overrides, k, lo, size):
     seg = rule.segment_values(lo, hi)
     assert seg.dtype == np.int8
     assert seg.tolist() == [rule_value_brute(rule, n) for n in range(lo, hi + 1)]
+
+
+CHI3 = build_real_character(3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MultiplicativeRule(base=-1, k_truncation=2.5), PlanError,
+     "truncation order k 2.5 is not an integer"),
+    (lambda: MultiplicativeRule(base=CHI3, k_truncation=1), PlanError,
+     "truncation order k=1 must be >= 2"),
+    (lambda: character_rule(CHI3).truncated("3"), PlanError, "truncation order k '3' is not"),
+    (lambda: liouville_kfree_segment(1, 10, 2.5), RangeError, "truncation order k 2.5 is not"),
+    (lambda: liouville_kfree_segment(1, 10, 0), RangeError, "truncation order k=0 must be"),
+    (lambda: sieve_kfree_segment(1, 10, -3), RangeError, "k-free order k=-3 must be >= 2"),
+    (lambda: optimal_split(100, 1), RangeError, "split order k=1 must be >= 2"),
+    (lambda: DeviationBudget(k=2.5), RangeError, "budget exponent k 2.5 is not an integer"),
+    (lambda: DeviationBudget(k=1), RangeError, "budget exponent k=1 must be >= 2"),
+    (lambda: kfree_hyperbola_sum(character_rule(CHI3), 1, sqrt_split(10**6)), RangeError,
+     "k-free order k=1 must be >= 2"),
+    (lambda: kfree_hyperbola_sum(character_rule(CHI3), 2.0, sqrt_split(100)), RangeError,
+     "k-free order k 2.0 is not an integer"),
+])
+def test_bad_orders_raise_typed_errors_naming_them(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_any_order_truncates(chi3):
+    # p^61 > 4096 for every prime, so the truncation at 61 changes nothing
+    for base in (chi3, -1):
+        rule = MultiplicativeRule(base=base, k_truncation=np.int64(61))
+        assert type(rule.k_truncation) is int
+        assert np.array_equal(rule.segment_values(1, 4096),
+                              MultiplicativeRule(base=base).segment_values(1, 4096))

@@ -240,10 +240,18 @@ def test_kfree_downward_closure(k):
 
 
 def test_kfree_order_validation():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="k-free order k=1 must be >= 2"):
         sieve_kfree_segment(1, 10, 1)
-    with pytest.raises(RangeError):
-        sieve_kfree_segment(1, 10, 61)
+    with pytest.raises(RangeError, match="k-free order k 2.5 is not an integer"):
+        sieve_kfree_segment(1, 10, 2.5)
+
+
+def test_kfree_sieve_takes_any_order():
+    # 2^61 is the one n in the window that 2^61 divides
+    lo = 2**61 - 5
+    table = sieve_kfree_segment(lo, 2**61 + 5, 61)
+    assert [lo + i for i, v in enumerate(table.values.tolist()) if v == 0] == [2**61]
+    assert sieve_kfree_segment(1, 10**4, 10**9).values.tolist() == [1] * 10**4
 
 
 def test_spf_basics():

@@ -15,7 +15,6 @@ from kfreesums import convolution, summatory
 from kfreesums import (
     CapacityError,
     HyperbolaSplit,
-    MappedSummatory,
     MultiplicativeRule,
     OracleDomainError,
     PrefixSummatory,
@@ -51,11 +50,13 @@ from kfreesums import (
 )
 
 from oracles import (
+    DictSummatory,
     kfree_sum_sublinear,
     mertens_memo_recursion,
     mobius_brute,
     partial_sum_enumeration,
     primes_trial,
+    rule_value_brute,
 )
 
 
@@ -516,10 +517,15 @@ def test_oracle_domain_errors(chi3):
     k_sum = PrefixSummatory(np.array([1, -1], dtype=np.int64), k=2)
     with pytest.raises(OracleDomainError):
         k_sum(10**6)
-    mapped = streamed_summatory_map(g, [10, 100])
-    assert mapped(10) == g.values(1, 10).values.sum()
-    with pytest.raises(OracleDomainError):
-        mapped(55)
+
+
+def test_streamed_summatory_map_is_exact(chi3):
+    # one entry per distinct argument y >= 0; negative arguments are dropped
+    g = character_rule(chi3, k=2)
+    got = streamed_summatory_map(g, [100, 0, 10, -3, 10, 1])
+    assert got == {y: partial_sum_enumeration(lambda n: rule_value_brute(g, n), y)
+                   for y in (0, 1, 10, 100)}
+    assert streamed_summatory_map(g, [-1]) == {}
 
 
 def test_kth_power_oracle_substitution(chi3):
@@ -584,23 +590,6 @@ def test_prefix_summatory_rejects_wrapping_prefix_and_bad_arguments():
 
 
 @settings(max_examples=100, deadline=None)
-@given(mapping=st.dictionaries(st.integers(0, INT64_MAX), st.integers(-2**63, INT64_MAX),
-                               max_size=30),
-       others=st.lists(st.integers(0, INT64_MAX), max_size=10), data=st.data())
-def test_mapped_summatory_matches_its_map(mapping, others, data):
-    oracle = MappedSummatory(mapping)
-    keys = sorted(mapping)
-    asked = data.draw(st.lists(st.sampled_from(keys), max_size=30), label="asked") if keys else []
-    assert oracle(np.array(asked, dtype=np.int64)).tolist() == [mapping[y] for y in asked]
-    for y in asked[:5]:
-        assert oracle(y) == mapping[y]
-    for y in others:
-        if y not in mapping:
-            with pytest.raises(OracleDomainError, match=rf"M\({y}\)"):
-                oracle(np.array(asked + [y], dtype=np.int64))
-
-
-@settings(max_examples=100, deadline=None)
 @given(q=st.sampled_from([3, 4, 5, 7, 8, 12, 15]),
        ys=st.lists(st.integers(-2**63, INT64_MAX), max_size=20),
        small=st.lists(st.integers(-5, 300), max_size=20))
@@ -662,7 +651,7 @@ def test_hyperbola_sum_is_exact_near_int64_limits(data):
                                                              endpoint=True))}
 
     mh, mg = sums(), sums()
-    value = hyperbola_sum(MappedSummatory(mh), MappedSummatory(mg), h_support, g_support, split)
+    value = hyperbola_sum(DictSummatory(mh), DictSummatory(mg), h_support, g_support, split)
     assert value == _hyperbola_reference(h_entries, g_entries, mh, mg, split)
 
 
@@ -672,8 +661,8 @@ def test_hyperbola_dot_at_the_int64_edge():
     split = HyperbolaSplit(x=4, u_floor=2, v_floor=2)
     h = (np.array([1, 2]), np.full(2, 2**31, dtype=np.int64))
     g = (np.array([1, 2]), np.zeros(2, dtype=np.int64))
-    mg = MappedSummatory({4: 2**31, 2: 2**31})
-    mh = MappedSummatory({2: 3})
+    mg = DictSummatory({4: 2**31, 2: 2**31})
+    mh = DictSummatory({2: 3})
     assert hyperbola_sum(mh, mg, h, g, split) == 2**63 - 3 * 2**31
     big = HyperbolaSplit(x=2**63, u_floor=2**32, v_floor=2**31)
     with pytest.raises(CapacityError, match=f"x = {2**63} beyond"):
