@@ -57,7 +57,7 @@ class EnvelopeSpec:
         if self.kind == "power":
             return self.scale * x**self.alpha
         if self.kind == "theorem1":
-            return self.scale * x ** (1.0 / self.k) / np.exp(self.lam * np.log(x) ** 0.25)
+            return self.scale * x ** (1 / self.k) / np.exp(self.lam * np.log(x) ** 0.25)
         return self.scale * x / np.exp(self.c * np.sqrt(np.log(x)))
 
     def describe(self) -> str:

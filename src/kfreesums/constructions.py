@@ -126,7 +126,7 @@ class DeviationBudget:
             object.__setattr__(self, name, value)
 
     def value(self, x: float) -> float:
-        return self.big_c * x ** (1.0 / self.k) * math.exp(-self.small_c * math.sqrt(math.log(x)))
+        return self.big_c * x ** (1 / self.k) * math.exp(-self.small_c * math.sqrt(math.log(x)))
 
     def valley(self) -> float:
         """The unique interior minimum of the budget curve (x where the
@@ -294,7 +294,7 @@ def greedy_plan(chi: RealCharacter, budget: DeviationBudget, limit: int) -> Modi
     t_fixed = np.floor([budget.value(int(x)) for x in fixed]) - np.searchsorted(
         q_contrib, fixed, side="right")
     suffix_min = np.minimum.accumulate(t_fixed[::-1])[::-1]
-    estimate = budget.big_c * lo ** (1.0 / budget.k) * np.exp(-budget.small_c * np.sqrt(np.log(lo)))
+    estimate = budget.big_c * lo ** (1 / budget.k) * np.exp(-budget.small_c * np.sqrt(np.log(lo)))
     bound = np.minimum(
         np.floor(estimate * (1 + BUDGET_ESTIMATE_MARGIN)) - np.searchsorted(q_contrib, lo, side="right"),
         suffix_min[np.searchsorted(fixed, lo, side="left")],

@@ -9,11 +9,13 @@ for very large ranges never have to be materialised at once.
 
 Values are stored as signed bytes; {-1, 0, 1} covers every function this
 module produces, and the convolution machinery widens to 64-bit integers
-where products can grow.  The Liouville kernel also works in bytes: it
-finds the one prime factor above sqrt(hi) that a k-free n may carry by
-comparing a byte-wide sum of exact quarter-bit logarithms, floor(4 log2 p),
-of the primes it sieved with a threshold fixed by n's bit length, a test
-that is exact for every hi up to 2^63-1 (see liouville_kfree_segment).
+where products can grow.  The Liouville kernel packs its work into one
+uint16 per integer: a byte counting the prime powers it sieved, whose
+parity is the sign, and a byte summing their exact quarter-bit logarithms,
+floor(4 log2 p).  Comparing that sum with a threshold fixed by n's bit
+length finds the one prime factor above sqrt(hi) that a k-free n may
+carry, a test that is exact for every hi up to 2^63-1 (see
+liouville_kfree_segment).
 """
 
 from __future__ import annotations
@@ -237,14 +239,15 @@ def liouville_kfree_segment(
     """lambda(n) * [n is k-free] for n in [lo, hi] as a fresh int8 array.
 
     lambda(n) = (-1)^Omega(n) is the Liouville function; k = None leaves
-    it untruncated and k = 2 gives mu.  The window is sieved on two byte
-    arrays, the sign and a log sum S(n).  For each prime p up to
-    B = isqrt(hi) with a multiple in the window (every p up to its length,
-    and each larger p that one remainder test finds) the sign is negated on
-    the multiples of p, p^2, ..., p^(k-1) and l(p) = floor(4 log2 p), an
-    exact integer, is added to S; the multiples of p^k are zeroed.  The
-    first powers of 2, 3, 5 and 7 come from a 210-periodic pattern, the
-    rest from the loop.
+    it untruncated and k = 2 gives mu.  The window is sieved on one uint16
+    accumulator: its low byte counts the prime-power hits c(n), so its
+    parity is the sign, and its high byte sums S(n).  For each prime p up
+    to B = isqrt(hi) with a multiple in the window (every p up to its
+    length, and each larger p that one remainder test finds) one strided
+    add of l(p) << 8 | 1, with l(p) = floor(4 log2 p) an exact integer,
+    hits the multiples of p, p^2, ..., p^(k-1); the multiples of p^k are
+    zeroed on the int8 signs at the end.  The first powers of 2, 3, 5 and 7
+    come from a 210-periodic pattern, the rest from the loop.
 
     Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
     k-free n carries at most one, which flips its sign once more.  It is
@@ -256,9 +259,14 @@ def liouville_kfree_segment(
       S(n) <= 4 log2 n - 4 log2 (B + 1) < T(n) once
       4 log2 (B + 1) >= 4 + E, which holds for hi >= 8.  The tests check
       every window with hi <= 64, and so those below 8.
-    S(n) <= 4 log2 n <= 252 for n <= 2^63-1, so the uint8 sum never wraps.
-    T is constant on each [2^m, 2^(m+1)) range, so the window takes one
-    compare per range it meets.
+    The packing is exact for n <= 2^63-1: c(n) <= Omega(n) <= 62, so the
+    low byte never carries into the high byte, and with the big prime's
+    one the count stays below 64 in the byte it is added to.
+    S(n) <= 4 log2 n <= 252, so the accumulator stays below 2^16, and
+    acc < T << 8 holds exactly when S(n) < T(n); the largest threshold,
+    (4 * 62 - E) << 8, is below 2^16 too.  T is constant on each
+    [2^m, 2^(m+1)) range, so the window takes one compare per range it
+    meets.
 
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
@@ -281,36 +289,37 @@ def liouville_kfree_segment(
         far = primes[near:]
         primes = np.concatenate((primes[:near], far[-lo % far < size]))
     period, periods = slice(lo % _WHEEL, lo % _WHEEL + _WHEEL), -(-size // _WHEEL)
-    sign = np.tile(_WHEEL_SIGN[period], periods)[:size]
-    log = np.tile(_WHEEL_LOG[period], periods)[:size]
+    acc = np.tile(_WHEEL_HITS[period], periods)[:size]
+    powers = []  # the p^k <= hi, whose multiples are zeroed on the signs
     for p in primes.tolist():
         pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
-        lp = _quarter_log2(p)
+        hit = _quarter_log2(p) << 8 | 1
         while pj <= hi and (k is None or j < k):
-            sel = slice(-lo % pj, size, pj)
-            s, t = sign[sel], log[sel]
-            np.negative(s, out=s)
-            np.add(t, lp, out=t)
+            t = acc[-lo % pj :: pj]
+            np.add(t, hit, out=t)
             pj *= p
             j += 1
         if k is not None and pj <= hi:  # pj = p^k
-            sign[-lo % pj :: pj] = 0
+            powers.append(pj)
     e = 0  # E = floor(log3 hi), exactly
     while 3 ** (e + 1) <= hi:
         e += 1
+    sign = acc.astype(np.uint8)  # the hit count, acc's low byte
     a = lo
     while a <= hi:
         m = a.bit_length() - 1
         b = min(hi, 2 ** (m + 1) - 1)
-        if 4 * m - e > 0:
-            # the range's log bytes become the factor 1 - 2 [S < T] in place
-            s, t = sign[a - lo : b - lo + 1], log[a - lo : b - lo + 1]
-            np.less(t, 4 * m - e, out=t.view(np.bool_))
-            factor = t.view(np.int8)
-            np.multiply(factor, -2, out=factor)
-            np.add(factor, 1, out=factor)
-            np.multiply(s, factor, out=s)
+        # acc becomes [S < T] in place; no S is below a threshold T <= 0
+        t = acc[a - lo : b - lo + 1]
+        np.less(t, max(4 * m - e, 0) << 8, out=t)
         a = b + 1
+    np.add(sign, acc, out=sign)
+    np.bitwise_and(sign, 1, out=sign)
+    sign = sign.view(np.int8)
+    np.multiply(sign, -2, out=sign)
+    np.add(sign, 1, out=sign)
+    for pk in powers:
+        sign[-lo % pk :: pk] = 0
     return sign
 
 
@@ -319,22 +328,18 @@ def _quarter_log2(p: int) -> int:
     return (p**4).bit_length() - 1
 
 
-def _wheel_pattern() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (sign, log) of the first powers of 2, 3, 5 and 7 over two
-    periods of n mod 210, so that any period is one slice."""
+def _wheel_pattern() -> np.ndarray:
+    """Read-only hits l(p) << 8 | 1 of the first powers of 2, 3, 5 and 7,
+    summed over two periods of n mod 210, so that any period is one slice."""
     n = np.arange(2 * _WHEEL)
-    sign = np.ones(2 * _WHEEL, dtype=np.int8)
-    log = np.zeros(2 * _WHEEL, dtype=np.uint8)
+    hits = np.zeros(2 * _WHEEL, dtype=np.uint16)
     for p in _WHEEL_PRIMES:
-        hit = n % p == 0
-        sign[hit] *= -1
-        log[hit] += _quarter_log2(p)
-    sign.setflags(write=False)
-    log.setflags(write=False)
-    return sign, log
+        hits[n % p == 0] += _quarter_log2(p) << 8 | 1
+    hits.setflags(write=False)
+    return hits
 
 
-_WHEEL_SIGN, _WHEEL_LOG = _wheel_pattern()
+_WHEEL_HITS = _wheel_pattern()
 
 
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:

@@ -2,8 +2,8 @@
 
 Sums are streamed over sieve segments so the full value table for x is
 never materialised; every accumulator is an integer type that its sums
-cannot leave (int16 within a block of at most 64 one-byte values, int64
-across a window's blocks, Python ints across windows) and no floating
+cannot leave (int8 or int16 within a block of at most 64 one-byte values,
+int64 across a window's blocks, Python ints across windows) and no floating
 point enters any sum.  A checkpoint schedule records (x, M(x)) pairs
 along the way together with the exact running maximum of |M(t)| over all
 integers t <= x.
@@ -257,8 +257,10 @@ def _reduce_window(
 
     The window is viewed as blocks of `block` values, zero-padded at its
     tail and transposed once, so block - 1 vectorised adds across all
-    blocks give every block's own prefix sums (int16 for one-byte values,
-    int64 otherwise; `block` <= BLOCK), and one pass each their max and min.
+    blocks give every block's own prefix sums, and one pass each their max
+    and min.  One-byte values take one min and one max per window: when
+    max|v| * block <= 127 the prefixes are int8 (always so for values in
+    {-1, 0, 1}), otherwise int16 (`block` <= BLOCK); wider values take int64.
     A block holding an interval end before its last value is split.  Each
     unsplit block then stands for one value of the interval reductions, and
     each split block for its `block` prefixes, so all work is O(len(vals))
@@ -268,9 +270,13 @@ def _reduce_window(
     n = len(vals)
     nb = -(-n // block)
     full = n // block
+    dtype = np.int64
+    if vals.dtype.itemsize == 1:
+        # a block's prefixes stay within block * max|v|
+        dtype = np.int8 if max(-int(vals.min()), int(vals.max())) * block <= 127 else np.int16
     # prefix[i, b]: the sum of block b's first i + 1 values.  np.empty, not
     # np.zeros: calloc would fault fresh pages every window
-    prefix = np.empty((block, nb), dtype=np.int16 if vals.dtype.itemsize == 1 else np.int64)
+    prefix = np.empty((block, nb), dtype=dtype)
     prefix[:, :full] = vals[: full * block].reshape(full, block).T
     if full < nb:
         prefix[:, full] = 0

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from kfreesums import (
     CapacityError,
     DeviationBudget,
+    EnvelopeSpec,
     MultiplicativeRule,
     ModificationPlan,
     PlanError,
@@ -326,6 +327,17 @@ def test_budget_valley_past_the_float_range_is_infinite(small_c, k):
     # (c k / 2)^2 > 709 leaves exp's float range; the valley is then inf
     assert DeviationBudget(big_c=2.0, small_c=small_c, k=k).valley() == math.inf
     assert DeviationBudget(big_c=2.0, small_c=1.0, k=2).valley() == math.e
+
+
+@pytest.mark.parametrize("site", [
+    lambda k, chi: DeviationBudget(k=k).value(10),
+    lambda k, chi: greedy_plan(chi, DeviationBudget(big_c=100.0, k=k), 1000).flipped_primes,
+    lambda k, chi: EnvelopeSpec(kind="theorem1", k=k, lam=0.5).value([10, 10**6]).tolist(),
+], ids=["budget", "greedy", "envelope"])
+def test_orders_past_the_float_range_act_as_huge_float_orders(site, chi3):
+    # x^(1/k) is 1.0 at k = 10^300 already; k = 10^400 leaves the float
+    # range, and 1 / k must then give 0.0, not an OverflowError
+    assert site(10**400, chi3) == site(10**300, chi3)
 
 
 def _budget_meeting(target: int, x: int, small_c: float, k: int) -> DeviationBudget:

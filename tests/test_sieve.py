@@ -169,6 +169,20 @@ def test_liouville_kfree_segment_matches_product_at_large_offsets(lo, hi, k):
                           liouville_product_segment(lo, hi, k, primes))
 
 
+@pytest.fixture(scope="module")
+def primes_to_2_25():
+    return sieve_primes(2**25)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_liouville_kfree_segment_packs_high_hit_counts(k, primes_to_2_25):
+    # the kernel counts prime-power hits in its accumulator's low byte;
+    # Omega(2^50) = 50 is the largest count the tests reach
+    lo, hi = 2**50 - 64, 2**50 + 64
+    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes_to_2_25),
+                          liouville_product_segment(lo, hi, k, primes_to_2_25))
+
+
 @pytest.mark.parametrize("lo, hi", [
     (10**12 - 100, 10**12 + 100), (2**40 - 100, 2**40 + 100), (1, 5000),
     (1009 * 10**9 - 201, 1009 * 10**9 - 1),  # 1009 first hits at hi + 1

@@ -153,6 +153,18 @@ def assert_naive_prefix(vals, schedule, segment_size, threads):
 B = summatory.BLOCK
 
 
+def bounded_walk_steps(steps, dtype):
+    """`steps` clipped so that every prefix P(t) keeps |P(t)| <= t, as a
+    series must.  Each step stays between 0 and its drawn value, so steps
+    drawn from the whole int8 range keep most of their size once t grows."""
+    out, at = [], 0
+    for t, step in enumerate(steps.tolist(), 1):
+        nxt = min(max(at + step, -t), t)
+        out.append(nxt - at)
+        at = nxt
+    return np.array(out, dtype=dtype)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_stream_matches_naive_prefix(data):
@@ -160,7 +172,10 @@ def test_stream_matches_naive_prefix(data):
     # windows at and next to block edges, and a checkpoint at every integer
     n = data.draw(st.integers(1, 3000))
     dtype = data.draw(st.sampled_from([np.int8, np.int64]))
-    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    if data.draw(st.booleans()):
+        vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    else:
+        vals = bounded_walk_steps(data.draw(arrays(np.int8, n)), dtype)
     edges = st.builds(lambda m, d: m * B + d, st.integers(0, n // B + 1), st.sampled_from([-1, 0, 1]))
     schedule = data.draw(st.one_of(
         st.lists(st.integers(1, n), max_size=60),
@@ -182,14 +197,40 @@ def test_reduce_window_matches_naive_prefix(data):
     # block edges, at random, and at every position
     block = data.draw(st.one_of(st.integers(1, B), st.sampled_from([1, 2, B - 1, B])))
     n = data.draw(st.integers(1, 12 * block))
-    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
-    vals = data.draw(arrays(dtype, n, elements=st.integers(-1, 1)))
+    # int8 prefixes for values in {-1, 0, 1}; int16 ones for larger int8
+    # values once max|v| * block > 127, and int64 ones for int64 values
+    dtype, elements = data.draw(st.sampled_from([
+        (np.int8, st.integers(-1, 1)),
+        (np.int8, st.integers(-2, 2)),
+        (np.int8, st.integers(-128, 127)),
+        (np.int64, st.integers(-1, 1)),
+    ]))
+    vals = data.draw(arrays(dtype, n, elements=elements))
     edges = st.builds(lambda m, d: m * block + d, st.integers(0, n // block + 1), st.sampled_from([-2, -1, 0]))
     ends = data.draw(st.one_of(
         st.lists(st.integers(0, n - 1)),
         st.lists(edges),
         st.just(list(range(n))),
     ))
+    assert_reduce_window_naive(vals, ends, block)
+
+
+@pytest.mark.parametrize("value, block", [
+    (2, 64), (-2, 64), (2, 63), (127, 1), (-128, 1), (127, 64), (-128, 64),
+])
+@pytest.mark.parametrize("every", [False, True], ids=["one-end", "every-end"])
+def test_reduce_window_at_the_int8_prefix_bound(value, block, every):
+    # max|v| * block <= 127 keeps a block's prefixes in int8: 2 * 63 does,
+    # and 2 * 64 = 128, a block of 64 twos, is the first product past it
+    n = 5 * block + 3
+    vals = np.full(n, value, dtype=np.int8)
+    vals[2 * block : 3 * block] = -1
+    assert_reduce_window_naive(vals, list(range(n)) if every else [n - 1], block)
+
+
+def assert_reduce_window_naive(vals, ends, block):
+    """_reduce_window equals a full cumsum and its max and min per interval."""
+    n = len(vals)
     ends = sorted({e for e in ends if 0 <= e < n} | {n - 1})
     at, tops, bottoms = summatory._reduce_window(vals, ends, block)
     prefix = np.cumsum(vals, dtype=np.int64).tolist()
@@ -208,6 +249,18 @@ def test_stream_block_edges(dtype, threads):
     assert summatory._block_length(2**18) == B > summatory._block_length(2**17 + 5)
     vals = np.random.default_rng(threads).integers(-1, 2, n).astype(dtype)
     points = [m * B + d for m in range(1, n // B + 1) for d in (-1, 0, 1)]
+    assert_naive_prefix(vals, points, 2**18, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_stream_past_the_int8_prefix_bound(dense, threads):
+    # int8 values up to 2 in a 2^18-value window: 2 * BLOCK = 128 leaves the
+    # int8 prefix bound, and one block of 64 twos sums to exactly 128
+    n = 2**18
+    vals = np.random.default_rng(threads).integers(-2, 3, n).astype(np.int8)
+    vals[1000 * B : 1001 * B] = 2
+    points = [m * B + d for m in range(1, n // B + 1) for d in (-1, 0, 1)] if dense else [10**5]
     assert_naive_prefix(vals, points, 2**18, threads)
 
 
