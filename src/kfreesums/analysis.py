@@ -18,6 +18,7 @@ import numpy as np
 from .characters import build_real_character
 from .errors import ConfigError, FitError, RangeError
 from .rules import character_rule
+from .sieve import as_int, as_schedule
 from .summatory import PartialSumSeries, direct_summatory
 
 DEFAULT_X_MIN = 10**3
@@ -124,7 +125,7 @@ def fit_exponent(series: PartialSumSeries, x_min: int = DEFAULT_X_MIN) -> Expone
 
 def synthetic_power_series(beta: float, limit: int, schedule: list[int]) -> PartialSumSeries:
     """A series with M(x) = round(x^beta), for calibrating the fitter."""
-    xs = sorted({x for x in schedule if 1 <= x <= limit} | {limit})
+    xs = as_schedule(schedule, 1, as_int(limit, "limit", minimum=1))
     cps = [(x, round(x**beta)) for x in xs]
     running = []
     best = 0
@@ -148,8 +149,7 @@ def figure1(
     and an SVG plot (log-x, linear-y) with exactly three polylines: the
     sum and the two dashed envelope branches.
     """
-    if limit < 10**3:
-        raise RangeError("figure needs limit >= 10^3")
+    limit = as_int(limit, "limit", minimum=10**3)
     from .reporting import write_csv, write_polyline_svg
 
     chi = build_real_character(modulus)

@@ -24,7 +24,7 @@ import numpy as np
 from .characters import RealCharacter
 from .errors import PlanError, RangeError
 from .rules import MultiplicativeRule
-from .sieve import as_int, as_order, as_real, is_prime, sieve_primes
+from .sieve import as_int, as_real, as_schedule, is_prime, sieve_primes
 from .summatory import PartialSumSeries, checkpoint_schedule, direct_summatory
 
 
@@ -98,6 +98,7 @@ def deviation_sum(g: MultiplicativeRule, chi: RealCharacter, x: int) -> int:
     override primes and the modulus primes can contribute; the sum is
     evaluated from those finite sets without touching other primes.
     """
+    x = as_int(x, "x")
     primes = set(g.overrides) | set(chi.q_divisor_primes())
     return sum(abs(1 - g.prime_value(p) * chi.value(p)) for p in primes if p <= x)
 
@@ -119,9 +120,8 @@ class DeviationBudget:
         big_c, small_c = as_real(self.big_c, "budget C"), as_real(self.small_c, "budget c")
         if big_c <= 0 or small_c <= 0:
             raise RangeError(f"budget constants must be positive: C={big_c}, c={small_c}")
-        k, x0 = as_order(self.k, "budget exponent k"), as_int(self.x0, "budget start x0")
-        if x0 < 2:
-            raise RangeError(f"budget start x0 must be >= 2, got {x0}")
+        k = as_int(self.k, "budget exponent k", minimum=2)
+        x0 = as_int(self.x0, "budget start x0", minimum=2)
         for name, value in zip(("big_c", "small_c", "k", "x0"), (big_c, small_c, k, x0)):
             object.__setattr__(self, name, value)
 
@@ -204,12 +204,14 @@ def verify_deviation_budget(
     scans every binding point (jump points of S, stretch edges, the budget
     valley), so a violation between checkpoints cannot hide.  Violations
     are report content, never exceptions.
+
+    Raises:
+        RangeError: limit or a schedule entry is not an integer, or limit < x0.
     """
-    if limit < budget.x0:
-        raise RangeError(f"limit {limit} below budget start x0={budget.x0}")
+    limit = as_int(limit, "limit", minimum=budget.x0)
     if schedule is None:
         schedule = checkpoint_schedule(limit)
-    xs = sorted({x for x in schedule if budget.x0 <= x <= limit} | {budget.x0, limit})
+    xs = as_schedule((budget.x0, *schedule), budget.x0, limit)
 
     steps = sorted(set(list(g.overrides) + chi.q_divisor_primes()))
     first_violation = None

@@ -32,7 +32,7 @@ import numpy as np
 from .characters import RealCharacter
 from .errors import CapacityError, NonInvertibleError, RangeError, ShapeError
 from .rules import MultiplicativeRule
-from .sieve import MAX_LIMIT, DenseValueTable, introot, sieve_mobius_segment
+from .sieve import MAX_LIMIT, MAX_SPF_BYTES, DenseValueTable, as_int, introot, sieve_mobius_segment
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,17 @@ def kfree_factor(k: int, g: MultiplicativeRule, limit: int) -> DenseValueTable:
     For completely multiplicative g with prime values in {-1, 0, 1}, the
     function f(n) = [n k-free] * g(n) factors as f = g * h where h is
     supported on k-th powers, with h(m^k) from `kfree_factor_at_powers`.
+
+    Raises:
+        RangeError: k is not an integer >= 2, or limit not one >= 1.
+        CapacityError: the table's limit bytes exceed MAX_SPF_BYTES.
     """
     if g.k_truncation is not None:
         raise ShapeError("factor requires the untruncated completely multiplicative g")
+    k = as_int(k, "k-free order k", minimum=2)
+    limit = as_int(limit, "limit", minimum=1)
+    if limit > MAX_SPF_BYTES:
+        raise CapacityError(f"k-free factor to {limit} needs {limit} bytes, budget is {MAX_SPF_BYTES}")
     root = introot(limit, k)
     h = np.zeros(limit, dtype=np.int8)
     if root >= 1:
@@ -215,6 +223,7 @@ def kfree_factor_at_powers(k: int, g: MultiplicativeRule, root: int) -> np.ndarr
     With g(m) in {-1, 0, 1}, g(m)^k is g(m) when k is odd and |g(m)| when
     k is even.
     """
+    k = as_int(k, "k-free order k", minimum=2)
     mu = sieve_mobius_segment(1, root).values.astype(np.int64)
     gv = g.segment_values(1, root).astype(np.int64)
     return mu * (gv if k % 2 == 1 else np.abs(gv))

@@ -32,7 +32,6 @@ from .sieve import (
     DenseValueTable,
     SpfTable,
     as_int,
-    as_order,
     introot,
     is_prime,
     liouville_kfree_segment,
@@ -69,7 +68,7 @@ class MultiplicativeRule:
             if not is_prime(p):
                 raise PlanError(f"override index {p} is not prime")
         if self.k_truncation is not None:
-            k = as_order(self.k_truncation, "truncation order k", PlanError)
+            k = as_int(self.k_truncation, "truncation order k", PlanError, minimum=2)
             object.__setattr__(self, "k_truncation", k)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())

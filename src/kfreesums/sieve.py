@@ -57,21 +57,23 @@ MILLER_RABIN_BASES = (
 MILLER_RABIN_LIMIT = MILLER_RABIN_BASES[-1][1]
 
 
-def as_int(value, what: str, error: type[Exception] = RangeError) -> int:
-    """value as a Python int; a Python or numpy integer, nothing non-integral."""
+def as_int(value, what: str, error: type[Exception] = RangeError, minimum: int | None = None) -> int:
+    """value as a Python int: a Python or numpy integer, nothing non-integral,
+    and at least `minimum` when one is given.  The error names the value."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r} is not an integer") from None
+    if minimum is not None and n < minimum:
+        raise error(f"{what} must be >= {minimum}, got {n}")
+    return n
 
 
-def as_order(value, what: str, error: type[Exception] = RangeError) -> int:
-    """value as a Python int k >= 2, the order of a k-free truncation or of
-    k-th powers; the error names anything else."""
-    k = as_int(value, what, error)
-    if k < 2:
-        raise error(f"{what}={k} must be >= 2")
-    return k
+def as_schedule(schedule, lo: int, hi: int) -> list[int]:
+    """The distinct entries of `schedule` in [lo, hi], each read by as_int,
+    ascending and ending at hi; entries outside [lo, hi] are dropped."""
+    xs = {as_int(x, "schedule entry") for x in schedule}
+    return sorted({x for x in xs if lo <= x <= hi} | {hi})
 
 
 def as_real(value, what: str, error: type[Exception] = RangeError) -> float:
@@ -87,9 +89,8 @@ def as_real(value, what: str, error: type[Exception] = RangeError) -> float:
 
 
 def _check_range(lo: int, hi: int) -> tuple[int, int]:
-    lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
-    if lo < 1 or hi < lo:
-        raise RangeError(f"invalid range [{lo}, {hi}]: need 1 <= lo <= hi")
+    lo = as_int(lo, "lo", minimum=1)
+    hi = as_int(hi, "hi", minimum=lo)
     if hi > MAX_LIMIT:
         raise RangeError(f"upper bound {hi} exceeds the 2^63-1 exact-arithmetic cap")
     return lo, hi
@@ -275,7 +276,7 @@ def liouville_kfree_segment(
     """
     lo, hi = _check_range(lo, hi)
     if k is not None:
-        k = as_order(k, "truncation order k")
+        k = as_int(k, "truncation order k", minimum=2)
     size = hi - lo + 1
     root = isqrt(hi)
     if primes is None:
@@ -345,7 +346,7 @@ _WHEEL_HITS = _wheel_pattern()
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:
     """Indicator of k-free n (no prime power p^k divides n) over [lo, hi],
     for any order k >= 2: only the primes p <= hi^(1/k) are sieved."""
-    k = as_order(k, "k-free order k")
+    k = as_int(k, "k-free order k", minimum=2)
     lo, hi = _check_range(lo, hi)
     vals = np.ones(hi - lo + 1, dtype=np.int8)
     kroot = introot(hi, k)
@@ -366,9 +367,7 @@ def build_spf(limit: int) -> SpfTable:
     RangeError when limit is not an integer >= 1; the dtype is the
     narrowest signed integer covering limit.
     """
-    limit = as_int(limit, "limit")
-    if limit < 1:
-        raise RangeError(f"limit {limit} must be >= 1")
+    limit = as_int(limit, "limit", minimum=1)
     dtype = np.int32 if limit < 2**31 else np.int64
     need = (limit + 1) * np.dtype(dtype).itemsize
     if need > MAX_SPF_BYTES:
@@ -388,9 +387,7 @@ def build_spf(limit: int) -> SpfTable:
 
 def segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
     """Yield (a, b) windows partitioning [lo, hi] in ascending order."""
-    segment_size = as_int(segment_size, "segment_size")
-    if segment_size < 1:
-        raise RangeError(f"segment_size must be positive, got {segment_size}")
+    segment_size = as_int(segment_size, "segment_size", minimum=1)
     a = lo
     while a <= hi:
         b = min(a + segment_size - 1, hi)
@@ -400,9 +397,7 @@ def segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
 
 def introot(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, by exact binary search."""
-    n, k = as_int(n, "introot argument"), as_int(k, "introot order")
-    if n < 0 or k < 1:
-        raise RangeError(f"introot undefined for n={n}, k={k}")
+    n, k = as_int(n, "introot argument", minimum=0), as_int(k, "introot order", minimum=1)
     if n < 2 or k == 1:
         return n
     if k >= n.bit_length():  # 2^k > n

@@ -52,9 +52,10 @@ from .errors import CapacityError, OracleDomainError, RangeError, ShapeError
 from .rules import MultiplicativeRule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
+    MAX_LIMIT,
     as_int,
-    as_order,
     as_real,
+    as_schedule,
     introot,
     segments,
     sieve_mobius_segment,
@@ -71,9 +72,7 @@ MAX_RECURSIVE_MERTENS = 10**10
 def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "streaming") -> int:
     """limit as an int.  RangeError if it is not an integer or is below 1,
     CapacityError past `budget`; each names the limit."""
-    limit = as_int(limit, "limit")
-    if limit < 1:
-        raise RangeError(f"limit must be >= 1, got {limit}")
+    limit = as_int(limit, "limit", minimum=1)
     if limit > budget:
         raise CapacityError(f"limit {limit} beyond {what} budget {budget}")
     return limit
@@ -85,9 +84,7 @@ SCHEDULE_START = 10
 def checkpoint_schedule(limit: int, ratio: float | None = None) -> list[int]:
     """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from SCHEDULE_START,
     plus every power of 10 and the endpoint itself; ratio 1.05 unless given."""
-    limit = as_int(limit, "schedule limit")
-    if limit < 1:
-        raise RangeError(f"schedule limit must be >= 1, got {limit}")
+    limit = as_int(limit, "schedule limit", minimum=1)
     ratio = 1.05 if ratio is None else as_real(ratio, "schedule ratio")
     if ratio <= 1.0:
         raise RangeError(f"schedule ratio must exceed 1, got {ratio}")
@@ -175,26 +172,25 @@ def stream_summatory(
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
             of length hi - lo + 1, in a dtype that int64 holds.
         limit: Final x.
-        schedule: Checkpoint xs (default geometric schedule); the endpoint
-            is always included.
+        schedule: Checkpoint xs (default geometric schedule), read by
+            `as_schedule`: entries outside [1, limit] are dropped and the
+            endpoint is always included.
         segment_size: Window length per sieve pass.
         threads: Workers that compute and reduce windows concurrently, at
             most as many as this process may use CPUs.
 
     Raises:
-        RangeError: limit, threads or segment_size is not an integer >= 1.
+        RangeError: limit, threads or segment_size is not an integer >= 1,
+            or a schedule entry is not an integer.
         CapacityError: limit beyond MAX_STREAM_LIMIT.
         ShapeError: a window's values are not integers, or not one per
             integer of the window; names the window [lo, hi].
     """
     limit = _check_limit(limit)
-    threads = as_int(threads, "threads")
-    if threads < 1:
-        raise RangeError(f"threads must be >= 1, got {threads}")
-    threads = min(threads, _usable_cpus())
+    threads = min(as_int(threads, "threads", minimum=1), _usable_cpus())
     if schedule is None:
         schedule = checkpoint_schedule(limit)
-    sched = sorted({x for x in schedule if 1 <= x <= limit} | {limit})
+    sched = as_schedule(schedule, 1, limit)
 
     def summarise(window: tuple[int, int]):
         lo, hi = window
@@ -422,16 +418,14 @@ def mertens_recursive(limit: int) -> int:
 # gives a Python int.  A value side of the hyperbola identity is a support.
 Summatory = Callable[[np.ndarray], np.ndarray]
 
-_INT64_MAX = 2**63 - 1
-
 
 def _arguments(y) -> np.ndarray:
     """y as int64 oracle arguments; OracleDomainError names the first one
     that is negative, not an integer, or past int64."""
     a = np.asarray(y)
-    if a.dtype.kind not in "iu" or a.size and (a.min() < 0 or a.max() > _INT64_MAX):
+    if a.dtype.kind not in "iu" or a.size and (a.min() < 0 or a.max() > MAX_LIMIT):
         for v in a.ravel().tolist():
-            if not (isinstance(v, int) and 0 <= v <= _INT64_MAX):
+            if not (isinstance(v, int) and 0 <= v <= MAX_LIMIT):
                 raise OracleDomainError(f"M({v}) outside the oracle domain 0 <= y < 2^63")
     return a.astype(np.int64, copy=False)
 
@@ -458,13 +452,13 @@ class PrefixSummatory:
     def __init__(self, values: np.ndarray, k: int = 1):
         values = np.asarray(values)
         n = len(values)
-        if n and n * max(-int(values.min()), int(values.max())) > _INT64_MAX:
+        if n and n * max(-int(values.min()), int(values.max())) > MAX_LIMIT:
             for i, s in enumerate(accumulate(values.tolist()), 1):
-                if not -_INT64_MAX - 1 <= s <= _INT64_MAX:
+                if not -MAX_LIMIT - 1 <= s <= MAX_LIMIT:
                     raise CapacityError(f"prefix sum to {i} is {s}, beyond int64")
         self.k = k
         self._cum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
-        top = min(n + 1, introot(_INT64_MAX, k))
+        top = min(n + 1, introot(MAX_LIMIT, k))
         self._powers = np.arange(1, top + 1, dtype=np.int64) ** k
 
     def __call__(self, y):
@@ -505,13 +499,13 @@ class SmoothSummatory:
     """
 
     def __init__(self, g: MultiplicativeRule, limit: int):
-        if limit > _INT64_MAX:
-            raise CapacityError(f"limit {limit} beyond the int64 oracle domain {_INT64_MAX}")
+        if limit > MAX_LIMIT:
+            raise CapacityError(f"limit {limit} beyond the int64 oracle domain {MAX_LIMIT}")
         self.limit = limit
         self._n, self._e = smooth_terms(g, limit, lambda gp, cp, r: gp ** (r - 1) * (gp - cp))
         self._chi = g.base
         bound = int(np.abs(self._e).sum()) * self._chi.max_abs_partial_sum()
-        if bound > _INT64_MAX:
+        if bound > MAX_LIMIT:
             raise CapacityError(f"sum |e| * max |M_chi| = {bound} for '{g.label}' passes int64")
 
     def __call__(self, y):
@@ -565,9 +559,7 @@ class HyperbolaSplit:
 
     def __post_init__(self) -> None:
         for name in ("x", "u_floor", "v_floor"):
-            object.__setattr__(self, name, as_int(getattr(self, name), f"split {name}"))
-        if self.x < 1 or self.u_floor < 1 or self.v_floor < 1:
-            raise RangeError("split requires x, floor(U), floor(V) >= 1")
+            object.__setattr__(self, name, as_int(getattr(self, name), f"split {name}", minimum=1))
         if self.u_floor * self.v_floor > self.x:
             raise RangeError("floor(U) * floor(V) exceeds x: split invalid")
         if (self.u_floor + 1) * (self.v_floor + 1) <= self.x:
@@ -584,7 +576,7 @@ def explicit_split(x: int, u: float, v: float) -> HyperbolaSplit:
 
 
 def sqrt_split(x: int) -> HyperbolaSplit:
-    r = isqrt(max(as_int(x, "split x"), 0))  # x < 1 fails in HyperbolaSplit
+    r = isqrt(as_int(x, "split x", minimum=1))
     return HyperbolaSplit(x=x, u_floor=r, v_floor=r)
 
 
@@ -595,9 +587,7 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     on k-th powers; both floors come from exact integer root extraction,
     never floating-point powers.
     """
-    x, k = as_int(x, "split x"), as_order(k, "split order k")
-    if x < 1:
-        raise RangeError(f"optimal split needs x >= 1, got x = {x}")
+    x, k = as_int(x, "split x", minimum=1), as_int(k, "split order k", minimum=2)
     m = 2 * k + 1
     return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
 
@@ -627,8 +617,8 @@ def hyperbola_sum(
         CapacityError: x beyond int64.
     """
     x = split.x
-    if x > _INT64_MAX:
-        raise CapacityError(f"x = {x} beyond the int64 oracle domain {_INT64_MAX}")
+    if x > MAX_LIMIT:
+        raise CapacityError(f"x = {x} beyond the int64 oracle domain {MAX_LIMIT}")
     total = 0
     for name, (n, values), floor, other in (
         ("h", h_support, split.u_floor, g_summatory),
@@ -656,7 +646,7 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     """sum(a * b) over two nonempty integer arrays, exactly."""
     a, b = a.astype(np.int64, copy=False), np.asarray(b, dtype=np.int64)
     bound = len(a) * max(-int(a.min()), int(a.max())) * max(-int(b.min()), int(b.max()))
-    if bound <= _INT64_MAX:  # bounds every partial sum of the int64 dot
+    if bound <= MAX_LIMIT:  # bounds every partial sum of the int64 dot
         return int(np.dot(a, b))
     return sum(map(mul, a.tolist(), b.tolist()))
 
@@ -675,7 +665,7 @@ def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) ->
         RangeError: k is not an integer >= 2.
         RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
     """
-    k = as_order(k, "k-free order k")
+    k = as_int(k, "k-free order k", minimum=2)
     x, uf, vf = split.x, split.u_floor, split.v_floor
     _check_limit(x)  # before the dense g side of length V <= x is built
     # M_g is read at V and at x // m^k for the nonzero h(m^k), m^k <= U;

@@ -13,6 +13,7 @@ from kfreesums import (
     build_real_character,
     build_spf,
     character_rule,
+    kfree_factor,
     kfree_hyperbola_sum,
     mobius_rule,
     modified_character,
@@ -22,6 +23,7 @@ from kfreesums import (
     sieve_mobius_segment,
     sqrt_split,
 )
+from kfreesums.convolution import kfree_factor_at_powers
 from kfreesums.sieve import liouville_kfree_segment
 
 from oracles import rule_value_brute
@@ -178,18 +180,24 @@ CHI3 = build_real_character(3)
     (lambda: MultiplicativeRule(base=-1, k_truncation=2.5), PlanError,
      "truncation order k 2.5 is not an integer"),
     (lambda: MultiplicativeRule(base=CHI3, k_truncation=1), PlanError,
-     "truncation order k=1 must be >= 2"),
+     "truncation order k must be >= 2, got 1"),
     (lambda: character_rule(CHI3).truncated("3"), PlanError, "truncation order k '3' is not"),
     (lambda: liouville_kfree_segment(1, 10, 2.5), RangeError, "truncation order k 2.5 is not"),
-    (lambda: liouville_kfree_segment(1, 10, 0), RangeError, "truncation order k=0 must be"),
-    (lambda: sieve_kfree_segment(1, 10, -3), RangeError, "k-free order k=-3 must be >= 2"),
-    (lambda: optimal_split(100, 1), RangeError, "split order k=1 must be >= 2"),
+    (lambda: liouville_kfree_segment(1, 10, 0), RangeError, "truncation order k must be >= 2, got 0"),
+    (lambda: sieve_kfree_segment(1, 10, -3), RangeError, "k-free order k must be >= 2, got -3"),
+    (lambda: optimal_split(100, 1), RangeError, "split order k must be >= 2, got 1"),
     (lambda: DeviationBudget(k=2.5), RangeError, "budget exponent k 2.5 is not an integer"),
-    (lambda: DeviationBudget(k=1), RangeError, "budget exponent k=1 must be >= 2"),
+    (lambda: DeviationBudget(k=1), RangeError, "budget exponent k must be >= 2, got 1"),
     (lambda: kfree_hyperbola_sum(character_rule(CHI3), 1, sqrt_split(10**6)), RangeError,
-     "k-free order k=1 must be >= 2"),
+     "k-free order k must be >= 2, got 1"),
     (lambda: kfree_hyperbola_sum(character_rule(CHI3), 2.0, sqrt_split(100)), RangeError,
      "k-free order k 2.0 is not an integer"),
+    (lambda: kfree_factor(1, character_rule(CHI3), 20), RangeError,
+     "k-free order k must be >= 2, got 1"),
+    (lambda: kfree_factor(2.5, character_rule(CHI3), 20), RangeError,
+     "k-free order k 2.5 is not an integer"),
+    (lambda: kfree_factor_at_powers(0, character_rule(CHI3), 20), RangeError,
+     "k-free order k must be >= 2, got 0"),
 ])
 def test_bad_orders_raise_typed_errors_naming_them(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -199,7 +199,7 @@ def test_liouville_kfree_segment_visits_only_primes_hitting_the_window(lo, hi, m
 
 
 def test_liouville_kfree_order_validation():
-    with pytest.raises(RangeError, match="k=1"):
+    with pytest.raises(RangeError, match="truncation order k must be >= 2, got 1"):
         liouville_kfree_segment(1, 10, 1)
 
 
@@ -254,7 +254,7 @@ def test_kfree_downward_closure(k):
 
 
 def test_kfree_order_validation():
-    with pytest.raises(RangeError, match="k-free order k=1 must be >= 2"):
+    with pytest.raises(RangeError, match="k-free order k must be >= 2, got 1"):
         sieve_kfree_segment(1, 10, 1)
     with pytest.raises(RangeError, match="k-free order k 2.5 is not an integer"):
         sieve_kfree_segment(1, 10, 2.5)

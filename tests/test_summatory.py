@@ -14,6 +14,7 @@ import kfreesums
 from kfreesums import convolution, summatory
 from kfreesums import (
     CapacityError,
+    DeviationBudget,
     HyperbolaSplit,
     MultiplicativeRule,
     OracleDomainError,
@@ -27,9 +28,12 @@ from kfreesums import (
     checkpoint_schedule,
     compare_methods,
     deviation_factor,
+    deviation_sum,
     dirichlet_convolve,
     direct_summatory,
     explicit_split,
+    figure1,
+    growth_report,
     hyperbola_sum,
     introot,
     kfree_factor,
@@ -47,7 +51,10 @@ from kfreesums import (
     stream_summatory,
     streamed_summatory_map,
     summatory_mu_chi,
+    synthetic_power_series,
+    verify_deviation_budget,
 )
+from kfreesums.sieve import MAX_SPF_BYTES
 
 from oracles import (
     DictSummatory,
@@ -379,6 +386,9 @@ def test_limits_must_be_integers(bad, chi3):
             call()
 
 
+CHI3 = build_real_character(3)
+
+
 @pytest.mark.parametrize("call, shown", [
     (lambda: direct_summatory(mobius_rule(), 100, threads=1.5), "threads 1.5"),
     (lambda: direct_summatory(mobius_rule(), 100, threads="2"), "threads '2'"),
@@ -391,9 +401,42 @@ def test_limits_must_be_integers(bad, chi3):
     (lambda: optimal_split(10**4, 2.0), "split order k 2.0"),
     (lambda: sqrt_split(1e4), "split x 10000.0"),
     (lambda: explicit_split(100.0, 10.0, 10.0), "split x 100.0"),
+    (lambda: kfree_factor(2, character_rule(CHI3), 20.5), "limit 20.5"),
+    (lambda: stream_summatory(lambda lo, hi: np.ones(hi - lo + 1, np.int8), 100,
+                              schedule=[10.5, 50]), "schedule entry 10.5"),
+    (lambda: direct_summatory(mobius_rule(), 100, schedule=["7"]), "schedule entry '7'"),
+    (lambda: growth_report(character_rule(CHI3), CHI3, 100, schedule=[60.5]),
+     "schedule entry 60.5"),
+    (lambda: verify_deviation_budget(character_rule(CHI3), CHI3, DeviationBudget(), 10**3,
+                                     schedule=[100.5]), "schedule entry 100.5"),
+    (lambda: synthetic_power_series(0.5, 100, [50.5]), "schedule entry 50.5"),
+    (lambda: verify_deviation_budget(character_rule(CHI3), CHI3, DeviationBudget(), "abc"),
+     "limit 'abc'"),
+    (lambda: figure1("x", "unwritten.csv", "unwritten.svg"), "limit 'x'"),
+    (lambda: deviation_sum(character_rule(CHI3), CHI3, "x"), "x 'x'"),
 ])
 def test_counts_sizes_and_splits_must_be_integers(call, shown):
     with pytest.raises(RangeError, match=re.escape(shown) + " is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sieve_mobius_segment(0, 10), "lo must be >= 1, got 0"),
+    (lambda: sieve_mobius_segment(10, 9), "hi must be >= 10, got 9"),
+    (lambda: introot(-1, 2), "introot argument must be >= 0, got -1"),
+    (lambda: introot(10, 0), "introot order must be >= 1, got 0"),
+    (lambda: mertens(100, segment_size=0), "segment_size must be >= 1, got 0"),
+    (lambda: direct_summatory(mobius_rule(), 100, threads=0), "threads must be >= 1, got 0"),
+    (lambda: HyperbolaSplit(x=100, u_floor=0, v_floor=100), "split u_floor must be >= 1, got 0"),
+    (lambda: optimal_split(0, 2), "split x must be >= 1, got 0"),
+    (lambda: sqrt_split(-4), "split x must be >= 1, got -4"),
+    (lambda: kfree_factor(2, character_rule(CHI3), 0), "limit must be >= 1, got 0"),
+    (lambda: verify_deviation_budget(character_rule(CHI3), CHI3, DeviationBudget(), 5),
+     "limit must be >= 10, got 5"),
+    (lambda: figure1(999, "unwritten.csv", "unwritten.svg"), "limit must be >= 1000, got 999"),
+])
+def test_bounds_name_their_minimum_and_the_value(call, message):
+    with pytest.raises(RangeError, match=re.escape(message) + "$"):
         call()
 
 
@@ -411,6 +454,9 @@ def test_integer_types_are_read_as_python_ints():
     assert direct_summatory(f, 1000, threads=np.int64(2), segment_size=np.int32(64)) == \
         direct_summatory(f, 1000)
     assert checkpoint_schedule(np.int64(100)) == checkpoint_schedule(100)
+    series = direct_summatory(f, 100, schedule=[np.int64(10), np.int32(50)])
+    assert series == direct_summatory(f, 100, schedule=[10, 50])
+    assert [type(x) for x, _ in series.checkpoints] == [int, int, int]
     with pytest.raises(RangeError, match="schedule limit must be >= 1, got 0"):
         checkpoint_schedule(0)
 
@@ -734,6 +780,9 @@ def test_capacity_budgets(chi3):
         mertens_recursive(2 * 10**10)
     with pytest.raises(CapacityError, match=f"limit {10**18} .*budget {stream}"):
         kfree_hyperbola_sum(character_rule(chi3), 2, sqrt_split(10**18))
+    with pytest.raises(CapacityError, match=f"k-free factor to {2**70} needs {2**70} bytes, "
+                                            f"budget is {MAX_SPF_BYTES}"):
+        kfree_factor(2, character_rule(chi3), 2**70)
 
 
 @pytest.mark.parametrize("q, flips, k, x, u", [
