@@ -18,7 +18,7 @@ import numpy as np
 from .characters import build_real_character
 from .errors import ConfigError, FitError, RangeError
 from .rules import character_rule
-from .sieve import as_int, as_schedule
+from .sieve import as_int, as_real, as_schedule
 from .summatory import PartialSumSeries, direct_summatory
 
 DEFAULT_X_MIN = 10**3
@@ -45,11 +45,18 @@ class EnvelopeSpec:
     def __post_init__(self) -> None:
         if self.kind not in ENVELOPE_KINDS:
             raise ConfigError(f"unknown envelope kind {self.kind!r}")
-        if self.scale <= 0:
+        if as_real(self.scale, "envelope scale", ConfigError) <= 0:
             raise ConfigError("envelope scale must be positive")
         needed = {"power": ("alpha",), "theorem1": ("k", "lam"), "mobius": ("c",)}[self.kind]
         for name in needed:
+            # k is kept as the int it reads as; a real keeps its own type,
+            # so an int constant is written back as one
             v = getattr(self, name)
+            if name == "k" and v is not None:
+                v = as_int(v, "envelope k", ConfigError)
+                object.__setattr__(self, "k", v)
+            elif v is not None:
+                as_real(v, f"envelope {name}", ConfigError)
             if v is None or v <= 0:
                 raise ConfigError(f"envelope kind {self.kind!r} needs positive {name}")
 
@@ -77,6 +84,7 @@ def envelope_ratio(
     series: PartialSumSeries, envelope: EnvelopeSpec, x_min: int = DEFAULT_X_MIN
 ) -> tuple[float, int]:
     """Max over checkpoints x >= x_min of |M(x)| / envelope(x), with argmax."""
+    x_min = as_int(x_min, "x_min")
     xs = series.xs
     mask = xs >= x_min
     if not mask.any():
@@ -103,8 +111,10 @@ def fit_exponent(series: PartialSumSeries, x_min: int = DEFAULT_X_MIN) -> Expone
     """Fit the growth exponent of a series' running |M| maximum.
 
     Raises FitError with fewer than 10 usable checkpoints above x_min or
-    when the running maximum is identically zero there.
+    when the running maximum is identically zero there, and RangeError
+    when x_min is not an integer.
     """
+    x_min = as_int(x_min, "x_min")
     xs = series.xs
     mask = (xs >= x_min) & (series.abs_max > 0)
     n = int(mask.sum())

@@ -16,11 +16,30 @@ from math import isqrt
 import numpy as np
 
 from .errors import CharacterConstructionError
-from .sieve import DenseValueTable, sieve_primes
+from .sieve import DenseValueTable, as_int, sieve_primes
 
 # Window lookups slice a tiling of whole periods; a block of at least this
 # many values keeps np.tile to a few large copies even for tiny moduli.
 PERIOD_BLOCK_MIN = 4096
+# A character completed at the primes p | q repeats with period
+# q * prod p^(K_p - 1) off the multiples of each p^(K_p); the K_p grow
+# while that period stays at most this.
+COMPLETED_PERIOD_MAX = 2**16
+
+
+def period_block(values: np.ndarray) -> np.ndarray:
+    """Whole periods of `values`, at least PERIOD_BLOCK_MIN long, read-only."""
+    block = np.tile(values, -(-PERIOD_BLOCK_MIN // len(values)))
+    block.setflags(write=False)
+    return block
+
+
+def tiled_window(block: np.ndarray, period: int, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi of a sequence of the given period as a fresh writable
+    array, tiled from phase lo % period of `block` (whole periods long)."""
+    start = lo % period
+    stop = start + max(hi - lo + 1, 0)
+    return np.tile(block, -(-stop // len(block)))[start:stop]
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -29,8 +48,7 @@ def kronecker_symbol(d: int, n: int) -> int:
     Handles the 2-adic supplement ((d|2) = 0, 1, -1 for d even, d = +-1
     mod 8, d = +-3 mod 8) and quadratic reciprocity for the odd part.
     """
-    if n < 0:
-        raise ValueError("kronecker_symbol requires n >= 0")
+    d, n = as_int(d, "Kronecker symbol d"), as_int(n, "Kronecker symbol n", minimum=0)
     if n == 0:
         return 1 if d in (1, -1) else 0
     result = 1
@@ -70,10 +88,7 @@ class RealCharacter:
 
     def __post_init__(self) -> None:
         self.period_values.setflags(write=False)
-        reps = -(-PERIOD_BLOCK_MIN // self.modulus)
-        block = np.tile(self.period_values, reps)
-        block.setflags(write=False)
-        object.__setattr__(self, "_period_block", block)
+        object.__setattr__(self, "_period_block", period_block(self.period_values))
         # prefix[r] = chi(1) + ... + chi(r), as chi(0) = 0
         object.__setattr__(self, "_prefix", np.cumsum(self.period_values, dtype=np.int64))
 
@@ -86,10 +101,7 @@ class RealCharacter:
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """chi(lo..hi) as a fresh writable array, tiled from phase lo % q."""
-        block = self._period_block
-        start = lo % self.modulus
-        stop = start + max(hi - lo + 1, 0)
-        return np.tile(block, -(-stop // len(block)))[start:stop]
+        return tiled_window(self._period_block, self.modulus, lo, hi)
 
     def partial_sum(self, y):
         """M_chi(y) for an integer or an integer array y, in O(1) per argument.
@@ -147,12 +159,15 @@ def build_real_character(q: int, discriminant: int | None = None) -> RealCharact
     symbol and validated before returning.
 
     Raises:
-        CharacterConstructionError: No such character exists for q, or the
-            requested discriminant fails validation.
+        CharacterConstructionError: q or the discriminant is not an integer,
+            no such character exists for q, or the requested discriminant
+            fails validation.
     """
+    q = as_int(q, "modulus", CharacterConstructionError)
     if q < 3:
         raise CharacterConstructionError(f"no real non-principal character mod {q}")
-    cands = [discriminant] if discriminant is not None else _fundamental_discriminant_candidates(q)
+    cands = ([as_int(discriminant, "discriminant", CharacterConstructionError)]
+             if discriminant is not None else _fundamental_discriminant_candidates(q))
     for d in cands:
         table = np.array([kronecker_symbol(d, r) for r in range(q)], dtype=np.int8)
         if _valid_period_table(q, table):

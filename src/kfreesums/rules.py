@@ -9,24 +9,31 @@ Two evaluation paths are provided and cross-checked in the test suite:
 exact per-n evaluation through a smallest-prime-factor table, and
 vectorised streaming over a [lo, hi] segment.  Without truncation a rule
 is completely multiplicative, g(pm) = g(p) g(m), and the streaming path
-uses that twice: the sign flips on the multiples of p, p^2, ... of each
-prime where g departs from a nonzero base value, and the multiples of a
-prime p | q take g(p) times g over the window [lo/p, hi/p].  A character
-base is its period tiled over the window, so segments cost O(size)
-regardless of where they sit.  The -1 base is the Liouville function,
-sieved by `sieve.liouville_kfree_segment` (the kernel behind mu) with the
-rule's own truncation: it flips the sign only at the powers of p below
-p^k and zeroes the multiples of p^k.
+uses that twice.  A character base chi mod q is first completed: chi~
+takes the override value v_p at each overridden p | q.  chi~ depends only
+on n mod Q, Q = q * prod p^(K_p - 1), at every n with v_p(n) < K_p, so a
+window is one phase slice of a cached block of Q values, and the
+multiples of p^(K_p) take v_p^(K_p) times chi~ over [lo/p^(K_p),
+hi/p^(K_p)].  The K_p grow while Q stays at most
+`characters.COMPLETED_PERIOD_MAX`; at K_p = 1 the block is chi's own
+period, and the same fill builds the larger blocks from it.  Then the sign
+flips once on the multiples of p, p^2, ... of each prime where g departs
+from a nonzero base value.  Segments cost O(size) wherever they sit.  The
+-1 base is the Liouville function, sieved by
+`sieve.liouville_kfree_segment` (the kernel behind mu) with the rule's own
+truncation: it flips the sign only at the powers of p below p^k and
+zeroes the multiples of p^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .characters import RealCharacter
+from .characters import COMPLETED_PERIOD_MAX, RealCharacter, period_block, tiled_window
 from .errors import PlanError, RangeError
 from .sieve import (
     DenseValueTable,
@@ -143,7 +150,7 @@ class MultiplicativeRule:
     def segment_values(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
         """int8 values over [lo, hi].  primes, when given, must hold every
         prime up to sqrt(hi); only the -1 base and the truncation use them."""
-        lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
+        lo, hi = as_int(lo, "lo", minimum=1), as_int(hi, "hi")
         liouville = not isinstance(self.base, RealCharacter) and self.base == -1
         k = self.k_truncation
         if primes is None and (liouville or k is not None):
@@ -155,7 +162,9 @@ class MultiplicativeRule:
 
     def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None) -> np.ndarray:
         """Fresh writable values over [lo, hi] of the untruncated rule,
-        except that the sieve of the -1 base applies the truncation."""
+        except that the sieve of the -1 base applies the truncation.  The
+        fills (overrides where the base vanishes) give the completed base
+        from its cached block; each flip then negates the window once."""
         base = self.base
         chi = base if isinstance(base, RealCharacter) else None
         flips, fills = [], []
@@ -165,31 +174,56 @@ class MultiplicativeRule:
                 fills.append((p, v))
             elif at_p != v:
                 flips.append(p)
-        memo: dict[tuple[int, int], np.ndarray] = {}
+        if chi is not None:
+            vals = _fill_window(*_completed_block(chi.period_values.tobytes(), tuple(fills)), lo, hi)
+        elif base == 1:
+            vals = np.ones(hi - lo + 1, dtype=np.int8)
+        else:
+            vals = liouville_kfree_segment(lo, hi, self.k_truncation, primes)
+        for p in flips:
+            for sel in _power_slices(lo, hi, p):
+                np.negative(vals[sel], out=vals[sel])
+        return vals
 
-        def window(a: int, b: int) -> np.ndarray:
-            # the fills reach [lo/d, hi/d] along every ordering of d's
-            # primes; the memo computes each such window once
-            if (a, b) in memo:
-                return memo[a, b]
-            if chi is not None:
-                vals = chi.values(a, b)
-            elif base == 1:
-                vals = np.ones(b - a + 1, dtype=np.int8)
-            else:
-                vals = liouville_kfree_segment(a, b, self.k_truncation, primes)
-            for p in flips:
-                for sel in _power_slices(a, b, p):
-                    np.negative(vals[sel], out=vals[sel])
-            # after the flips: a fill writes final values, flips included
-            for p, v in fills:
-                c, d = -(-a // p), b // p
-                if c <= d:
-                    vals[c * p - a :: p] = v * window(c, d)
-            memo[a, b] = vals
-            return vals
 
-        return window(lo, hi)
+@lru_cache(maxsize=8)
+def _completed_block(period_values: bytes, fills: tuple[tuple[int, int], ...]):
+    """(block, Q, steps) of chi completed by the fills (p, v_p): chi~ on
+    [Q, 2Q - 1] as read-only whole periods, filled at K_p = 1 from chi's
+    own period, and the pairs (p^(K_p), v_p^(K_p)).  The K_p grow round
+    robin while Q = q * prod p^(K_p - 1) <= COMPLETED_PERIOD_MAX."""
+    chi = np.frombuffer(period_values, dtype=np.int8)
+    q = period = len(chi)
+    ks = dict.fromkeys((p for p, _ in fills), 1)
+    grown = True
+    while grown:
+        grown = False
+        for p in ks:
+            if period * p <= COMPLETED_PERIOD_MAX:
+                period, ks[p], grown = period * p, ks[p] + 1, True
+    block = _fill_window(period_block(chi), q, fills, period, 2 * period - 1)
+    return period_block(block), period, tuple((p ** ks[p], v ** ks[p]) for p, v in fills)
+
+
+def _fill_window(block: np.ndarray, period: int, steps, lo: int, hi: int, memo=None) -> np.ndarray:
+    """Fresh values over [lo, hi] of a completely multiplicative function
+    that is the sequence of the given period off the multiples of each m in
+    steps, where it is w * f(n / m) for its pair (m, w): a phase slice of
+    block, then each step writes w times the window [lo/m, hi/m].
+
+    The steps reach [lo/d, hi/d] along every ordering of d's factors; the
+    memo computes each such window once.  It is passed down rather than
+    closed over, as a self-referencing closure would leave the windows to
+    the cycle collector."""
+    memo = {} if memo is None else memo
+    if (lo, hi) not in memo:
+        vals = tiled_window(block, period, lo, hi)
+        for m, w in steps:
+            c, d = -(-lo // m), hi // m
+            if c <= d:
+                vals[c * m - lo :: m] = w * _fill_window(block, period, steps, c, d, memo)
+        memo[lo, hi] = vals
+    return memo[lo, hi]
 
 
 def _power_slices(lo: int, hi: int, p: int):

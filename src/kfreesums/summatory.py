@@ -534,8 +534,8 @@ def streamed_summatory_map(
     threads: int = 1,
 ) -> dict[int, int]:
     """{y: M_f(y)} for every requested argument y >= 0, exactly, from one
-    streaming pass."""
-    args = sorted(set(a for a in args if a >= 0))
+    streaming pass; each argument is read by as_int."""
+    args = sorted({a for a in (as_int(a, "argument") for a in args) if a >= 0})
     out: dict[int, int] = {a: 0 for a in args if a == 0}
     pos = [a for a in args if a >= 1]
     if pos:

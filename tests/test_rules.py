@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfreesums import (
+    CharacterConstructionError,
+    ConfigError,
     DeviationBudget,
+    EnvelopeSpec,
     ModificationPlan,
     MultiplicativeRule,
     PlanError,
@@ -13,6 +16,7 @@ from kfreesums import (
     build_real_character,
     build_spf,
     character_rule,
+    direct_summatory,
     kfree_factor,
     kfree_hyperbola_sum,
     mobius_rule,
@@ -23,10 +27,12 @@ from kfreesums import (
     sieve_mobius_segment,
     sqrt_split,
 )
+from kfreesums import rules
+from kfreesums.characters import COMPLETED_PERIOD_MAX
 from kfreesums.convolution import kfree_factor_at_powers
-from kfreesums.sieve import liouville_kfree_segment
+from kfreesums.sieve import MAX_LIMIT, liouville_kfree_segment
 
-from oracles import rule_value_brute
+from oracles import kfree_sum_sublinear, kronecker_brute, rule_value_brute
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +179,112 @@ def test_segment_values_match_brute_force(base, overrides, k, lo, size):
     assert seg.tolist() == [rule_value_brute(rule, n) for n in range(lo, hi + 1)]
 
 
+# plan rules: every p | q filled with a random sign, and flips at primes
+# where the character is nonzero
+PLAN_CHARS = {q: build_real_character(q) for q in (3, 4, 5, 8, 12, 15, 24, 40, 105)}
+FLIP_POOL = (2, 3, 7, 11, 13, 101)
+
+
+@st.composite
+def plan_rules(draw):
+    chi = PLAN_CHARS[draw(st.sampled_from(sorted(PLAN_CHARS)))]
+    overrides = {p: draw(st.sampled_from((-1, 1))) for p in chi.q_divisor_primes()}
+    for p in draw(st.lists(st.sampled_from(FLIP_POOL), max_size=3)):
+        if chi.value(p):
+            overrides[p] = -chi.value(p)
+    return MultiplicativeRule(base=chi, overrides=overrides)
+
+
+def draw_straddle(data, chi, bottom: int, top: int) -> int:
+    """A multiple of p^j in [bottom, top] for p | q and p^j <= 2p * 2^16:
+    of p^(K_p) and of p^(K_p + 1), for every K_p the block can take."""
+    p = data.draw(st.sampled_from(chi.q_divisor_primes()))
+    pj = p
+    for _ in range(data.draw(st.integers(0, 20))):
+        if pj * p <= 2 * p * COMPLETED_PERIOD_MAX:
+            pj *= p
+    return pj * data.draw(st.integers(-(-bottom // pj), top // pj))
+
+
+def completed_value_at(rule, n: int) -> int:
+    """An untruncated character rule at n: rule_value_brute on the part of
+    n made of the override primes and the primes of q, times the Kronecker
+    symbol, periodic mod q = |d|, at the rest reduced mod q."""
+    chi, s, m = rule.base, 1, n
+    for p in set(rule.overrides) | set(chi.q_divisor_primes()):
+        while m % p == 0:
+            m, s = m // p, s * p
+    return rule_value_brute(rule, s) * kronecker_brute(chi.discriminant, m % chi.modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=plan_rules(), k=st.sampled_from((None, 2, 3)), long=st.booleans(), data=st.data())
+def test_plan_rule_windows_match_brute_force(rule, k, long, data):
+    # short windows are checked whole; windows longer than any block
+    # period at their ends, next to every power of the primes of q, and at
+    # random points
+    if k is not None:
+        rule = rule.truncated(k)
+    mid = draw_straddle(data, rule.base, 1, 10**7)
+    size = data.draw(st.integers(COMPLETED_PERIOD_MAX, COMPLETED_PERIOD_MAX + 2**10) if long
+                     else st.integers(1, 80))
+    lo = max(1, mid - data.draw(st.integers(0, size)))
+    seg = rule.segment_values(lo, lo + size - 1)
+    if long:
+        powers = [p**e for p in rule.base.q_divisor_primes() for e in range(1, 18)]
+        at = {-lo % m + d for m in powers for d in (-1, 0, 1)} | set(range(20))
+        at |= set(range(size - 20, size)) | set(data.draw(st.lists(st.integers(0, size - 1), max_size=40)))
+        at = sorted(i for i in at if 0 <= i < size)
+    else:
+        at = range(size)
+    assert [int(seg[i]) for i in at] == [rule_value_brute(rule, lo + i) for i in at]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rule=plan_rules(), size=st.integers(1, 64), data=st.data())
+def test_plan_rule_windows_near_the_int64_top(rule, size, data):
+    mid = draw_straddle(data, rule.base, MAX_LIMIT - 2**40, MAX_LIMIT)
+    hi = data.draw(st.sampled_from((MAX_LIMIT, min(MAX_LIMIT, mid + size // 2))))
+    lo = hi - size + 1
+    seg = rule.segment_values(lo, hi)
+    assert seg.tolist() == [completed_value_at(rule, n) for n in range(lo, hi + 1)]
+
+
+def test_moduli_past_the_block_bound_keep_the_period_of_chi():
+    # 65537 > COMPLETED_PERIOD_MAX, so K_p = 1 and the block is chi's period
+    chi = build_real_character(65537)
+    rule = MultiplicativeRule(base=chi, overrides={65537: -1, 3: -chi.value(3)})
+    block, period, steps = rules._completed_block(chi.period_values.tobytes(), ((65537, -1),))
+    assert period == 65537 and steps == ((65537, -1),) and not block.flags.writeable
+    for mid in (65537, 65537 * 3**9, 65537**2, 5 * 65537**3, MAX_LIMIT // 65537**2 * 65537**2):
+        lo, hi = mid - 30, mid + 30
+        assert rule.segment_values(lo, hi).tolist() == [completed_value_at(rule, n)
+                                                        for n in range(lo, hi + 1)]
+
+
+def test_completed_streams_agree_across_segments_and_threads():
+    g = modified_character(ModificationPlan(character=PLAN_CHARS[15], flipped_primes=(7, 11)))
+    f, x = g.truncated(3), 3 * 10**5
+    runs = [direct_summatory(f, x, segment_size=size, threads=threads)
+            for size in (2**10, 2**20) for threads in (1, 2)]
+    assert all(r.checkpoints == runs[0].checkpoints and r.running_abs_max == runs[0].running_abs_max
+               for r in runs)
+    assert runs[0].final == (x, kfree_sum_sublinear(f, 3, x))
+
+
+def test_rules_differing_in_flips_or_truncation_share_one_block():
+    chi = PLAN_CHARS[40]
+    g = modified_character(ModificationPlan(character=chi, flipped_primes=(3, 7)))
+    g.segment_values(1, 100)
+    before = rules._completed_block.cache_info()
+    others = (g.truncated(2), g.truncated(3).without_truncation(),
+              modified_character(ModificationPlan(character=chi, flipped_primes=(11,))))
+    for rule in others:
+        rule.segment_values(10**6, 10**6 + 100)
+    after = rules._completed_block.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(others), 0)
+
+
 CHI3 = build_real_character(3)
 
 
@@ -198,6 +310,18 @@ CHI3 = build_real_character(3)
      "k-free order k 2.5 is not an integer"),
     (lambda: kfree_factor_at_powers(0, character_rule(CHI3), 20), RangeError,
      "k-free order k must be >= 2, got 0"),
+    (lambda: EnvelopeSpec(kind="theorem1", k=2.5, lam=1.0), ConfigError,
+     "envelope k 2.5 is not an integer"),
+    (lambda: EnvelopeSpec(kind="theorem1", k="2", lam=1.0), ConfigError,
+     "envelope k '2' is not an integer"),
+    (lambda: EnvelopeSpec(kind="theorem1", k=2, lam="1"), ConfigError,
+     "envelope lam '1' is not a finite real"),
+    (lambda: EnvelopeSpec(kind="power", alpha=0.25, scale=float("nan")), ConfigError,
+     "envelope scale nan is not a finite real"),
+    (lambda: build_real_character("x"), CharacterConstructionError, "modulus 'x' is not an integer"),
+    (lambda: build_real_character(3.0), CharacterConstructionError, "modulus 3.0 is not an integer"),
+    (lambda: build_real_character(5, discriminant=5.0), CharacterConstructionError,
+     "discriminant 5.0 is not an integer"),
 ])
 def test_bad_orders_raise_typed_errors_naming_them(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

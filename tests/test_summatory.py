@@ -31,13 +31,16 @@ from kfreesums import (
     deviation_sum,
     dirichlet_convolve,
     direct_summatory,
+    envelope_ratio,
     explicit_split,
     figure1,
+    fit_exponent,
     growth_report,
     hyperbola_sum,
     introot,
     kfree_factor,
     kfree_hyperbola_sum,
+    kronecker_symbol,
     mertens,
     mertens_recursive,
     mobius_rule,
@@ -46,6 +49,7 @@ from kfreesums import (
     one_rule,
     optimal_split,
     pointwise_product,
+    power_envelope,
     sieve_mobius_segment,
     sqrt_split,
     stream_summatory,
@@ -387,6 +391,7 @@ def test_limits_must_be_integers(bad, chi3):
 
 
 CHI3 = build_real_character(3)
+_SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_schedule(10**4))
 
 
 @pytest.mark.parametrize("call, shown", [
@@ -414,6 +419,12 @@ CHI3 = build_real_character(3)
      "limit 'abc'"),
     (lambda: figure1("x", "unwritten.csv", "unwritten.svg"), "limit 'x'"),
     (lambda: deviation_sum(character_rule(CHI3), CHI3, "x"), "x 'x'"),
+    (lambda: envelope_ratio(_SERIES, power_envelope(0.25), x_min="a"), "x_min 'a'"),
+    (lambda: fit_exponent(_SERIES, x_min="a"), "x_min 'a'"),
+    (lambda: fit_exponent(_SERIES, x_min=10.5), "x_min 10.5"),
+    (lambda: streamed_summatory_map(mobius_rule(), ["5"]), "argument '5'"),
+    (lambda: streamed_summatory_map(mobius_rule(), [3, 2.5]), "argument 2.5"),
+    (lambda: kronecker_symbol(5, 2.0), "Kronecker symbol n 2.0"),
 ])
 def test_counts_sizes_and_splits_must_be_integers(call, shown):
     with pytest.raises(RangeError, match=re.escape(shown) + " is not an integer$"):
@@ -434,6 +445,9 @@ def test_counts_sizes_and_splits_must_be_integers(call, shown):
     (lambda: verify_deviation_budget(character_rule(CHI3), CHI3, DeviationBudget(), 5),
      "limit must be >= 10, got 5"),
     (lambda: figure1(999, "unwritten.csv", "unwritten.svg"), "limit must be >= 1000, got 999"),
+    (lambda: kronecker_symbol(5, -1), "Kronecker symbol n must be >= 0, got -1"),
+    (lambda: modified_character(ModificationPlan(character=CHI3)).segment_values(0, 10),
+     "lo must be >= 1, got 0"),
 ])
 def test_bounds_name_their_minimum_and_the_value(call, message):
     with pytest.raises(RangeError, match=re.escape(message) + "$"):
