@@ -16,10 +16,11 @@ from math import isqrt
 import numpy as np
 
 from .errors import CharacterConstructionError
-from .sieve import DenseValueTable, as_int, sieve_primes
+from .sieve import DenseValueTable, as_int, sieve_primes, tiled_window
 
-# Window lookups slice a tiling of whole periods; a block of at least this
-# many values keeps np.tile to a few large copies even for tiny moduli.
+# Window lookups tile whole periods of a block (sieve.tiled_window); a block
+# of at least this many values keeps that to a few large copies even for
+# tiny moduli.
 PERIOD_BLOCK_MIN = 4096
 # A character completed at the primes p | q repeats with period
 # q * prod p^(K_p - 1) off the multiples of each p^(K_p); the K_p grow
@@ -32,14 +33,6 @@ def period_block(values: np.ndarray) -> np.ndarray:
     block = np.tile(values, -(-PERIOD_BLOCK_MIN // len(values)))
     block.setflags(write=False)
     return block
-
-
-def tiled_window(block: np.ndarray, period: int, lo: int, hi: int) -> np.ndarray:
-    """Entries lo..hi of a sequence of the given period as a fresh writable
-    array, tiled from phase lo % period of `block` (whole periods long)."""
-    start = lo % period
-    stop = start + max(hi - lo + 1, 0)
-    return np.tile(block, -(-stop // len(block)))[start:stop]
 
 
 def kronecker_symbol(d: int, n: int) -> int:

@@ -42,9 +42,10 @@ from .sieve import (
     introot,
     is_prime,
     liouville_kfree_segment,
-    sieve_kfree_segment,
     sieve_primes,
+    zero_kth_power_multiples,
 )
+from .workspace import output
 
 
 @dataclass(frozen=True)
@@ -147,24 +148,28 @@ class MultiplicativeRule:
         vals = self.segment_values(lo, hi, primes)
         return DenseValueTable(lo, hi, vals, label=self.label)
 
-    def segment_values(self, lo: int, hi: int, primes: np.ndarray | None = None) -> np.ndarray:
-        """int8 values over [lo, hi].  primes, when given, must hold every
+    def segment_values(
+        self, lo: int, hi: int, primes: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """int8 values over [lo, hi]: into `out` when given (int8, one entry
+        per n), else a fresh array.  primes, when given, must hold every
         prime up to sqrt(hi); only the -1 base and the truncation use them."""
         lo, hi = as_int(lo, "lo", minimum=1), as_int(hi, "hi")
         liouville = not isinstance(self.base, RealCharacter) and self.base == -1
         k = self.k_truncation
         if primes is None and (liouville or k is not None):
             primes = sieve_primes(isqrt(hi) if liouville else introot(hi, k))
-        vals = self._complete_values(lo, hi, primes)
+        vals = self._complete_values(lo, hi, primes, out)
         if k is not None and not liouville:
-            vals *= sieve_kfree_segment(lo, hi, k, primes=primes).values
-        return vals.astype(np.int8, copy=False)
+            zero_kth_power_multiples(vals, lo, k, primes)
+        return vals
 
-    def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None) -> np.ndarray:
-        """Fresh writable values over [lo, hi] of the untruncated rule,
-        except that the sieve of the -1 base applies the truncation.  The
-        fills (overrides where the base vanishes) give the completed base
-        from its cached block; each flip then negates the window once."""
+    def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None, out: np.ndarray | None) -> np.ndarray:
+        """Values over [lo, hi] of the untruncated rule, into `out` or a
+        fresh array, except that the sieve of the -1 base applies the
+        truncation.  The fills (overrides where the base vanishes) give the
+        completed base from its cached block; each flip then negates the
+        window once."""
         base = self.base
         chi = base if isinstance(base, RealCharacter) else None
         flips, fills = [], []
@@ -175,11 +180,13 @@ class MultiplicativeRule:
             elif at_p != v:
                 flips.append(p)
         if chi is not None:
-            vals = _fill_window(*_completed_block(chi.period_values.tobytes(), tuple(fills)), lo, hi)
+            block, period, steps = _completed_block(chi.period_values.tobytes(), tuple(fills))
+            vals = _fill_window(block, period, steps, lo, hi, out=out)
         elif base == 1:
-            vals = np.ones(hi - lo + 1, dtype=np.int8)
+            vals = output(out, hi - lo + 1, np.int8)
+            vals.fill(1)
         else:
-            vals = liouville_kfree_segment(lo, hi, self.k_truncation, primes)
+            vals = liouville_kfree_segment(lo, hi, self.k_truncation, primes, out=out)
         for p in flips:
             for sel in _power_slices(lo, hi, p):
                 np.negative(vals[sel], out=vals[sel])
@@ -205,11 +212,12 @@ def _completed_block(period_values: bytes, fills: tuple[tuple[int, int], ...]):
     return period_block(block), period, tuple((p ** ks[p], v ** ks[p]) for p, v in fills)
 
 
-def _fill_window(block: np.ndarray, period: int, steps, lo: int, hi: int, memo=None) -> np.ndarray:
-    """Fresh values over [lo, hi] of a completely multiplicative function
-    that is the sequence of the given period off the multiples of each m in
-    steps, where it is w * f(n / m) for its pair (m, w): a phase slice of
-    block, then each step writes w times the window [lo/m, hi/m].
+def _fill_window(block: np.ndarray, period: int, steps, lo: int, hi: int, memo=None, out=None) -> np.ndarray:
+    """Values over [lo, hi], into `out` or a fresh array, of a completely
+    multiplicative function that is the sequence of the given period off
+    the multiples of each m in steps, where it is w * f(n / m) for its pair
+    (m, w): a phase slice of block, then each step writes w times the
+    window [lo/m, hi/m].
 
     The steps reach [lo/d, hi/d] along every ordering of d's factors; the
     memo computes each such window once.  It is passed down rather than
@@ -217,7 +225,7 @@ def _fill_window(block: np.ndarray, period: int, steps, lo: int, hi: int, memo=N
     the cycle collector."""
     memo = {} if memo is None else memo
     if (lo, hi) not in memo:
-        vals = tiled_window(block, period, lo, hi)
+        vals = tiled_window(block, period, lo, hi, out=out)
         for m, w in steps:
             c, d = -(-lo // m), hi // m
             if c <= d:

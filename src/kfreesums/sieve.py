@@ -29,6 +29,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import CapacityError, RangeError
+from .workspace import TABLE, output, scratch
 
 # Exact-arithmetic contract: indices must stay within the signed 64-bit
 # world numpy can address without silent wraparound.
@@ -235,9 +236,11 @@ def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> 
 
 
 def liouville_kfree_segment(
-    lo: int, hi: int, k: int | None = None, primes: np.ndarray | None = None
+    lo: int, hi: int, k: int | None = None, primes: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """lambda(n) * [n is k-free] for n in [lo, hi] as a fresh int8 array.
+    """lambda(n) * [n is k-free] for n in [lo, hi] as an int8 array: `out`
+    when given (int8, one entry per n), else a fresh one.
 
     lambda(n) = (-1)^Omega(n) is the Liouville function; k = None leaves
     it untruncated and k = 2 gives mu.  The window is sieved on one uint16
@@ -248,7 +251,8 @@ def liouville_kfree_segment(
     add of l(p) << 8 | 1, with l(p) = floor(4 log2 p) an exact integer,
     hits the multiples of p, p^2, ..., p^(k-1); the multiples of p^k are
     zeroed on the int8 signs at the end.  The first powers of 2, 3, 5 and 7
-    come from a 210-periodic pattern, the rest from the loop.
+    come from a 210-periodic pattern, the rest from the loop.  Inside a
+    window the accumulator is the bound workspace's (see `workspace`).
 
     Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
     k-free n carries at most one, which flips its sign once more.  It is
@@ -273,11 +277,13 @@ def liouville_kfree_segment(
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
         k: Truncation order (>= 2), or None for no truncation.
         primes: Optional precomputed primes covering sqrt(hi).
+        out: Optional int8 array of hi - lo + 1 entries to write into.
     """
     lo, hi = _check_range(lo, hi)
     if k is not None:
         k = as_int(k, "truncation order k", minimum=2)
     size = hi - lo + 1
+    sign = output(out, size, np.int8)
     root = isqrt(hi)
     if primes is None:
         primes = sieve_primes(root)
@@ -289,9 +295,7 @@ def liouville_kfree_segment(
     if near < len(primes):
         far = primes[near:]
         primes = np.concatenate((primes[:near], far[-lo % far < size]))
-    period, periods = slice(lo % _WHEEL, lo % _WHEEL + _WHEEL), -(-size // _WHEEL)
-    acc = np.tile(_WHEEL_HITS[period], periods)[:size]
-    powers = []  # the p^k <= hi, whose multiples are zeroed on the signs
+    acc = tiled_window(_WHEEL_HITS, _WHEEL, lo, hi, out=scratch(TABLE, size, np.uint16))
     for p in primes.tolist():
         pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
         hit = _quarter_log2(p) << 8 | 1
@@ -300,12 +304,11 @@ def liouville_kfree_segment(
             np.add(t, hit, out=t)
             pj *= p
             j += 1
-        if k is not None and pj <= hi:  # pj = p^k
-            powers.append(pj)
     e = 0  # E = floor(log3 hi), exactly
     while 3 ** (e + 1) <= hi:
         e += 1
-    sign = acc.astype(np.uint8)  # the hit count, acc's low byte
+    bits = sign.view(np.uint8)
+    np.copyto(bits, acc, casting="unsafe")  # the hit count, acc's low byte
     a = lo
     while a <= hi:
         m = a.bit_length() - 1
@@ -314,13 +317,12 @@ def liouville_kfree_segment(
         t = acc[a - lo : b - lo + 1]
         np.less(t, max(4 * m - e, 0) << 8, out=t)
         a = b + 1
-    np.add(sign, acc, out=sign)
-    np.bitwise_and(sign, 1, out=sign)
-    sign = sign.view(np.int8)
+    np.add(bits, acc, out=bits)
+    np.bitwise_and(bits, 1, out=bits)
     np.multiply(sign, -2, out=sign)
     np.add(sign, 1, out=sign)
-    for pk in powers:
-        sign[-lo % pk :: pk] = 0
+    if k is not None:
+        zero_kth_power_multiples(sign, lo, k, primes)
     return sign
 
 
@@ -343,21 +345,58 @@ def _wheel_pattern() -> np.ndarray:
 _WHEEL_HITS = _wheel_pattern()
 
 
+def tiled_window(block: np.ndarray, period: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Entries lo..hi of a sequence of the given period, from phase
+    lo % period of `block` (whole periods long): into `out` when given (of
+    block's dtype, one entry per n), else a fresh array.
+
+    The entries up to the window's first period boundary come from block's
+    tail; from there whole periods repeat, so the first copy of the block
+    is doubled until the window is full."""
+    size = max(hi - lo + 1, 0)
+    out = output(out, size, block.dtype)
+    start = lo % period
+    done = min(size, len(block) - start)
+    out[:done] = block[start : start + done]
+    width = min(size - done, len(block))
+    out[done : done + width] = block[:width]
+    while done + width < size:
+        more = min(width, size - done - width)
+        out[done + width : done + width + more] = out[done : done + more]
+        width += more
+    return out
+
+
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:
     """Indicator of k-free n (no prime power p^k divides n) over [lo, hi],
     for any order k >= 2: only the primes p <= hi^(1/k) are sieved."""
     k = as_int(k, "k-free order k", minimum=2)
     lo, hi = _check_range(lo, hi)
     vals = np.ones(hi - lo + 1, dtype=np.int8)
-    kroot = introot(hi, k)
-    if primes is None:
-        primes = sieve_primes(kroot)
-    for p in np.asarray(primes, dtype=np.int64).tolist():
-        if p > kroot:  # p^k > hi
-            break
-        pk = p**k
-        vals[-lo % pk :: pk] = 0
+    zero_kth_power_multiples(vals, lo, k, sieve_primes(introot(hi, k)) if primes is None else primes)
     return DenseValueTable(lo, hi, vals, label=f"mu_{k}^2")
+
+
+def zero_kth_power_multiples(vals: np.ndarray, lo: int, k: int, primes: np.ndarray) -> None:
+    """Zero, in place, the entries of vals (the window lo..lo + len(vals) - 1)
+    at the multiples of every p^k: `primes` must hold each prime up to
+    hi^(1/k), and the larger ones are ignored.
+
+    Each p^k shorter than the window is one strided assignment.  A longer
+    p^k has at most one multiple in the window, and all of those take one
+    vectorised assignment.
+    """
+    hi = lo + len(vals) - 1
+    primes = np.asarray(primes, dtype=np.int64)
+    primes = primes[: np.searchsorted(primes, introot(hi, k), side="right")]
+    if not len(primes):
+        return
+    powers = primes**k  # p^k <= hi, so within int64
+    near = np.searchsorted(powers, len(vals))
+    for pk in powers[:near].tolist():
+        vals[-lo % pk :: pk] = 0
+    at = -lo % powers[near:]
+    vals[at[at < len(vals)]] = 0
 
 
 def build_spf(limit: int) -> SpfTable:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -57,10 +58,12 @@ from .sieve import (
     as_real,
     as_schedule,
     introot,
+    liouville_kfree_segment,
     segments,
     sieve_mobius_segment,
     sieve_primes,
 )
+from .workspace import TABLE, VALUES, borrowed, scratch
 
 # Streaming budget: ranges past this need more than the intended memory/time
 # envelope of the workbench.
@@ -162,11 +165,15 @@ def stream_summatory(
     Each window's values are computed and reduced together, by
     `_reduce_window`, to the prefix sum at each interval end between the
     checkpoints the window holds and the prefix's max and min on each
-    interval.  Windows are handed to a pool of `threads` workers in
-    ascending order; the main thread only folds each window's O(checkpoint)
-    summary into the offset carried between windows and the running max of
-    |M|, both Python ints, in that order.  So the series is exact at any
-    limit and bit-identical for every thread count and segment size.
+    interval.  A window borrows a workspace (`workspace.borrowed`) for its
+    temporaries, so at most `threads` of them exist, and they are reused by
+    every later window and stream.  Windows are handed to a pool of
+    `threads` workers in ascending order, at most 2 * threads ahead of the
+    one being folded; the main thread only folds each window's
+    O(checkpoint) summary into the offset carried between windows and the
+    running max of |M|, both Python ints, in that order.  So the series is
+    exact at any limit and bit-identical for every thread count and
+    segment size.
 
     Args:
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
@@ -194,19 +201,20 @@ def stream_summatory(
 
     def summarise(window: tuple[int, int]):
         lo, hi = window
-        vals = np.asarray(segment_values(lo, hi))
-        integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
-        if not integer or vals.shape != (hi - lo + 1,):
-            raise ShapeError(
-                f"window [{lo}, {hi}] has {vals.dtype} values of shape {vals.shape}, "
-                f"not {hi - lo + 1} integers within int64"
-            )
-        xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
-        # interval j ends at ends[j]; all but possibly the last end at a checkpoint
-        ends = [x - lo for x in xs]
-        if not ends or ends[-1] != hi - lo:
-            ends.append(hi - lo)
-        return xs, _reduce_window(vals, ends, _block_length(len(vals)))
+        with borrowed():
+            vals = np.asarray(segment_values(lo, hi))
+            integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
+            if not integer or vals.shape != (hi - lo + 1,):
+                raise ShapeError(
+                    f"window [{lo}, {hi}] has {vals.dtype} values of shape {vals.shape}, "
+                    f"not {hi - lo + 1} integers within int64"
+                )
+            xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
+            # interval j ends at ends[j]; all but possibly the last end at a checkpoint
+            ends = [x - lo for x in xs]
+            if not ends or ends[-1] != hi - lo:
+                ends.append(hi - lo)
+            return xs, _reduce_window(vals, ends, _block_length(len(vals)))
 
     checkpoints: list[tuple[int, int]] = []
     running: list[tuple[int, int]] = []
@@ -217,7 +225,7 @@ def stream_summatory(
         # one thread is the calling thread: a lone worker would take each
         # window's arrays from its own malloc arena, which raised peak RSS
         # and the page faults of the caller's later sieves
-        summaries = pool.map(summarise, windows) if threads > 1 else map(summarise, windows)
+        summaries = _in_order(pool, summarise, windows, 2 * threads) if threads > 1 else map(summarise, windows)
         for xs, (at, tops, bottoms) in summaries:
             for x, m, top, bottom in zip(xs, at, tops, bottoms):
                 best = max(best, abs(offset + top), abs(offset + bottom))
@@ -227,6 +235,22 @@ def stream_summatory(
             offset += at[-1]
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """fn(item) for each item, computed on the pool and yielded in order,
+    with at most `ahead` items submitted and not yet yielded."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 # Longest block of the blocked window reduction: no sum of 64 one-byte
@@ -257,11 +281,16 @@ def _reduce_window(
     and min.  One-byte values take one min and one max per window: when
     max|v| * block <= 127 the prefixes are int8 (always so for values in
     {-1, 0, 1}), otherwise int16 (`block` <= BLOCK); wider values take int64.
-    A block holding an interval end before its last value is split.  Each
-    unsplit block then stands for one value of the interval reductions, and
-    each split block for its `block` prefixes, so all work is O(len(vals))
-    for any `ends`.  Offsets between blocks are int64; the results are
-    Python ints.
+    A block holding an interval end before its last value is split.  The
+    unsplit blocks enter the interval reductions as one value each, their
+    max or min plus the offset ahead of them.  Each interval meets a split
+    block at most at its first and its last block, and these pieces tile
+    the split blocks' prefixes in order, so one more reduction over those
+    prefixes gives every piece.  All work is O(len(vals)) for any `ends`.
+    Offsets between blocks are int64; the results are Python ints.  The
+    prefix table and the per-block arrays are the bound workspace's, if
+    any (see `workspace.scratch`), and their sizes depend on len(vals)
+    alone.
     """
     n = len(vals)
     nb = -(-n // block)
@@ -270,36 +299,53 @@ def _reduce_window(
     if vals.dtype.itemsize == 1:
         # a block's prefixes stay within block * max|v|
         dtype = np.int8 if max(-int(vals.min()), int(vals.max())) * block <= 127 else np.int16
-    # prefix[i, b]: the sum of block b's first i + 1 values.  np.empty, not
-    # np.zeros: calloc would fault fresh pages every window
-    prefix = np.empty((block, nb), dtype=dtype)
-    prefix[:, :full] = vals[: full * block].reshape(full, block).T
+    # prefix[i, b]: the sum of block b's first i + 1 values
+    prefix = scratch(TABLE, (block, nb), dtype)
+    # transposed a few blocks at a time, so that each chunk's source stays in cache
+    step = max(1, _TRANSPOSE_BYTES // (block * vals.itemsize))
+    for a in range(0, full, step):
+        b = min(a + step, full)
+        prefix[:, a:b] = vals[a * block : b * block].reshape(b - a, block).T
     if full < nb:
         prefix[:, full] = 0
         prefix[: n - full * block, full] = vals[full * block :]
     for i in range(1, block):
         np.add(prefix[i - 1], prefix[i], out=prefix[i])
-    before = np.cumsum(prefix[-1], dtype=np.int64) - prefix[-1]  # sum ahead of each block
+    before = scratch("reduce.before", nb, np.int64)  # sum ahead of each block
+    np.cumsum(prefix[-1], dtype=np.int64, out=before)
+    np.subtract(before, prefix[-1], out=before)
 
     e = np.asarray(ends)
-    eb = e // block
-    split = np.zeros(nb, dtype=bool)
+    starts = np.concatenate(([0], e[:-1] + 1))
+    eb, sb = e // block, starts // block
+    split = scratch("reduce.split", nb, bool)
+    split.fill(False)
     split[eb[e % block != block - 1]] = True
     parts = np.flatnonzero(split)
-    width = np.where(split, block, 1)
-    first = np.cumsum(width) - width  # each block's first unit
-    top = np.repeat(before + prefix.max(axis=0), width)
-    bottom = np.repeat(before + prefix.min(axis=0), width)
-    cells = first[parts, None] + np.arange(block)
-    top[cells] = bottom[cells] = prefix[:, parts].T + before[parts, None]
-    # an interval starting in an unsplit block starts at its first value
-    starts = np.concatenate(([0], e[:-1] + 1))
-    su = first[starts // block] + starts % block
-    return (
-        (before[eb] + prefix[e % block, eb]).tolist(),
-        np.maximum.reduceat(top, su).tolist(),
-        np.minimum.reduceat(bottom, su).tolist(),
-    )
+    # pieces: interval j's part of its first block, then of its last, where split
+    pieces = np.stack((split[sb], split[eb] & (eb != sb)), axis=1)
+    at = np.stack((np.searchsorted(parts, sb) * block + starts % block,
+                   np.searchsorted(parts, eb) * block), axis=1)[pieces]
+    owner = np.nonzero(pieces)[0]
+    cells = (prefix[:, parts].T + before[parts, None]).ravel()
+    edge = scratch("reduce.edge", nb, np.int64)
+    extreme = scratch("reduce.extreme", nb, dtype)
+    result = [(before[eb] + prefix[e % block, eb]).tolist()]
+    for ufunc, sentinel in ((np.maximum, _INT64.min), (np.minimum, _INT64.max)):
+        # each block's extreme; a split block's is left to its pieces
+        np.add(before, ufunc.reduce(prefix, axis=0, out=extreme), out=edge)
+        edge[parts] = sentinel
+        # interval j's unsplit blocks lie in [sb[j], sb[j + 1])
+        per_interval = ufunc.reduceat(edge, sb)
+        ufunc.at(per_interval, owner, ufunc.reduceat(cells, at))
+        result.append(per_interval.tolist())
+    return tuple(result)
+
+
+_INT64 = np.iinfo(np.int64)
+# Bytes of a window the reduction transposes at once: a chunk's source
+# stays in a 32 KiB L1 data cache.
+_TRANSPOSE_BYTES = 2**15
 
 
 def _usable_cpus() -> int:
@@ -320,7 +366,7 @@ def direct_summatory(
     primes = sieve_primes(isqrt(_check_limit(limit)))
 
     def seg(lo: int, hi: int) -> np.ndarray:
-        return rule.segment_values(lo, hi, primes=primes)
+        return rule.segment_values(lo, hi, primes=primes, out=scratch(VALUES, hi - lo + 1, np.int8))
 
     return stream_summatory(
         seg, limit, schedule=schedule, label=rule.label,
@@ -339,8 +385,8 @@ def summatory_mu_chi(
     primes = sieve_primes(isqrt(_check_limit(limit)))
 
     def seg(lo: int, hi: int) -> np.ndarray:
-        mu = sieve_mobius_segment(lo, hi, primes=primes).values
-        return (mu * chi.values(lo, hi)).astype(np.int8)
+        mu = liouville_kfree_segment(lo, hi, 2, primes, out=scratch(VALUES, hi - lo + 1, np.int8))
+        return np.multiply(mu, chi.values(lo, hi), out=mu)
 
     return stream_summatory(
         seg, limit, schedule=schedule, label=f"mu*{chi.label}",
@@ -353,10 +399,10 @@ def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
     total = 0
-    for lo, hi in segments(1, limit, segment_size):
-        total += int(
-            np.sum(sieve_mobius_segment(lo, hi, primes=primes).values, dtype=np.int64)
-        )
+    with borrowed():
+        for lo, hi in segments(1, limit, segment_size):
+            mu = liouville_kfree_segment(lo, hi, 2, primes, out=scratch(VALUES, hi - lo + 1, np.int8))
+            total += int(np.sum(mu, dtype=np.int64))
     return total
 
 

@@ -28,6 +28,8 @@ from kfreesums.sieve import (
     is_prime,
     liouville_kfree_segment,
     segments,
+    tiled_window,
+    zero_kth_power_multiples,
 )
 
 from oracles import (
@@ -227,6 +229,19 @@ def test_squarefree_density():
     assert abs(count / limit - 6 / np.pi**2) < 0.002
 
 
+@settings(max_examples=200, deadline=None)
+@given(period=st.integers(1, 5000), copies=st.integers(1, 3), lo=st.integers(1, 10**12),
+       size=st.integers(0, 20000))
+def test_tiled_window_matches_np_tile(period, copies, lo, size):
+    block = np.arange(period * copies, dtype=np.int16) % period
+    hi = lo + size - 1
+    expect = np.tile(block[:period], -(-(lo % period + size) // period))[lo % period :][:size]
+    assert np.array_equal(tiled_window(block, period, lo, hi), expect)
+    out = np.full(size, -1, dtype=np.int16)
+    assert tiled_window(block, period, lo, hi, out=out) is out
+    assert np.array_equal(out, expect)
+
+
 def test_kfree_small_cases():
     assert list(sieve_kfree_segment(1, 8, 3).values) == [1, 1, 1, 1, 1, 1, 1, 0]
     assert list(sieve_kfree_segment(12, 12, 2).values) == [0]
@@ -266,6 +281,21 @@ def test_kfree_sieve_takes_any_order():
     table = sieve_kfree_segment(lo, 2**61 + 5, 61)
     assert [lo + i for i, v in enumerate(table.values.tolist()) if v == 0] == [2**61]
     assert sieve_kfree_segment(1, 10**4, 10**9).values.tolist() == [1] * 10**4
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.one_of(st.integers(1, 10**4), st.integers(1, 10**10)),
+       size=st.integers(1, 3000), k=st.integers(2, 5))
+def test_zero_kth_power_multiples_matches_marking(lo, size, k):
+    # powers shorter and longer than the window, entries that are not 1,
+    # and primes past hi^(1/k) that must be ignored
+    hi = lo + size - 1
+    vals = (np.arange(size) % 7 - 3).astype(np.int8)
+    expect = vals.copy()
+    for p in primes_trial(introot(hi, k)):
+        expect[-lo % p**k :: p**k] = 0
+    zero_kth_power_multiples(vals, lo, k, sieve_primes(introot(hi, k) + 50))
+    assert np.array_equal(vals, expect)
 
 
 def test_spf_basics():

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 from bisect import bisect_left
 from itertools import accumulate
@@ -312,6 +313,26 @@ def test_threads_capped_at_usable_cpus(chi3, monkeypatch):
     series = direct_summatory(f, 10**5, segment_size=2**12, threads=4)
     assert pools == [2]
     assert series == direct_summatory(f, 10**5, segment_size=2**12, threads=1)
+
+
+@pytest.mark.parametrize("windows", [64, 1024])
+def test_windows_in_flight_do_not_grow_with_the_window_count(windows, monkeypatch):
+    # window 1 stalls; meanwhile the other worker may run only as far ahead
+    # as the stream submits, at most 2 * threads windows counting window 1
+    monkeypatch.setattr(summatory, "_usable_cpus", lambda: 2)
+    started, ahead = [], []
+
+    def values(lo, hi):
+        if lo == 1:
+            time.sleep(0.3)
+            ahead.append(len(started))
+        else:
+            started.append(lo)
+        return np.ones(hi - lo + 1, dtype=np.int8)
+
+    series = stream_summatory(values, 16 * windows, segment_size=16, threads=2)
+    assert series.final == (16 * windows, 16 * windows)
+    assert len(started) == windows - 1 and ahead[0] <= 3
 
 
 def test_mertens_small_and_dual_path():
