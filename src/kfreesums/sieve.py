@@ -13,9 +13,9 @@ where products can grow.  The Liouville kernel packs its work into one
 uint16 per integer: a byte counting the prime powers it sieved, whose
 parity is the sign, and a byte summing their exact quarter-bit logarithms,
 floor(4 log2 p).  Comparing that sum with a threshold fixed by n's bit
-length finds the one prime factor above sqrt(hi) that a k-free n may
-carry, a test that is exact for every hi up to 2^63-1 (see
-liouville_kfree_segment).
+length flags the one prime factor above sqrt(hi) that a k-free n may
+carry, a test that is exact for every hi up to 2^63-1, and the flag XORed
+with the count gives the sign's parity (see liouville_kfree_segment).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ DEFAULT_SEGMENT_SIZE = 2**20
 
 # The Liouville kernel reads the first powers of these primes from one
 # pattern of period _WHEEL instead of sieving them with strided passes.
-_WHEEL_PRIMES = (2, 3, 5, 7)
-_WHEEL = 2 * 3 * 5 * 7
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = 2 * 3 * 5 * 7 * 11 * 13
 
 # Largest table a sieve from 0 to its limit allocates (2 GiB): build_spf's
 # smallest prime factors, and sieve_primes' flags at one byte per integer.
@@ -250,9 +250,9 @@ def liouville_kfree_segment(
     length, and each larger p that one remainder test finds) one strided
     add of l(p) << 8 | 1, with l(p) = floor(4 log2 p) an exact integer,
     hits the multiples of p, p^2, ..., p^(k-1); the multiples of p^k are
-    zeroed on the int8 signs at the end.  The first powers of 2, 3, 5 and 7
-    come from a 210-periodic pattern, the rest from the loop.  Inside a
-    window the accumulator is the bound workspace's (see `workspace`).
+    zeroed on the int8 signs at the end.  The first powers of 2, 3, 5, 7, 11
+    and 13 come from a 30030-periodic pattern, the rest from the loop.  The
+    accumulator is the bound workspace's inside a window (see `workspace`).
 
     Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
     k-free n carries at most one, which flips its sign once more.  It is
@@ -265,13 +265,13 @@ def liouville_kfree_segment(
       4 log2 (B + 1) >= 4 + E, which holds for hi >= 8.  The tests check
       every window with hi <= 64, and so those below 8.
     The packing is exact for n <= 2^63-1: c(n) <= Omega(n) <= 62, so the
-    low byte never carries into the high byte, and with the big prime's
-    one the count stays below 64 in the byte it is added to.
-    S(n) <= 4 log2 n <= 252, so the accumulator stays below 2^16, and
-    acc < T << 8 holds exactly when S(n) < T(n); the largest threshold,
-    (4 * 62 - E) << 8, is below 2^16 too.  T is constant on each
-    [2^m, 2^(m+1)) range, so the window takes one compare per range it
-    meets.
+    low byte never carries into the high byte, and S(n) <= 4 log2 n <= 252,
+    so the accumulator stays below 2^16.  acc < T << 8 holds exactly when
+    S(n) < T(n), and the largest threshold, (4 * 62 - E) << 8, is below
+    2^16 too.  T is constant on each [2^m, 2^(m+1)) range, so the window
+    takes one compare per range it meets, writing the flag [S < T] into
+    the output's bytes; one XOR with the accumulator then leaves the
+    parity of c(n) + [S < T] in bit 0.
 
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
@@ -304,20 +304,16 @@ def liouville_kfree_segment(
             np.add(t, hit, out=t)
             pj *= p
             j += 1
-    e = 0  # E = floor(log3 hi), exactly
-    while 3 ** (e + 1) <= hi:
-        e += 1
-    bits = sign.view(np.uint8)
-    np.copyto(bits, acc, casting="unsafe")  # the hit count, acc's low byte
+    e = next(e for e in range(40) if 3 ** (e + 1) > hi)  # E = floor(log3 hi), exactly
     a = lo
     while a <= hi:
         m = a.bit_length() - 1
-        b = min(hi, 2 ** (m + 1) - 1)
-        # acc becomes [S < T] in place; no S is below a threshold T <= 0
-        t = acc[a - lo : b - lo + 1]
-        np.less(t, max(4 * m - e, 0) << 8, out=t)
-        a = b + 1
-    np.add(bits, acc, out=bits)
+        r = slice(a - lo, min(hi, 2 ** (m + 1) - 1) - lo + 1)
+        # the output flags [S < T]; no S is below a threshold T <= 0
+        np.less(acc[r], max(4 * m - e, 0) << 8, out=sign.view(np.bool_)[r])
+        a = lo + r.stop
+    bits = sign.view(np.uint8)  # bit 0 of flag ^ acc: the parity of c(n) + [S < T]
+    np.bitwise_xor(bits, acc, out=bits, casting="unsafe")
     np.bitwise_and(bits, 1, out=bits)
     np.multiply(sign, -2, out=sign)
     np.add(sign, 1, out=sign)
@@ -332,12 +328,12 @@ def _quarter_log2(p: int) -> int:
 
 
 def _wheel_pattern() -> np.ndarray:
-    """Read-only hits l(p) << 8 | 1 of the first powers of 2, 3, 5 and 7,
-    summed over two periods of n mod 210, so that any period is one slice."""
-    n = np.arange(2 * _WHEEL)
+    """Read-only hits l(p) << 8 | 1 of the first powers of 2, 3, 5, 7, 11
+    and 13, summed over two periods of n mod 30030, so that any period is
+    one slice."""
     hits = np.zeros(2 * _WHEEL, dtype=np.uint16)
     for p in _WHEEL_PRIMES:
-        hits[n % p == 0] += _quarter_log2(p) << 8 | 1
+        hits[::p] += _quarter_log2(p) << 8 | 1
     hits.setflags(write=False)
     return hits
 

@@ -395,14 +395,18 @@ def summatory_mu_chi(
 
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """M_mu(limit), exactly, via the segmented Mobius sieve."""
+    """M_mu(limit), exactly, via the segmented Mobius sieve.  A window's first
+    64 floor(n / 64) values are added as 64 rows in int8, whose column sums
+    lie within +-64; those sums and the < 64 left over are added in int64."""
     limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
     total = 0
     with borrowed():
         for lo, hi in segments(1, limit, segment_size):
             mu = liouville_kfree_segment(lo, hi, 2, primes, out=scratch(VALUES, hi - lo + 1, np.int8))
-            total += int(np.sum(mu, dtype=np.int64))
+            body = len(mu) // 64 * 64
+            columns = np.add.reduce(mu[:body].reshape(64, -1), axis=0, dtype=np.int8)
+            total += int(columns.sum(dtype=np.int64)) + int(mu[body:].sum(dtype=np.int64))
     return total
 
 

@@ -185,6 +185,24 @@ def test_liouville_kfree_segment_packs_high_hit_counts(k, primes_to_2_25):
                           liouville_product_segment(lo, hi, k, primes_to_2_25))
 
 
+# windows from one before to one after a multiple of the kernel's wheel
+# period 30030, one value, one period and two periods long; 30030 j passes
+# 2^32 from j = 143023 on, and j itself past 2^32
+@pytest.mark.parametrize("j", [1, 2, 143023, 2**32 + 1])
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_liouville_kfree_segment_across_wheel_periods(j, k):
+    base, top = 30030 * j - 1, 30030 * j + 1 + 60060
+    primes = sieve_primes(isqrt(top))
+    expect = liouville_product_segment(base, top, k, primes)
+    for lo in (base, base + 1, base + 2):
+        for size in (1, 30030, 60061):
+            vals = liouville_kfree_segment(lo, lo + size - 1, k, primes)
+            assert np.array_equal(vals, expect[lo - base : lo - base + size]), (lo, size)
+    if k == 2 and j < 2**32:  # trial division near 10^14 is too slow
+        near = [n for n in range(base, top + 1) if min(n % 30030, -n % 30030) <= 2]
+        assert [int(expect[n - base]) for n in near] == [mobius_brute(n) for n in near]
+
+
 @pytest.mark.parametrize("lo, hi", [
     (10**12 - 100, 10**12 + 100), (2**40 - 100, 2**40 + 100), (1, 5000),
     (1009 * 10**9 - 201, 1009 * 10**9 - 1),  # 1009 first hits at hi + 1

@@ -2,7 +2,9 @@
 into a public producer's output, and are really reused."""
 
 import sys
+import tracemalloc
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from kfreesums import (
     character_table,
     direct_summatory,
     mertens,
+    mertens_recursive,
     modified_character,
     one_rule,
     sieve_kfree_segment,
@@ -38,7 +41,7 @@ RULES = {
     "chi15": modified_character(ModificationPlan(character=CHI15, flipped_primes=(7, 11))).truncated(3),
     "one": one_rule(),
 }
-# 1000 is a multiple neither of 210 (the Liouville wheel) nor of any period
+# 1000 is a multiple neither of 30030 (the Liouville wheel) nor of any period
 SEGMENT_SIZES = [2**10, 1000, 2**16, 2**20]
 
 
@@ -92,6 +95,18 @@ def test_dirty_workspace_leaves_mertens_unchanged(segment_size, free_list):
     dirty()
     assert mertens(limit, segment_size=segment_size) == fresh
     assert fresh == int(np.sum(sieve_mobius_segment(1, limit).values, dtype=np.int64))
+
+
+# mertens adds a window as 64 int8 rows and a tail of fewer than 64 values;
+# none of these lengths is a multiple of 64, and the first two have no rows
+@pytest.mark.parametrize("segment_size", [1, 63, 65, 1000, 2**16 + 1])
+def test_dirty_workspace_mertens_at_any_window_length(segment_size, free_list):
+    limit = limit_for(segment_size) + 1000
+    mertens(limit, segment_size=segment_size)
+    dirty()
+    total = mertens(limit, segment_size=segment_size)
+    assert total == mertens_recursive(limit)
+    assert total == int(np.sum(sieve_mobius_segment(1, limit).values, dtype=np.int64))
 
 
 def test_dirty_workspace_small_windows_match_brute_force(free_list):
@@ -183,6 +198,30 @@ def test_borrowing_nests_and_restores_the_binding(free_list):
     assert sorted(map(id, free_list)) == sorted((id(outer), id(inner)))
     # no workspace is bound here: scratch is fresh
     assert not np.shares_memory(workspace.scratch("x", 8, np.int64), a)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_kernel_window_allocates_no_new_buffer(k, free_list):
+    # the kernel's sign flag lives in its output and its sums in TABLE, so a
+    # second window takes no buffer and no window-sized temporary
+    lo, hi = 10**9, 10**9 + 2**20 - 1
+    primes = sieve_primes(isqrt(hi))
+    window = lambda: liouville_kfree_segment(
+        lo, hi, k, primes, out=workspace.scratch(workspace.VALUES, hi - lo + 1, np.int8))
+    with workspace.borrowed() as ws:
+        first = window().copy()
+        allocations = ws.allocations
+        tracemalloc.start()
+        try:
+            second = window()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(ws.buffers) == {workspace.TABLE, workspace.VALUES}
+        assert ws.allocations == allocations
+    assert peak < (hi - lo + 1) // 4
+    assert np.array_equal(second, first)
+    assert np.array_equal(first, liouville_kfree_segment(lo, hi, k, primes))
 
 
 def test_workspace_grows_only_when_too_small():
