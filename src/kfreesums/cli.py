@@ -1,10 +1,11 @@
 """Command-line workbench tying the library together.
 
 Subcommands: sieve, sum, mertens, verify-budget, distance, fit, figure1,
-compare, run.  All file outputs are deterministic for a fixed invocation
-(independent of --threads); timings go to stdout only.  Flags that set a
-run-config field share that field's reader with the config (exit status 2
-on a ConfigError).
+compare, run.  All file outputs are deterministic for a fixed invocation;
+timings go to stdout only.  --threads is accepted and must be an integer
+>= 1, but changes neither outputs nor cost: streams run their windows on
+the calling thread.  Flags that set a run-config field share that field's
+reader with the config (exit status 2 on a ConfigError).
 """
 
 from __future__ import annotations

@@ -59,12 +59,15 @@ MILLER_RABIN_LIMIT = MILLER_RABIN_BASES[-1][1]
 
 
 def as_int(value, what: str, error: type[Exception] = RangeError, minimum: int | None = None) -> int:
-    """value as a Python int: a Python or numpy integer, nothing non-integral,
-    and at least `minimum` when one is given.  The error names the value."""
+    """value as a Python int: a Python or numpy integer, not a bool, nothing
+    non-integral, and at least `minimum` when one is given.  The error names
+    the value."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
+        n = None
+    if n is None or isinstance(value, bool):
+        raise error(f"{what} {value!r} is not an integer")
     if minimum is not None and n < minimum:
         raise error(f"{what} must be >= {minimum}, got {n}")
     return n

@@ -35,10 +35,7 @@ side, so that route streams nothing.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
@@ -165,15 +162,12 @@ def stream_summatory(
     Each window's values are computed and reduced together, by
     `_reduce_window`, to the prefix sum at each interval end between the
     checkpoints the window holds and the prefix's max and min on each
-    interval.  A window borrows a workspace (`workspace.borrowed`) for its
-    temporaries, so at most `threads` of them exist, and they are reused by
-    every later window and stream.  Windows are handed to a pool of
-    `threads` workers in ascending order, at most 2 * threads ahead of the
-    one being folded; the main thread only folds each window's
-    O(checkpoint) summary into the offset carried between windows and the
-    running max of |M|, both Python ints, in that order.  So the series is
-    exact at any limit and bit-identical for every thread count and
-    segment size.
+    interval.  Windows run in ascending order on the calling thread, each
+    borrowing a workspace (`workspace.borrowed`) for its temporaries, which
+    every later window and stream reuses.  Each window's O(checkpoint)
+    summary is folded, in order, into the offset carried between windows
+    and the running max of |M|, both Python ints.  So the series is exact at
+    any limit and bit-identical for every segment size and `threads`.
 
     Args:
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
@@ -183,8 +177,9 @@ def stream_summatory(
             `as_schedule`: entries outside [1, limit] are dropped and the
             endpoint is always included.
         segment_size: Window length per sieve pass.
-        threads: Workers that compute and reduce windows concurrently, at
-            most as many as this process may use CPUs.
+        threads: Accepted and validated, but changes neither the series
+            nor its cost: a window's numpy calls hold the interpreter lock,
+            so window threads would run the windows one after another.
 
     Raises:
         RangeError: limit, threads or segment_size is not an integer >= 1,
@@ -194,7 +189,7 @@ def stream_summatory(
             integer of the window; names the window [lo, hi].
     """
     limit = _check_limit(limit)
-    threads = min(as_int(threads, "threads", minimum=1), _usable_cpus())
+    as_int(threads, "threads", minimum=1)
     if schedule is None:
         schedule = checkpoint_schedule(limit)
     sched = as_schedule(schedule, 1, limit)
@@ -220,37 +215,15 @@ def stream_summatory(
     running: list[tuple[int, int]] = []
     offset = 0
     best = 0
-    windows = segments(1, limit, segment_size)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # one thread is the calling thread: a lone worker would take each
-        # window's arrays from its own malloc arena, which raised peak RSS
-        # and the page faults of the caller's later sieves
-        summaries = _in_order(pool, summarise, windows, 2 * threads) if threads > 1 else map(summarise, windows)
-        for xs, (at, tops, bottoms) in summaries:
-            for x, m, top, bottom in zip(xs, at, tops, bottoms):
-                best = max(best, abs(offset + top), abs(offset + bottom))
-                checkpoints.append((x, offset + m))
-                running.append((x, best))
-            best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
-            offset += at[-1]
+    for xs, (at, tops, bottoms) in map(summarise, segments(1, limit, segment_size)):
+        for x, m, top, bottom in zip(xs, at, tops, bottoms):
+            best = max(best, abs(offset + top), abs(offset + bottom))
+            checkpoints.append((x, offset + m))
+            running.append((x, best))
+        best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
+        offset += at[-1]
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
-
-
-def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
-    """fn(item) for each item, computed on the pool and yielded in order,
-    with at most `ahead` items submitted and not yet yielded."""
-    pending: deque = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 # Longest block of the blocked window reduction: no sum of 64 one-byte
@@ -346,13 +319,6 @@ _INT64 = np.iinfo(np.int64)
 # Bytes of a window the reduction transposes at once: a chunk's source
 # stays in a 32 KiB L1 data cache.
 _TRANSPOSE_BYTES = 2**15
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def direct_summatory(

@@ -8,11 +8,13 @@ allocates nothing.
 
 Workspaces wait on a module-level free list.  A window borrows one and
 binds it to its thread (`borrowed`) for that window only, so no more exist
-than windows ever ran at once: one per worker of a stream.  They hold
-plain arrays and no thread or lock, so they outlive any pool and survive
-a fork.  `scratch` hands out the bound workspace's buffers; on a thread
-with none bound it returns a fresh array, so every public producer that
-is called outside a window allocates as it always did.
+than windows ever ran at once: one per thread that runs a stream, as a
+stream runs its windows on the calling thread.  The binding is per thread,
+so callers that run streams on threads of their own never share a
+workspace.  Workspaces hold plain arrays and no thread or lock, so they
+survive a fork.  `scratch` hands out the bound workspace's buffers; on a
+thread with none bound it returns a fresh array, so every public producer
+that is called outside a window allocates as it always did.
 """
 
 from __future__ import annotations

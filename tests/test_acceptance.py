@@ -171,7 +171,7 @@ def test_criterion_07_figure_envelope(chi3):
     assert ratio < 1.0
     report(
         f"PASS 07 partial sums to 1e7 inside +-x^(1/4): max ratio {ratio:.4f} at x={at} "
-        f"({single:.2f} s single, {eight:.2f} s with 8 threads)"
+        f"({single:.2f} s at threads=1, {eight:.2f} s and the same series at threads=8)"
     )
 
 

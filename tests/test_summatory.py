@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import time
 import tracemalloc
 from bisect import bisect_left
@@ -284,7 +285,7 @@ def test_stream_past_the_int8_prefix_bound(dense, threads):
         (lambda lo, hi: np.ones((hi - lo + 1, 1), dtype=np.int8), 10, r"window \[1, 10\]"),
         (lambda lo, hi: np.ones(hi - lo + 1, dtype=np.uint64), 10, r"window \[1, 10\] has uint64"),
         (lambda lo, hi: np.ones(hi - lo + 1, dtype=bool), 10, r"window \[1, 10\] has bool"),
-        # only the last window is short, and a worker finds it
+        # only the last window is short, and it is found after the others are folded
         (lambda lo, hi: np.ones(hi - lo + (hi < 300), dtype=np.int8), 300, r"window \[257, 300\]"),
     ],
 )
@@ -299,40 +300,28 @@ def test_threads_below_one_rejected(chi3, threads):
         direct_summatory(character_rule(chi3, k=2), 1000, threads=threads)
 
 
-def test_threads_capped_at_usable_cpus(chi3, monkeypatch):
-    pools = []
-
-    class Recording(summatory.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(summatory, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(summatory, "ThreadPoolExecutor", Recording)
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_windows_run_in_order_on_the_calling_thread(chi3, threads):
     f = character_rule(chi3, k=2)
-    series = direct_summatory(f, 10**5, segment_size=2**12, threads=4)
-    assert pools == [2]
-    assert series == direct_summatory(f, 10**5, segment_size=2**12, threads=1)
-
-
-@pytest.mark.parametrize("windows", [64, 1024])
-def test_windows_in_flight_do_not_grow_with_the_window_count(windows, monkeypatch):
-    # window 1 stalls; meanwhile the other worker may run only as far ahead
-    # as the stream submits, at most 2 * threads windows counting window 1
-    monkeypatch.setattr(summatory, "_usable_cpus", lambda: 2)
-    started, ahead = [], []
+    caller, active = threading.get_ident(), threading.active_count()
+    events = []
 
     def values(lo, hi):
-        if lo == 1:
-            time.sleep(0.3)
-            ahead.append(len(started))
-        else:
-            started.append(lo)
-        return np.ones(hi - lo + 1, dtype=np.int8)
+        events.append(("start", lo, threading.get_ident(), threading.active_count()))
+        time.sleep(1e-3)  # room for a window run ahead to start meanwhile
+        out = f.segment_values(lo, hi)
+        events.append(("end", lo, threading.get_ident(), threading.active_count()))
+        return out
 
-    series = stream_summatory(values, 16 * windows, segment_size=16, threads=2)
-    assert series.final == (16 * windows, 16 * windows)
-    assert len(started) == windows - 1 and ahead[0] <= 3
+    series = stream_summatory(values, 10**5, segment_size=2**12, threads=threads)
+    assert series == stream_summatory(f.segment_values, 10**5, segment_size=2**12, threads=1)
+    assert {(ident, count) for _, _, ident, count in events} == {(caller, active)}
+    # each window starts only after the previous callback returned
+    assert [kind for kind, *_ in events] == ["start", "end"] * (len(events) // 2)
+    starts = [lo for kind, lo, *_ in events if kind == "start"]
+    assert starts == sorted(set(starts)) and starts[0] == 1 and len(starts) == 25
+    assert [lo for kind, lo, *_ in events if kind == "end"] == starts
+    assert threading.active_count() == active
 
 
 def test_mertens_small_and_dual_path():
@@ -418,6 +407,9 @@ _SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_sche
 @pytest.mark.parametrize("call, shown", [
     (lambda: direct_summatory(mobius_rule(), 100, threads=1.5), "threads 1.5"),
     (lambda: direct_summatory(mobius_rule(), 100, threads="2"), "threads '2'"),
+    (lambda: direct_summatory(mobius_rule(), 100, threads=True), "threads True"),
+    (lambda: direct_summatory(mobius_rule(), True), "limit True"),
+    (lambda: direct_summatory(mobius_rule(), 100, segment_size=False), "segment_size False"),
     (lambda: direct_summatory(mobius_rule(), 100, segment_size=2.5), "segment_size 2.5"),
     (lambda: mertens(100, segment_size=2.5), "segment_size 2.5"),
     (lambda: checkpoint_schedule(10.5), "schedule limit 10.5"),

@@ -3,6 +3,7 @@ into a public producer's output, and are really reused."""
 
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import isqrt
 
@@ -164,27 +165,31 @@ def test_producers_outside_a_window_return_fresh_arrays(free_list):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", ["mu", "chi15"])
 def test_second_stream_allocates_no_buffer(name, threads, free_list):
-    # 31 windows of 2^16, so the two workers overlap and both workspaces grow
+    # 31 windows of 2^16, all run on the calling thread with one workspace
     run = lambda: direct_summatory(RULES[name], 2 * 10**6, segment_size=2**16, threads=threads)
     first = run()
     allocations = sum(ws.allocations for ws in free_list)
-    assert 0 < allocations and len(free_list) <= threads
+    assert 0 < allocations and len(free_list) == 1
     assert run() == first
     assert sum(ws.allocations for ws in free_list) == allocations
-    assert len(free_list) <= threads
+    assert len(free_list) == 1
 
 
-def test_many_workers_never_share_a_workspace(free_list, monkeypatch):
-    # more workers than cores and a short switch interval: a workspace
-    # handed to two windows at once would corrupt one of their sums
-    monkeypatch.setattr(summatory, "_usable_cpus", lambda: 8)
+def test_streams_on_concurrent_threads_never_share_a_workspace(free_list):
+    # streams run on the caller's own threads, with a short switch interval:
+    # a workspace bound to two windows at once would corrupt one of their sums
+    limit = 3 * 10**5
+    expect = reference_series("chi15", limit)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        series = direct_summatory(RULES["chi15"], 3 * 10**5, segment_size=2**12, threads=8)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [pool.submit(direct_summatory, RULES["chi15"], limit, segment_size=2**12)
+                    for _ in range(8)]
+            series = [run.result(timeout=300) for run in runs]
     finally:
         sys.setswitchinterval(interval)
-    assert (series.checkpoints, series.running_abs_max) == reference_series("chi15", 3 * 10**5)
+    assert all((s.checkpoints, s.running_abs_max) == expect for s in series)
     assert 1 <= len(free_list) <= 8 and len(set(map(id, free_list))) == len(free_list)
 
 
