@@ -151,7 +151,6 @@ def figure1(
     svg_path,
     modulus: int = 3,
     schedule: list[int] | None = None,
-    threads: int = 1,
 ) -> PartialSumSeries:
     """Partial sums of the squarefree-restricted character against +-x^(1/4).
 
@@ -164,7 +163,7 @@ def figure1(
 
     chi = build_real_character(modulus)
     rule = character_rule(chi, k=2)
-    series = direct_summatory(rule, limit, schedule=schedule, threads=threads)
+    series = direct_summatory(rule, limit, schedule=schedule)
     xs = series.xs
     env = xs.astype(np.float64) ** 0.25
     write_csv(

@@ -2,10 +2,11 @@
 
 Subcommands: sieve, sum, mertens, verify-budget, distance, fit, figure1,
 compare, run.  All file outputs are deterministic for a fixed invocation;
-timings go to stdout only.  --threads is accepted and must be an integer
->= 1, but changes neither outputs nor cost: streams run their windows on
-the calling thread.  Flags that set a run-config field share that field's
-reader with the config (exit status 2 on a ConfigError).
+timings go to stdout only.  --threads (sum, figure1, compare, run) is
+accepted and read as an integer >= 1, but passed to nothing: streams run
+their windows on the calling thread, so it would change neither outputs
+nor cost.  Flags that set a run-config field share that field's reader
+with the config; a flag's ConfigError names the flag (exit status 2).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ _SHARED = {
                       help="character modulus q (default 3)"),
     "--limit": dict(type=_flag(read_limit, "--limit"), required=True, help="upper bound X"),
     "--plan": dict(help="modification plan JSON file"),
-    "--threads": dict(type=int, default=1),
+    "--threads": dict(type=_flag(read_int, "--threads", 1), default=1,
+                      help="thread count (>= 1); changes nothing"),
     "--schedule": dict(type=_flag(read_ratio, "--schedule"), help="checkpoint ratio (> 1)"),
 }
 
@@ -89,7 +91,7 @@ def cmd_sieve(args) -> int:
 def cmd_sum(args) -> int:
     f, _, _ = config_rules(args.modulus, _plan(args), args.k)
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
-    series = direct_summatory(f, args.limit, schedule=schedule, threads=args.threads)
+    series = direct_summatory(f, args.limit, schedule=schedule)
     if args.out:
         series.to_csv(args.out)
         print(f"wrote {args.out}")
@@ -164,8 +166,7 @@ def cmd_figure1(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path, svg_path = out / "figure1.csv", out / "figure1.svg"
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
-    series = figure1(args.limit, csv_path, svg_path, modulus=args.modulus,
-                     schedule=schedule, threads=args.threads)
+    series = figure1(args.limit, csv_path, svg_path, modulus=args.modulus, schedule=schedule)
     x_min = min(10**3, args.limit)
     ratio, at = envelope_ratio(series, power_envelope(0.25), x_min=x_min)
     print(f"wrote {csv_path} and {svg_path}")
@@ -177,7 +178,7 @@ def cmd_compare(args) -> int:
     f, _, _ = config_rules(args.modulus, _plan(args), args.k)
     x = args.limit
     split = resolve_split(args.split, x, args.k)
-    report = compare_methods(f, args.k, x, split, threads=args.threads)
+    report = compare_methods(f, args.k, x, split)
     print(f"direct    M_{f.label}({x}) = {report.direct_value}"
           f"  [{report.direct_seconds:.3f} s]")
     print(f"hyperbola M_{f.label}({x}) = {report.hyperbola_value}"
@@ -189,7 +190,7 @@ def cmd_compare(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    summary = run_experiment(cfg, args.out, threads=args.threads)
+    summary = run_experiment(cfg, args.out)
     print(f"wrote bundle to {args.out}")
     print(f"final M = {summary['final']['M']} at x = {summary['final']['x']}")
     for env in summary["envelopes"]:

@@ -387,7 +387,6 @@ def growth_report(
     limit: int,
     schedule: list[int] | None = None,
     x_min: int = 10**3,
-    threads: int = 1,
 ) -> GrowthReport:
     """Track the log-power growth of M_g for the completed character g.
 
@@ -396,7 +395,7 @@ def growth_report(
     """
     q_primes = chi.q_divisor_primes()
     omega = len(q_primes)
-    series = direct_summatory(g, limit, schedule=schedule, threads=threads)
+    series = direct_summatory(g, limit, schedule=schedule)
     ratios = []
     best, best_at = 0.0, 0
     for x, m in series.checkpoints:

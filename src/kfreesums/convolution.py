@@ -32,7 +32,8 @@ import numpy as np
 from .characters import RealCharacter
 from .errors import CapacityError, NonInvertibleError, RangeError, ShapeError
 from .rules import MultiplicativeRule
-from .sieve import MAX_LIMIT, MAX_SPF_BYTES, DenseValueTable, as_int, introot, sieve_mobius_segment
+from .sieve import MAX_LIMIT, DenseValueTable, as_int, introot, sieve_mobius_segment
+from .workspace import check_bytes
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,7 @@ def kfree_factor(k: int, g: MultiplicativeRule, limit: int) -> DenseValueTable:
         raise ShapeError("factor requires the untruncated completely multiplicative g")
     k = as_int(k, "k-free order k", minimum=2)
     limit = as_int(limit, "limit", minimum=1)
-    if limit > MAX_SPF_BYTES:
-        raise CapacityError(f"k-free factor to {limit} needs {limit} bytes, budget is {MAX_SPF_BYTES}")
+    check_bytes(limit, f"k-free factor to {limit}")
     root = introot(limit, k)
     h = np.zeros(limit, dtype=np.int8)
     if root >= 1:
@@ -281,11 +281,13 @@ def deviation_factor(g: MultiplicativeRule, chi: RealCharacter, limit: int) -> D
     Raises:
         ShapeError: g is truncated, or its base is not chi (the message
             names both labels).
+        CapacityError: the table's 8 * limit bytes exceed MAX_SPF_BYTES.
     """
     base = g.base
     if not (isinstance(base, RealCharacter) and base.modulus == chi.modulus
             and np.array_equal(base.period_values, chi.period_values)):
         raise ShapeError(f"deviation factor of '{g.label}' needs the base character {chi.label}")
+    check_bytes(8 * max(limit, 0), f"deviation factor to {limit}")
     n, t = smooth_terms(g, limit, lambda gp, cp, r: cp ** (r - 1) * (cp - gp))
     h = np.zeros(max(limit, 0), dtype=np.int64)
     h[n - 1] = t

@@ -266,7 +266,7 @@ def resolve_split(split, x: int, k: int) -> HyperbolaSplit:
     return explicit_split(x, *split)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Produce the full report bundle for a config; returns the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     f, g, chi = config_rules(cfg.modulus, cfg.plan, cfg.k)
     schedule = checkpoint_schedule(cfg.limit, ratio=cfg.schedule_ratio)
-    series = direct_summatory(f, cfg.limit, schedule=schedule, threads=threads)
+    series = direct_summatory(f, cfg.limit, schedule=schedule)
     series.to_csv(out / "series.csv")
 
     summary: dict = {
@@ -324,9 +324,7 @@ class CompareReport:
     hyperbola_seconds: float
 
 
-def compare_methods(
-    f: MultiplicativeRule, k: int, x: int, split: HyperbolaSplit, threads: int = 1
-) -> CompareReport:
+def compare_methods(f: MultiplicativeRule, k: int, x: int, split: HyperbolaSplit) -> CompareReport:
     """Cross-validate the streamed sum of f against the hyperbola identity.
 
     f must be the k-free restriction of its completely multiplicative base
@@ -340,7 +338,7 @@ def compare_methods(
         raise RangeError(f"split is for x={split.x}, not x={x}")
 
     t0 = time.perf_counter()
-    direct = direct_summatory(f, x, schedule=[x], threads=threads).final[1]
+    direct = direct_summatory(f, x, schedule=[x]).final[1]
     t1 = time.perf_counter()
     hyper = kfree_hyperbola_sum(f.without_truncation(), k, split)
     t2 = time.perf_counter()

@@ -28,8 +28,8 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import CapacityError, RangeError
-from .workspace import TABLE, output, scratch
+from .errors import RangeError
+from .workspace import MAX_SPF_BYTES, TABLE, check_bytes, output, scratch  # noqa: F401 (re-exported)
 
 # Exact-arithmetic contract: indices must stay within the signed 64-bit
 # world numpy can address without silent wraparound.
@@ -41,10 +41,6 @@ DEFAULT_SEGMENT_SIZE = 2**20
 # pattern of period _WHEEL instead of sieving them with strided passes.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL = 2 * 3 * 5 * 7 * 11 * 13
-
-# Largest table a sieve from 0 to its limit allocates (2 GiB): build_spf's
-# smallest prime factors, and sieve_primes' flags at one byte per integer.
-MAX_SPF_BYTES = 2**31
 
 # is_prime's Miller-Rabin bases, the first 13 primes, each with the least
 # composite that is a strong probable prime to it and every base before it
@@ -210,10 +206,7 @@ def sieve_primes(limit: int) -> np.ndarray:
         return np.array([], dtype=np.int64)
     if limit > MAX_LIMIT:
         raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
-    if limit + 1 > MAX_SPF_BYTES:
-        raise CapacityError(
-            f"prime sieve to {limit} needs {limit + 1} bytes, budget is {MAX_SPF_BYTES}"
-        )
+    check_bytes(limit + 1, f"prime sieve to {limit}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -255,7 +248,10 @@ def liouville_kfree_segment(
     hits the multiples of p, p^2, ..., p^(k-1); the multiples of p^k are
     zeroed on the int8 signs at the end.  The first powers of 2, 3, 5, 7, 11
     and 13 come from a 30030-periodic pattern, the rest from the loop.  The
-    accumulator is the bound workspace's inside a window (see `workspace`).
+    accumulator is the bound workspace's inside a stream (see `workspace`).
+    At 2 bytes a value it holds at most 2^30 values within MAX_SPF_BYTES,
+    so a longer window raises CapacityError, as does a fresh output past
+    the budget.
 
     Every prime factor left unsieved exceeds B and (B + 1)^2 > hi, so a
     k-free n carries at most one, which flips its sign once more.  It is
@@ -368,9 +364,11 @@ def tiled_window(block: np.ndarray, period: int, lo: int, hi: int, out: np.ndarr
 
 def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:
     """Indicator of k-free n (no prime power p^k divides n) over [lo, hi],
-    for any order k >= 2: only the primes p <= hi^(1/k) are sieved."""
+    for any order k >= 2: only the primes p <= hi^(1/k) are sieved.
+    CapacityError when its hi - lo + 1 bytes exceed MAX_SPF_BYTES."""
     k = as_int(k, "k-free order k", minimum=2)
     lo, hi = _check_range(lo, hi)
+    check_bytes(hi - lo + 1, f"k-free table on [{lo}, {hi}]")
     vals = np.ones(hi - lo + 1, dtype=np.int8)
     zero_kth_power_multiples(vals, lo, k, sieve_primes(introot(hi, k)) if primes is None else primes)
     return DenseValueTable(lo, hi, vals, label=f"mu_{k}^2")
@@ -407,11 +405,7 @@ def build_spf(limit: int) -> SpfTable:
     """
     limit = as_int(limit, "limit", minimum=1)
     dtype = np.int32 if limit < 2**31 else np.int64
-    need = (limit + 1) * np.dtype(dtype).itemsize
-    if need > MAX_SPF_BYTES:
-        raise CapacityError(
-            f"SPF table for limit {limit} needs {need} bytes, budget is {MAX_SPF_BYTES}"
-        )
+    check_bytes((limit + 1) * np.dtype(dtype).itemsize, f"SPF table for limit {limit}")
     spf = np.zeros(limit + 1, dtype=dtype)
     spf[1] = 1
     for p in range(2, isqrt(limit) + 1):

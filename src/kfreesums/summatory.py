@@ -162,12 +162,13 @@ def stream_summatory(
     Each window's values are computed and reduced together, by
     `_reduce_window`, to the prefix sum at each interval end between the
     checkpoints the window holds and the prefix's max and min on each
-    interval.  Windows run in ascending order on the calling thread, each
-    borrowing a workspace (`workspace.borrowed`) for its temporaries, which
-    every later window and stream reuses.  Each window's O(checkpoint)
-    summary is folded, in order, into the offset carried between windows
-    and the running max of |M|, both Python ints.  So the series is exact at
-    any limit and bit-identical for every segment size and `threads`.
+    interval.  Windows run in ascending order on the calling thread, which
+    borrows one workspace (`workspace.borrowed`) for the whole stream: its
+    buffers hold every window's temporaries and wait, on the free list, for
+    the next stream.  Each window's O(checkpoint) summary is folded, in
+    order, into the offset carried between windows and the running max of
+    |M|, both Python ints.  So the series is exact at any limit and
+    bit-identical for every segment size and `threads`.
 
     Args:
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
@@ -180,6 +181,9 @@ def stream_summatory(
         threads: Accepted and validated, but changes neither the series
             nor its cost: a window's numpy calls hold the interpreter lock,
             so window threads would run the windows one after another.
+            Only this function and `direct_summatory` take it, for the
+            callers that name it: the benchmark's threads=2 path and its
+            stream tracer.
 
     Raises:
         RangeError: limit, threads or segment_size is not an integer >= 1,
@@ -194,9 +198,12 @@ def stream_summatory(
         schedule = checkpoint_schedule(limit)
     sched = as_schedule(schedule, 1, limit)
 
-    def summarise(window: tuple[int, int]):
-        lo, hi = window
-        with borrowed():
+    checkpoints: list[tuple[int, int]] = []
+    running: list[tuple[int, int]] = []
+    offset = 0
+    best = 0
+    with borrowed():
+        for lo, hi in segments(1, limit, segment_size):
             vals = np.asarray(segment_values(lo, hi))
             integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
             if not integer or vals.shape != (hi - lo + 1,):
@@ -209,19 +216,13 @@ def stream_summatory(
             ends = [x - lo for x in xs]
             if not ends or ends[-1] != hi - lo:
                 ends.append(hi - lo)
-            return xs, _reduce_window(vals, ends, _block_length(len(vals)))
-
-    checkpoints: list[tuple[int, int]] = []
-    running: list[tuple[int, int]] = []
-    offset = 0
-    best = 0
-    for xs, (at, tops, bottoms) in map(summarise, segments(1, limit, segment_size)):
-        for x, m, top, bottom in zip(xs, at, tops, bottoms):
-            best = max(best, abs(offset + top), abs(offset + bottom))
-            checkpoints.append((x, offset + m))
-            running.append((x, best))
-        best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
-        offset += at[-1]
+            at, tops, bottoms = _reduce_window(vals, ends, _block_length(len(vals)))
+            for x, m, top, bottom in zip(xs, at, tops, bottoms):
+                best = max(best, abs(offset + top), abs(offset + bottom))
+                checkpoints.append((x, offset + m))
+                running.append((x, best))
+            best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
+            offset += at[-1]
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
 
@@ -328,7 +329,8 @@ def direct_summatory(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> PartialSumSeries:
-    """Exact M_f for a multiplicative rule, by streaming segmented sieving."""
+    """Exact M_f for a multiplicative rule, by streaming segmented sieving;
+    `threads` is validated and changes nothing, as in `stream_summatory`."""
     primes = sieve_primes(isqrt(_check_limit(limit)))
 
     def seg(lo: int, hi: int) -> np.ndarray:
@@ -345,7 +347,6 @@ def summatory_mu_chi(
     limit: int,
     schedule: list[int] | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
 ) -> PartialSumSeries:
     """Exact partial sums of mu(n) * chi(n)."""
     primes = sieve_primes(isqrt(_check_limit(limit)))
@@ -355,8 +356,7 @@ def summatory_mu_chi(
         return np.multiply(mu, chi.values(lo, hi), out=mu)
 
     return stream_summatory(
-        seg, limit, schedule=schedule, label=f"mu*{chi.label}",
-        segment_size=segment_size, threads=threads,
+        seg, limit, schedule=schedule, label=f"mu*{chi.label}", segment_size=segment_size
     )
 
 
@@ -547,7 +547,6 @@ def streamed_summatory_map(
     rule: MultiplicativeRule,
     args: list[int],
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
 ) -> dict[int, int]:
     """{y: M_f(y)} for every requested argument y >= 0, exactly, from one
     streaming pass; each argument is read by as_int."""
@@ -555,9 +554,7 @@ def streamed_summatory_map(
     out: dict[int, int] = {a: 0 for a in args if a == 0}
     pos = [a for a in args if a >= 1]
     if pos:
-        series = direct_summatory(
-            rule, pos[-1], schedule=pos, segment_size=segment_size, threads=threads
-        )
+        series = direct_summatory(rule, pos[-1], schedule=pos, segment_size=segment_size)
         out.update(dict(series.checkpoints))
     return out
 

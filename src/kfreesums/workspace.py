@@ -1,20 +1,24 @@
-"""Reusable buffers for streamed windows.
+"""Reusable buffers for streamed windows, and the byte budget of every
+dense table sized by a caller's input.
 
 A stream computes each window's values and reduces them with a few
 window-sized temporaries.  Fresh arrays of a MiB or more cost a page fault
-per 4 KiB every window, on every thread.  A Workspace holds named byte
-buffers that grow but are never freed, so a window that fits in them
-allocates nothing.
+per 4 KiB every window.  A Workspace holds named byte buffers that grow but
+are never freed, so a window that fits in them allocates nothing.
 
-Workspaces wait on a module-level free list.  A window borrows one and
-binds it to its thread (`borrowed`) for that window only, so no more exist
-than windows ever ran at once: one per thread that runs a stream, as a
-stream runs its windows on the calling thread.  The binding is per thread,
-so callers that run streams on threads of their own never share a
-workspace.  Workspaces hold plain arrays and no thread or lock, so they
-survive a fork.  `scratch` hands out the bound workspace's buffers; on a
-thread with none bound it returns a fresh array, so every public producer
-that is called outside a window allocates as it always did.
+Workspaces wait on a module-level free list.  A stream (or `mertens`)
+borrows one and binds it to its thread (`borrowed`) while it runs, so no
+more exist than streams ever ran at once: one per thread that runs
+streams.  The binding is per thread, so callers that run streams on
+threads of their own never share a workspace.  `scratch` hands out the
+bound workspace's buffers; on a thread with none bound it returns a fresh
+array, so every public producer that is called outside a stream allocates
+as it always did.
+
+Every array whose size the caller's input sets (a fresh `output` or
+`scratch` array, a workspace buffer that grows, the sieves' and factor
+tables) is checked by `check_bytes` against MAX_SPF_BYTES before it is
+allocated, and past it raises CapacityError, not numpy's MemoryError.
 """
 
 from __future__ import annotations
@@ -25,7 +29,22 @@ from math import prod
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import CapacityError, ShapeError
+
+# Largest dense table sized by a caller's input (2 GiB): a sieve's flags or
+# smallest prime factors, a factor table, a window's values or temporaries.
+MAX_SPF_BYTES = 2**31
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """CapacityError "{what} needs {nbytes} bytes, budget is {MAX_SPF_BYTES}"
+    when nbytes exceeds MAX_SPF_BYTES."""
+    if nbytes > MAX_SPF_BYTES:
+        raise CapacityError(f"{what} needs {nbytes} bytes, budget is {MAX_SPF_BYTES}")
+
+
+def _nbytes(shape, dtype: np.dtype) -> int:
+    return prod((shape,) if isinstance(shape, int) else shape) * dtype.itemsize
 
 
 class Workspace:
@@ -41,11 +60,13 @@ class Workspace:
 
     def array(self, name: str, shape, dtype) -> np.ndarray:
         """An uninitialised array of `shape` and `dtype` over buffer `name`,
-        which is replaced by a larger one when it is too small."""
+        which is replaced by a larger one when it is too small (CapacityError
+        past MAX_SPF_BYTES)."""
         dtype = np.dtype(dtype)
-        nbytes = prod((shape,) if isinstance(shape, int) else shape) * dtype.itemsize
+        nbytes = _nbytes(shape, dtype)
         buf = self.buffers.get(name)
         if buf is None or buf.nbytes < nbytes:
+            check_bytes(nbytes, f"workspace buffer {name!r}")
             buf = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
             self.allocations += 1
         return buf[:nbytes].view(dtype).reshape(shape)
@@ -84,15 +105,21 @@ def borrowed():
 
 def scratch(name: str, shape, dtype) -> np.ndarray:
     """Uninitialised array from the bound workspace's buffer `name`, or a
-    fresh one on a thread with no workspace bound."""
+    fresh one on a thread with no workspace bound; CapacityError past
+    MAX_SPF_BYTES either way."""
     ws = getattr(_BOUND, "workspace", None)
-    return np.empty(shape, dtype) if ws is None else ws.array(name, shape, dtype)
+    if ws is not None:
+        return ws.array(name, shape, dtype)
+    check_bytes(_nbytes(shape, np.dtype(dtype)), f"scratch array {name!r}")
+    return np.empty(shape, dtype)
 
 
 def output(out: np.ndarray | None, n: int, dtype) -> np.ndarray:
-    """A fresh uninitialised array of n entries of dtype when out is None,
-    else out itself, which must be exactly that: ShapeError otherwise."""
+    """A fresh uninitialised array of n entries of dtype when out is None
+    (CapacityError past MAX_SPF_BYTES), else out itself, which must be
+    exactly that: ShapeError otherwise."""
     if out is None:
+        check_bytes(n * np.dtype(dtype).itemsize, f"array of {n} values")
         return np.empty(n, dtype)
     if out.dtype != dtype or out.shape != (n,) or not out.flags.writeable:
         raise ShapeError(

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -156,10 +157,19 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sum_rejects_thread_count_below_one(capsys):
-    rc = main(["sum", "--modulus", "3", "--limit", "1000", "--threads", "0"])
+@pytest.mark.parametrize("argv", [
+    ["sum", "--modulus", "3", "--limit", "1000"],
+    ["figure1", "--limit", "1000", "--out", "{out}"],
+    ["compare", "--limit", "1000"],
+    ["run", "--config", str(Path(__file__).parent / "golden/readme_q3/config.json"), "--out", "{out}"],
+])
+def test_thread_count_below_one_is_rejected(argv, tmp_path, capsys):
+    # read once, when the arguments are parsed: nothing is computed or written
+    out = tmp_path / "out"
+    rc = main([a.format(out=out) for a in argv] + ["--threads", "0"])
     assert rc == 2
-    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+    assert "--threads: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_line_endings_are_lf(tmp_path):

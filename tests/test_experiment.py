@@ -108,7 +108,7 @@ def test_run_experiment_bundle_contents(tmp_path):
 def test_run_experiment_deterministic_bundles(tmp_path):
     cfg = parse_config(json.dumps(BASE_CONFIG))
     run_experiment(cfg, tmp_path / "a")
-    run_experiment(cfg, tmp_path / "b", threads=3)
+    run_experiment(cfg, tmp_path / "b")
     assert digest_dir(tmp_path / "a") == digest_dir(tmp_path / "b")
 
 

@@ -19,7 +19,7 @@ CASES = sorted(d.name for d in GOLDEN.iterdir() if d.is_dir())
 @pytest.mark.parametrize("name", CASES)
 def test_run_bundle_matches_golden(name, tmp_path):
     case = GOLDEN / name
-    run_experiment(load_config(case / "config.json"), tmp_path, threads=2)
+    run_experiment(load_config(case / "config.json"), tmp_path)
     expected = {p.name: p.read_bytes() for p in sorted((case / "bundle").iterdir())}
     got = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
     assert sorted(got) == sorted(expected)

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from kfreesums import (
+    CapacityError,
     ModificationPlan,
     MultiplicativeRule,
     ShapeError,
     build_real_character,
     character_rule,
     character_table,
+    deviation_factor,
     direct_summatory,
     mertens,
     mertens_recursive,
+    mobius_rule,
     modified_character,
     one_rule,
     sieve_kfree_segment,
@@ -263,3 +266,29 @@ def test_out_receives_the_values():
     read_only.setflags(write=False)
     with pytest.raises(ShapeError, match="writable"):
         liouville_kfree_segment(1, 1001, out=read_only)
+
+
+CHI3 = build_real_character(3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: liouville_kfree_segment(1, 10**12, 2),
+    lambda: sieve_mobius_segment(1, 10**12),
+    lambda: sieve_kfree_segment(1, 10**12, 2),
+    lambda: character_table(CHI3, 1, 10**12),
+    lambda: character_rule(CHI3, 2).values(1, 10**12),
+    lambda: mobius_rule().values(1, 10**12),
+    lambda: deviation_factor(modified_character(ModificationPlan(character=CHI3, flipped_primes=(7,))),
+                             CHI3, 10**12),
+    lambda: workspace.Workspace().array(workspace.VALUES, 2**31 + 1, np.int8),
+], ids=["liouville", "mobius table", "kfree table", "character table", "character rule",
+        "mobius rule", "deviation factor", "workspace buffer"])
+def test_dense_tables_past_the_byte_budget_raise_before_allocating(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"budget is {workspace.MAX_SPF_BYTES}$"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
