@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import CharacterConstructionError
-from .sieve import DenseValueTable, as_int, sieve_primes, tiled_window
+from .sieve import DenseValueTable, _check_range, as_int, sieve_primes, tiled_window
 
 # Window lookups tile whole periods of a block (sieve.tiled_window); a block
 # of at least this many values keeps that to a few large copies even for
@@ -218,4 +218,5 @@ def _unit_generators(units: np.ndarray) -> list[int]:
 
 def character_table(chi: RealCharacter, lo: int, hi: int):
     """Dense chi(n) for n in [lo, hi] by period lookup."""
+    lo, hi = _check_range(lo, hi)
     return DenseValueTable(lo, hi, chi.values(lo, hi).astype(np.int8), label=chi.label)

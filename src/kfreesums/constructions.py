@@ -393,6 +393,7 @@ def growth_report(
     The reported ceiling is max_y |M_chi(y)| / (omega(q)! * prod_{p|q} log p),
     the limiting bound for the completion's normalised partial sums.
     """
+    x_min = as_int(x_min, "x_min")
     q_primes = chi.q_divisor_primes()
     omega = len(q_primes)
     series = direct_summatory(g, limit, schedule=schedule)

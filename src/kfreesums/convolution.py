@@ -281,14 +281,16 @@ def deviation_factor(g: MultiplicativeRule, chi: RealCharacter, limit: int) -> D
     Raises:
         ShapeError: g is truncated, or its base is not chi (the message
             names both labels).
+        RangeError: limit is not an integer >= 1 (the message names it).
         CapacityError: the table's 8 * limit bytes exceed MAX_SPF_BYTES.
     """
     base = g.base
     if not (isinstance(base, RealCharacter) and base.modulus == chi.modulus
             and np.array_equal(base.period_values, chi.period_values)):
         raise ShapeError(f"deviation factor of '{g.label}' needs the base character {chi.label}")
-    check_bytes(8 * max(limit, 0), f"deviation factor to {limit}")
+    limit = as_int(limit, "limit", minimum=1)
+    check_bytes(8 * limit, f"deviation factor to {limit}")
     n, t = smooth_terms(g, limit, lambda gp, cp, r: cp ** (r - 1) * (cp - gp))
-    h = np.zeros(max(limit, 0), dtype=np.int64)
+    h = np.zeros(limit, dtype=np.int64)
     h[n - 1] = t
     return DenseValueTable(1, limit, h, label=f"dev[{g.label},{chi.label}]")

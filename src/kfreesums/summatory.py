@@ -160,15 +160,17 @@ def stream_summatory(
     """Stream exact partial sums of a segment-valued function to `limit`.
 
     Each window's values are computed and reduced together, by
-    `_reduce_window`, to the prefix sum at each interval end between the
-    checkpoints the window holds and the prefix's max and min on each
-    interval.  Windows run in ascending order on the calling thread, which
-    borrows one workspace (`workspace.borrowed`) for the whole stream: its
-    buffers hold every window's temporaries and wait, on the free list, for
-    the next stream.  Each window's O(checkpoint) summary is folded, in
-    order, into the offset carried between windows and the running max of
-    |M|, both Python ints.  So the series is exact at any limit and
-    bit-identical for every segment size and `threads`.
+    `_reduce_window`, to the prefix sum at each checkpoint it holds and at
+    its end, and the prefix's max and min from the window's start through
+    each: the running max of |M| over [1, x] needs no more, as the window's
+    earlier points lie in [1, x] too.  Windows run in ascending order on
+    the calling thread, which borrows one workspace (`workspace.borrowed`)
+    for the whole stream: its buffers hold every window's temporaries and
+    wait, on the free list, for the next stream.  Each window's
+    O(checkpoint) summary is folded, in order, into the offset carried
+    between windows and the running max of |M|, both Python ints.  So the
+    series is exact at any limit and bit-identical for every segment size
+    and `threads`.
 
     Args:
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
@@ -212,7 +214,7 @@ def stream_summatory(
                     f"not {hi - lo + 1} integers within int64"
                 )
             xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
-            # interval j ends at ends[j]; all but possibly the last end at a checkpoint
+            # an end at each checkpoint, and at the window's last value
             ends = [x - lo for x in xs]
             if not ends or ends[-1] != hi - lo:
                 ends.append(hi - lo)
@@ -245,9 +247,9 @@ def _block_length(n: int) -> int:
 def _reduce_window(
     vals: np.ndarray, ends: list[int], block: int
 ) -> tuple[list[int], list[int], list[int]]:
-    """Prefix sums of `vals` at `ends`, and the prefix's max and min on each
-    interval (ends[j-1], ends[j]], the first from 0; `ends` ascend and end
-    at len(vals) - 1.
+    """Prefix sums of `vals` at `ends`, and the prefix's max and min from
+    the window's start through each end, all that a running max of |M|
+    needs; `ends` ascend and end at len(vals) - 1.
 
     The window is viewed as blocks of `block` values, zero-padded at its
     tail and transposed once, so block - 1 vectorised adds across all
@@ -255,12 +257,11 @@ def _reduce_window(
     and min.  One-byte values take one min and one max per window: when
     max|v| * block <= 127 the prefixes are int8 (always so for values in
     {-1, 0, 1}), otherwise int16 (`block` <= BLOCK); wider values take int64.
-    A block holding an interval end before its last value is split.  The
-    unsplit blocks enter the interval reductions as one value each, their
-    max or min plus the offset ahead of them.  Each interval meets a split
-    block at most at its first and its last block, and these pieces tile
-    the split blocks' prefixes in order, so one more reduction over those
-    prefixes gives every piece.  All work is O(len(vals)) for any `ends`.
+    Every block enters as one value, its max or min plus the sum ahead of
+    it.  One reduction of those values between the blocks that hold an end,
+    accumulated over those blocks, gives the extreme ahead of each end's
+    block, and a running extreme down that block's own prefixes gives the
+    rest through the end.  All work is O(len(vals)) for any `ends`.
     Offsets between blocks are int64; the results are Python ints.  The
     prefix table and the per-block arrays are the bound workspace's, if
     any (see `workspace.scratch`), and their sizes depend on len(vals)
@@ -290,29 +291,21 @@ def _reduce_window(
     np.subtract(before, prefix[-1], out=before)
 
     e = np.asarray(ends)
-    starts = np.concatenate(([0], e[:-1] + 1))
-    eb, sb = e // block, starts // block
-    split = scratch("reduce.split", nb, bool)
-    split.fill(False)
-    split[eb[e % block != block - 1]] = True
-    parts = np.flatnonzero(split)
-    # pieces: interval j's part of its first block, then of its last, where split
-    pieces = np.stack((split[sb], split[eb] & (eb != sb)), axis=1)
-    at = np.stack((np.searchsorted(parts, sb) * block + starts % block,
-                   np.searchsorted(parts, eb) * block), axis=1)[pieces]
-    owner = np.nonzero(pieces)[0]
-    cells = (prefix[:, parts].T + before[parts, None]).ravel()
-    edge = scratch("reduce.edge", nb, np.int64)
+    eb, row = np.divmod(e, block)
+    # the distinct blocks that hold an end; end j lies in blocks[col[j]]
+    blocks, col = np.unique(eb, return_inverse=True)
+    own = prefix[:, blocks]
+    # edge[b + 1]: block b's extreme prefix; edge[0] the sentinel ahead of them
+    edge = scratch("reduce.edge", nb + 1, np.int64)
     extreme = scratch("reduce.extreme", nb, dtype)
-    result = [(before[eb] + prefix[e % block, eb]).tolist()]
+    result = [(before[eb] + own[row, col]).tolist()]
     for ufunc, sentinel in ((np.maximum, _INT64.min), (np.minimum, _INT64.max)):
-        # each block's extreme; a split block's is left to its pieces
-        np.add(before, ufunc.reduce(prefix, axis=0, out=extreme), out=edge)
-        edge[parts] = sentinel
-        # interval j's unsplit blocks lie in [sb[j], sb[j + 1])
-        per_interval = ufunc.reduceat(edge, sb)
-        ufunc.at(per_interval, owner, ufunc.reduceat(cells, at))
-        result.append(per_interval.tolist())
+        edge[0] = sentinel
+        np.add(before, ufunc.reduce(prefix, axis=0, out=extreme), out=edge[1:])
+        # the blocks since the previous end's block, then all blocks ahead
+        ahead = ufunc.accumulate(ufunc.reduceat(edge, np.concatenate(([0], blocks + 1)))[:-1])
+        inside = ufunc.accumulate(own, axis=0)[row, col]
+        result.append(ufunc(ahead[col], before[eb] + inside).tolist())
     return tuple(result)
 
 
@@ -511,10 +504,12 @@ class SmoothSummatory:
 
     Raises:
         ShapeError: g is truncated or has a constant base.
+        RangeError: limit is not an integer >= 0.
         CapacityError: limit past int64, or the bound above past 2^63 - 1.
     """
 
     def __init__(self, g: MultiplicativeRule, limit: int):
+        limit = as_int(limit, "limit", minimum=0)
         if limit > MAX_LIMIT:
             raise CapacityError(f"limit {limit} beyond the int64 oracle domain {MAX_LIMIT}")
         self.limit = limit
@@ -582,6 +577,8 @@ class HyperbolaSplit:
 def explicit_split(x: int, u: float, v: float) -> HyperbolaSplit:
     """Split from user-provided real U, V with U*V = x (validated via floors)."""
     try:
+        if isinstance(u, bool) or isinstance(v, bool):  # math.floor takes bools
+            raise TypeError
         u_floor, v_floor = math.floor(u), math.floor(v)
     except (TypeError, ValueError, OverflowError):
         raise RangeError(f"split U = {u!r}, V = {v!r} needs finite real U and V") from None

@@ -242,15 +242,14 @@ def test_reduce_window_at_the_int8_prefix_bound(value, block, every):
 
 
 def assert_reduce_window_naive(vals, ends, block):
-    """_reduce_window equals a full cumsum and its max and min per interval."""
+    """_reduce_window equals a full cumsum and its running max and min."""
     n = len(vals)
     ends = sorted({e for e in ends if 0 <= e < n} | {n - 1})
     at, tops, bottoms = summatory._reduce_window(vals, ends, block)
     prefix = np.cumsum(vals, dtype=np.int64).tolist()
-    starts = [0] + [e + 1 for e in ends[:-1]]
     assert at == [prefix[e] for e in ends]
-    assert tops == [max(prefix[a : e + 1]) for a, e in zip(starts, ends)]
-    assert bottoms == [min(prefix[a : e + 1]) for a, e in zip(starts, ends)]
+    assert tops == [max(prefix[: e + 1]) for e in ends]
+    assert bottoms == [min(prefix[: e + 1]) for e in ends]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -401,6 +400,7 @@ def test_limits_must_be_integers(bad, chi3):
 
 
 CHI3 = build_real_character(3)
+_CHI3_AT_7 = modified_character(ModificationPlan(character=CHI3, flipped_primes=(7,)))
 _SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_schedule(10**4))
 
 
@@ -438,6 +438,13 @@ _SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_sche
     (lambda: streamed_summatory_map(mobius_rule(), ["5"]), "argument '5'"),
     (lambda: streamed_summatory_map(mobius_rule(), [3, 2.5]), "argument 2.5"),
     (lambda: kronecker_symbol(5, 2.0), "Kronecker symbol n 2.0"),
+    (lambda: deviation_factor(_CHI3_AT_7, CHI3, 2.5), "limit 2.5"),
+    (lambda: deviation_factor(_CHI3_AT_7, CHI3, True), "limit True"),
+    (lambda: deviation_factor(_CHI3_AT_7, CHI3, "5"), "limit '5'"),
+    (lambda: growth_report(character_rule(CHI3), CHI3, 100, x_min="5"), "x_min '5'"),
+    (lambda: character_table(CHI3, "1", 5), "lo '1'"),
+    (lambda: character_table(CHI3, 1.5, 5), "lo 1.5"),
+    (lambda: SmoothSummatory(_CHI3_AT_7, "9"), "limit '9'"),
 ])
 def test_counts_sizes_and_splits_must_be_integers(call, shown):
     with pytest.raises(RangeError, match=re.escape(shown) + " is not an integer$"):
@@ -461,13 +468,16 @@ def test_counts_sizes_and_splits_must_be_integers(call, shown):
     (lambda: kronecker_symbol(5, -1), "Kronecker symbol n must be >= 0, got -1"),
     (lambda: modified_character(ModificationPlan(character=CHI3)).segment_values(0, 10),
      "lo must be >= 1, got 0"),
+    (lambda: deviation_factor(_CHI3_AT_7, CHI3, 0), "limit must be >= 1, got 0"),
 ])
 def test_bounds_name_their_minimum_and_the_value(call, message):
     with pytest.raises(RangeError, match=re.escape(message) + "$"):
         call()
 
 
-@pytest.mark.parametrize("u, v", [(math.nan, 10.0), (10.0, math.inf), (-math.inf, 1.0), ("10", 10.0)])
+@pytest.mark.parametrize("u, v", [
+    (math.nan, 10.0), (10.0, math.inf), (-math.inf, 1.0), ("10", 10.0), (True, 100), (100, False),
+])
 def test_explicit_split_needs_finite_reals(u, v):
     with pytest.raises(RangeError, match=re.escape(f"split U = {u!r}, V = {v!r}")):
         explicit_split(100, u, v)

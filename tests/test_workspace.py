@@ -36,6 +36,7 @@ from kfreesums.sieve import liouville_kfree_segment
 
 from oracles import mobius_brute
 
+CHI3 = build_real_character(3)
 CHI15 = build_real_character(15)
 RULES = {
     "liouville": MultiplicativeRule(base=-1),
@@ -178,6 +179,15 @@ def test_second_stream_allocates_no_buffer(name, threads, free_list):
     assert len(free_list) == 1
 
 
+def test_stream_workspace_holds_only_the_window_buffers(free_list):
+    # the values, the kernel's accumulator or prefix table, and three per-block arrays
+    direct_summatory(character_rule(CHI3, k=2), 3 * 10**6)
+    mertens(3 * 10**6)
+    assert len(free_list) == 1
+    assert set(free_list[0].buffers) == {
+        workspace.VALUES, workspace.TABLE, "reduce.before", "reduce.edge", "reduce.extreme"}
+
+
 def test_streams_on_concurrent_threads_never_share_a_workspace(free_list):
     # streams run on the caller's own threads, with a short switch interval:
     # a workspace bound to two windows at once would corrupt one of their sums
@@ -266,9 +276,6 @@ def test_out_receives_the_values():
     read_only.setflags(write=False)
     with pytest.raises(ShapeError, match="writable"):
         liouville_kfree_segment(1, 1001, out=read_only)
-
-
-CHI3 = build_real_character(3)
 
 
 @pytest.mark.parametrize("make", [
