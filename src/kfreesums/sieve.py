@@ -16,6 +16,13 @@ floor(4 log2 p).  Comparing that sum with a threshold fixed by n's bit
 length flags the one prime factor above sqrt(hi) that a k-free n may
 carry, a test that is exact for every hi up to 2^63-1, and the flag XORed
 with the count gives the sign's parity (see liouville_kfree_segment).
+
+The kernel's one body also sieves the odd n of a window alone, the
+progression lo + 2i from an odd lo, for `mertens`, which needs mu only
+there: p = 2 is skipped, the first powers of 3, ..., 13 come from the odd
+half of the 30030-periodic pattern (period 15015), and the first odd
+multiple of each p^j sits at index (p^j // 2 - lo // 2) mod p^j, whose
+intermediates stay within int64, so no offset of an array of powers wraps.
 """
 
 from __future__ import annotations
@@ -272,6 +279,10 @@ def liouville_kfree_segment(
     the output's bytes; one XOR with the accumulator then leaves the
     parity of c(n) + [S < T] in bit 0.
 
+    The same body sieves the odd n of a window alone for `mertens`, one
+    index per odd n, and gives there this array's odd entries (see
+    `_liouville_kfree_progression`).
+
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
         k: Truncation order (>= 2), or None for no truncation.
@@ -279,46 +290,75 @@ def liouville_kfree_segment(
         out: Optional int8 array of hi - lo + 1 entries to write into.
     """
     lo, hi = _check_range(lo, hi)
+    return _liouville_kfree_progression(lo, hi - lo + 1, 1, k, primes, out)
+
+
+def _liouville_kfree_progression(
+    lo: int, size: int, step: int, k: int | None, primes: np.ndarray | None,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """liouville_kfree_segment's values at n = lo + step i, 0 <= i < size,
+    for step 1 (the window [lo, lo + size - 1]) or step 2 (its odd n alone:
+    lo must be odd).  The caller checks lo and size; hi is the last n.
+
+    Every n here is step (n // step) + step - 1, so its index is
+    n // step - lo // step.  At step 2, p = 2 divides no n and is skipped,
+    and the first powers of 3, ..., 13 come from the odd half of the wheel
+    pattern, of period 15015, whose (n // 2)-th entry is n's.  An odd
+    q = p^j divides n = 2 (n // 2) + 1 exactly when n // 2 = q // 2 mod q,
+    so its multiples lie q indices apart from (q // 2 - lo // 2) mod q,
+    which is (-lo) (q + 1) / 2 mod q; at step 1 the same formula is
+    -lo mod q.  Each power is one strided add from there, and no
+    intermediate of the formula leaves (-2^63, 2^63), so an int64 array of
+    powers never wraps.  A threshold range [2^m, 2^(m+1)) covers the
+    indices of its odd n.  The log test holds as at step 1, n by n: the
+    sieved primes that divide an odd n are the same, and T(n) depends on n
+    and hi alone.
+    """
     if k is not None:
         k = as_int(k, "truncation order k", minimum=2)
-    size = hi - lo + 1
+    hi = lo + step * (size - 1)
     sign = output(out, size, np.int8)
     root = isqrt(hi)
     if primes is None:
         primes = sieve_primes(root)
-    primes = np.asarray(primes, dtype=np.int64)
-    primes = primes[: np.searchsorted(primes, root, side="right")]
-    # a prime past the window's length may have no multiple in it, and then
-    # none of its powers has one either
-    near = np.searchsorted(primes, size, side="right")
-    if near < len(primes):
-        far = primes[near:]
-        primes = np.concatenate((primes[:near], far[-lo % far < size]))
-    acc = tiled_window(_WHEEL_HITS, _WHEEL, lo, hi, out=scratch(TABLE, size, np.uint16))
+    start = lo // step
+    primes = _primes_to(primes, root, step)
+    # a prime with no multiple in the window has none of its powers there
+    primes = primes[(primes // step - start) % primes < size]
+    acc = tiled_window(_WHEEL_HITS[step - 1 :: step], _WHEEL // step, start, start + size - 1,
+                       out=scratch(TABLE, size, np.uint16))
     for p in primes.tolist():
         pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
         hit = _quarter_log2(p) << 8 | 1
         while pj <= hi and (k is None or j < k):
-            t = acc[-lo % pj :: pj]
+            t = acc[(pj // step - start) % pj :: pj]
             np.add(t, hit, out=t)
             pj *= p
             j += 1
     e = next(e for e in range(40) if 3 ** (e + 1) > hi)  # E = floor(log3 hi), exactly
-    a = lo
-    while a <= hi:
-        m = a.bit_length() - 1
-        r = slice(a - lo, min(hi, 2 ** (m + 1) - 1) - lo + 1)
+    i = 0
+    while i < size:
+        m = (lo + step * i).bit_length() - 1
+        # the indices of the n in [2^m, 2^(m+1))
+        r = slice(i, min(size, (2 ** (m + 1) - 1 - lo) // step + 1))
         # the output flags [S < T]; no S is below a threshold T <= 0
         np.less(acc[r], max(4 * m - e, 0) << 8, out=sign.view(np.bool_)[r])
-        a = lo + r.stop
+        i = r.stop
     bits = sign.view(np.uint8)  # bit 0 of flag ^ acc: the parity of c(n) + [S < T]
     np.bitwise_xor(bits, acc, out=bits, casting="unsafe")
     np.bitwise_and(bits, 1, out=bits)
     np.multiply(sign, -2, out=sign)
     np.add(sign, 1, out=sign)
     if k is not None:
-        zero_kth_power_multiples(sign, lo, k, primes)
+        _zero_kth_power_multiples(sign, lo, step, k, primes)
     return sign
+
+
+def _primes_to(primes: np.ndarray, bound: int, step: int) -> np.ndarray:
+    """The int64 primes up to bound, from 3 at step 2: 2 divides no odd n."""
+    primes = np.asarray(primes, dtype=np.int64)
+    return primes[np.searchsorted(primes, step, side="right") : np.searchsorted(primes, bound, side="right")]
 
 
 def _quarter_log2(p: int) -> int:
@@ -383,16 +423,22 @@ def zero_kth_power_multiples(vals: np.ndarray, lo: int, k: int, primes: np.ndarr
     p^k has at most one multiple in the window, and all of those take one
     vectorised assignment.
     """
-    hi = lo + len(vals) - 1
-    primes = np.asarray(primes, dtype=np.int64)
-    primes = primes[: np.searchsorted(primes, introot(hi, k), side="right")]
+    _zero_kth_power_multiples(vals, lo, 1, k, primes)
+
+
+def _zero_kth_power_multiples(vals: np.ndarray, lo: int, step: int, k: int, primes: np.ndarray) -> None:
+    """zero_kth_power_multiples over the progression lo + step i of
+    len(vals) values, step 1 or 2 (then lo odd, and p = 2 is skipped)."""
+    primes = _primes_to(primes, introot(lo + step * (len(vals) - 1), k), step)
     if not len(primes):
         return
     powers = primes**k  # p^k <= hi, so within int64
     near = np.searchsorted(powers, len(vals))
-    for pk in powers[:near].tolist():
-        vals[-lo % pk :: pk] = 0
-    at = -lo % powers[near:]
+    # each p^k's first index, as in _liouville_kfree_progression
+    first = (powers // step - lo // step) % powers
+    for pk, i in zip(powers[:near].tolist(), first[:near].tolist()):
+        vals[i::pk] = 0
+    at = first[near:]
     vals[at[at < len(vals)]] = 0
 
 

@@ -51,6 +51,7 @@ from .rules import MultiplicativeRule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
+    _liouville_kfree_progression,
     as_int,
     as_real,
     as_schedule,
@@ -354,15 +355,27 @@ def summatory_mu_chi(
 
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """M_mu(limit), exactly, via the segmented Mobius sieve.  A window's first
-    64 floor(n / 64) values are added as 64 rows in int8, whose column sums
-    lie within +-64; those sums and the < 64 left over are added in int64."""
+    """M_mu(limit), exactly, by sieving only the odd n in (limit // 2, limit].
+
+    mu(2m) = -mu(m) for odd m and 0 for even m, so with x = limit the even
+    n <= x contribute -M_odd(x // 2), where M_odd(y) sums mu over the odd
+    n <= y: M(x) = M_odd(x) - M_odd(x // 2).  Both sums run over the same
+    odd n <= x // 2, which cancel, so M(x) is the sum of mu over the odd n
+    in (x // 2, x], about x / 4 values.  Windows of `segment_size` of those
+    odd values each are sieved by the Liouville kernel at step 2 (see
+    `sieve._liouville_kfree_progression`), so a default window fills the
+    same 1 MiB of values and 2 MiB accumulator as a stream's.  A window's
+    first 64 floor(n / 64) values are added as 64 rows in int8, whose column
+    sums lie within +-64; those sums and the < 64 left over are added in
+    int64."""
     limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
+    lo = (limit // 2 + 1) | 1  # the least odd n > limit // 2
     total = 0
     with borrowed():
-        for lo, hi in segments(1, limit, segment_size):
-            mu = liouville_kfree_segment(lo, hi, 2, primes, out=scratch(VALUES, hi - lo + 1, np.int8))
+        for a, b in segments(0, (limit - lo) // 2, segment_size):
+            mu = _liouville_kfree_progression(
+                lo + 2 * a, b - a + 1, 2, 2, primes, out=scratch(VALUES, b - a + 1, np.int8))
             body = len(mu) // 64 * 64
             columns = np.add.reduce(mu[:body].reshape(64, -1), axis=0, dtype=np.int8)
             total += int(columns.sum(dtype=np.int64)) + int(mu[body:].sum(dtype=np.int64))

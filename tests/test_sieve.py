@@ -132,6 +132,21 @@ def test_liouville_kfree_segment_matches_brute_force(lo, size, k):
     assert vals.tolist() == expect
 
 
+def odd_half(lo, hi, k, primes):
+    """The kernel at step 2 over the odd n of [lo, hi]; [lo, hi]'s own
+    values at [(lo + 1) % 2 :: 2] are the same n."""
+    size = (hi - (lo | 1)) // 2 + 1
+    if size < 1:
+        return np.empty(0, dtype=np.int8)
+    return sieve._liouville_kfree_progression(lo | 1, size, 2, k, primes, None)
+
+
+def assert_liouville_window(lo, hi, k, primes, expect):
+    """The kernel over [lo, hi], and at step 2 over its odd n, equal expect."""
+    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes), expect), (lo, hi)
+    assert np.array_equal(odd_half(lo, hi, k, primes), expect[(lo + 1) % 2 :: 2]), (lo, hi, "odd")
+
+
 @pytest.mark.parametrize("k", [None, 2, 3, 4])
 def test_liouville_kfree_segment_every_small_window(k):
     # below hi = 8 the log test's margin is not proved, so every window
@@ -139,8 +154,7 @@ def test_liouville_kfree_segment_every_small_window(k):
     primes = np.array(primes_trial(8))
     for hi in range(1, 65):
         for lo in range(1, hi + 1):
-            assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes),
-                                  liouville_product_segment(lo, hi, k, primes)), (lo, hi)
+            assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
 
 
 # the log threshold changes at each 2^m, so a window across one compares
@@ -157,7 +171,7 @@ def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, 
     primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
     vals = liouville_kfree_segment(lo, hi, k, primes)
     assert vals.flags.writeable and vals.dtype == np.int8
-    assert np.array_equal(vals, liouville_product_segment(lo, hi, k, primes))
+    assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
 
 
 @pytest.mark.parametrize("k", [None, 2, 3])
@@ -167,8 +181,7 @@ def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, 
 ])
 def test_liouville_kfree_segment_matches_product_at_large_offsets(lo, hi, k):
     primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
-    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes),
-                          liouville_product_segment(lo, hi, k, primes))
+    assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
 
 
 @pytest.fixture(scope="module")
@@ -181,13 +194,13 @@ def test_liouville_kfree_segment_packs_high_hit_counts(k, primes_to_2_25):
     # the kernel counts prime-power hits in its accumulator's low byte;
     # Omega(2^50) = 50 is the largest count the tests reach
     lo, hi = 2**50 - 64, 2**50 + 64
-    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes_to_2_25),
-                          liouville_product_segment(lo, hi, k, primes_to_2_25))
+    assert_liouville_window(lo, hi, k, primes_to_2_25, liouville_product_segment(lo, hi, k, primes_to_2_25))
 
 
 # windows from one before to one after a multiple of the kernel's wheel
-# period 30030, one value, one period and two periods long; 30030 j passes
-# 2^32 from j = 143023 on, and j itself past 2^32
+# period 30030, one value, one period and two periods long, and their odd
+# n, on the odd wheel of period 15015; 30030 j passes 2^32 from j = 143023
+# on, and j itself past 2^32
 @pytest.mark.parametrize("j", [1, 2, 143023, 2**32 + 1])
 @pytest.mark.parametrize("k", [None, 2, 3])
 def test_liouville_kfree_segment_across_wheel_periods(j, k):
@@ -196,8 +209,7 @@ def test_liouville_kfree_segment_across_wheel_periods(j, k):
     expect = liouville_product_segment(base, top, k, primes)
     for lo in (base, base + 1, base + 2):
         for size in (1, 30030, 60061):
-            vals = liouville_kfree_segment(lo, lo + size - 1, k, primes)
-            assert np.array_equal(vals, expect[lo - base : lo - base + size]), (lo, size)
+            assert_liouville_window(lo, lo + size - 1, k, primes, expect[lo - base : lo - base + size])
     if k == 2 and j < 2**32:  # trial division near 10^14 is too slow
         near = [n for n in range(base, top + 1) if min(n % 30030, -n % 30030) <= 2]
         assert [int(expect[n - base]) for n in near] == [mobius_brute(n) for n in near]
@@ -206,16 +218,20 @@ def test_liouville_kfree_segment_across_wheel_periods(j, k):
 @pytest.mark.parametrize("lo, hi", [
     (10**12 - 100, 10**12 + 100), (2**40 - 100, 2**40 + 100), (1, 5000),
     (1009 * 10**9 - 201, 1009 * 10**9 - 1),  # 1009 first hits at hi + 1
+    (1009 * 10**9 - 1008, 1009 * 10**9 + 1008),  # 1009 hits only the even n 1009 * 10^9
 ])
 def test_liouville_kfree_segment_visits_only_primes_hitting_the_window(lo, hi, monkeypatch):
     # each visited prime takes one quarter-bit log; a prime with no multiple
-    # in the window takes none
+    # in the window takes none, and at step 2 one with no odd multiple
     primes = sieve_primes(isqrt(hi))
     visited = []
     real = sieve._quarter_log2
     monkeypatch.setattr(sieve, "_quarter_log2", lambda p: visited.append(p) or real(p))
     liouville_kfree_segment(lo, hi, 2, primes)
     assert visited == [p for p in primes.tolist() if -lo % p <= hi - lo]
+    visited.clear()
+    odd_half(lo, hi, 2, primes)
+    assert visited == [p for p in primes.tolist() if any(n % 2 for n in range(lo + -lo % p, hi + 1, p))]
 
 
 def test_liouville_kfree_order_validation():

@@ -340,6 +340,26 @@ def test_mertens_known_values():
     assert mertens(10**6) == 212
     # OEIS A084237
     assert mertens(10**7) == mertens_recursive(10**7) == 1037
+    assert mertens(10**8) == mertens_recursive(10**8) == 1928
+
+
+def _odd_upper_half(x):
+    """How many odd n lie in (x // 2, x], the values mertens sieves."""
+    return (x + 1) // 2 - (x // 2 + 1) // 2
+
+
+# mertens sieves the odd n in (x // 2, x] in windows of segment_size of
+# them: limits where that count is three windows or one off it, and where
+# x // 2 is on or one off 6 segment_size, an edge of such windows counted
+# from 1, each at odd and even x
+@pytest.mark.parametrize("segment_size", [1, 2, 63, 64, 65, 1000])
+def test_mertens_at_window_edges(segment_size):
+    n = 3 * segment_size
+    xs = [x for x in range(4 * n - 12, 4 * n + 13) if abs(_odd_upper_half(x) - n) <= 1]
+    xs += [2 * h + r for h in (2 * n - 1, 2 * n, 2 * n + 1) for r in (0, 1)]
+    assert {_odd_upper_half(x) - n for x in xs} >= {-1, 0, 1} and {x % 2 for x in xs} == {0, 1}
+    for x in xs:
+        assert mertens(x, segment_size=segment_size) == mertens_recursive(x), x
 
 
 def _recursion_seed(x):

@@ -103,8 +103,8 @@ def test_dirty_workspace_leaves_mertens_unchanged(segment_size, free_list):
 
 
 # mertens adds a window as 64 int8 rows and a tail of fewer than 64 values;
-# none of these lengths is a multiple of 64, and the first two have no rows
-@pytest.mark.parametrize("segment_size", [1, 63, 65, 1000, 2**16 + 1])
+# none of these lengths is a multiple of 64, and the first three have no rows
+@pytest.mark.parametrize("segment_size", [1, 2, 63, 65, 1000, 2**16 + 1])
 def test_dirty_workspace_mertens_at_any_window_length(segment_size, free_list):
     limit = limit_for(segment_size) + 1000
     mertens(limit, segment_size=segment_size)
