@@ -77,6 +77,7 @@ from .summatory import (
     SmoothSummatory,
     checkpoint_schedule,
     direct_summatory,
+    direct_value,
     explicit_split,
     hyperbola_sum,
     kfree_hyperbola_sum,

@@ -48,6 +48,7 @@ from .summatory import (
     HyperbolaSplit,
     checkpoint_schedule,
     direct_summatory,
+    direct_value,
     explicit_split,
     kfree_hyperbola_sum,
     optimal_split,
@@ -317,6 +318,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 @dataclass(frozen=True)
 class CompareReport:
+    """The two routes' values of M_f(x) and their wall seconds:
+    direct_seconds times `direct_value`, the windowed sieve sum, and
+    hyperbola_seconds times `kfree_hyperbola_sum`."""
+
     x: int
     direct_value: int
     hyperbola_value: int
@@ -325,12 +330,14 @@ class CompareReport:
 
 
 def compare_methods(f: MultiplicativeRule, k: int, x: int, split: HyperbolaSplit) -> CompareReport:
-    """Cross-validate the streamed sum of f against the hyperbola identity.
+    """Cross-validate the direct sum of f against the hyperbola identity.
 
-    f must be the k-free restriction of its completely multiplicative base
-    g; the hyperbola side pairs g with the k-th-power factor h linking
-    them; split must be a split of x.  Disagreement raises
-    MethodMismatchError: it is a correctness bug, not a report entry.
+    The direct route is `direct_value`: f sieved window by window and each
+    window added, with no checkpoint series.  f must be the k-free
+    restriction of its completely multiplicative base g; the hyperbola side
+    pairs g with the k-th-power factor h linking them; split must be a split
+    of x.  Disagreement raises MethodMismatchError: it is a correctness bug,
+    not a report entry.
     """
     if f.k_truncation != k:
         raise ConfigError(f"rule truncation {f.k_truncation} does not match k={k}")
@@ -338,7 +345,7 @@ def compare_methods(f: MultiplicativeRule, k: int, x: int, split: HyperbolaSplit
         raise RangeError(f"split is for x={split.x}, not x={x}")
 
     t0 = time.perf_counter()
-    direct = direct_summatory(f, x, schedule=[x]).final[1]
+    direct = direct_value(f, x)
     t1 = time.perf_counter()
     hyper = kfree_hyperbola_sum(f.without_truncation(), k, split)
     t2 = time.perf_counter()

@@ -6,7 +6,8 @@ cannot leave (int8 or int16 within a block of at most 64 one-byte values,
 int64 across a window's blocks, Python ints across windows) and no floating
 point enters any sum.  A checkpoint schedule records (x, M(x)) pairs
 along the way together with the exact running maximum of |M(t)| over all
-integers t <= x.
+integers t <= x; `direct_value` adds the same windows to M(x) alone, with
+no series.
 
 The Dirichlet hyperbola identity
 
@@ -336,6 +337,40 @@ def direct_summatory(
     )
 
 
+def direct_value(
+    rule: MultiplicativeRule, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> int:
+    """M_f(limit) for a multiplicative rule, exactly: the windows of
+    `direct_summatory`, each added by `_window_sum`, with no series.
+
+    A rule's values lie in {-1, 0, 1} (its base, overrides and sign flips
+    are +-1 or a real character's value, its truncation 0), so each int8
+    column sum of `_window_sum` stays within +-64; each window's total is
+    a Python int.
+
+    Raises:
+        RangeError: limit or segment_size is not an integer >= 1.
+        CapacityError: limit beyond MAX_STREAM_LIMIT.
+    """
+    limit = _check_limit(limit)
+    primes = sieve_primes(isqrt(limit))
+    total = 0
+    with borrowed():
+        for lo, hi in segments(1, limit, segment_size):
+            out = scratch(VALUES, hi - lo + 1, np.int8)
+            total += _window_sum(rule.segment_values(lo, hi, primes=primes, out=out))
+    return total
+
+
+def _window_sum(vals: np.ndarray) -> int:
+    """Exact sum of an int8 window of values in {-1, 0, 1}: its first
+    64 floor(n / 64) values are added as 64 rows in int8, whose column sums
+    lie within +-64; those sums and the < 64 left over are added in int64."""
+    body = len(vals) // 64 * 64
+    columns = np.add.reduce(vals[:body].reshape(64, -1), axis=0, dtype=np.int8)
+    return int(columns.sum(dtype=np.int64)) + int(vals[body:].sum(dtype=np.int64))
+
+
 def summatory_mu_chi(
     chi: RealCharacter,
     limit: int,
@@ -364,21 +399,16 @@ def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     in (x // 2, x], about x / 4 values.  Windows of `segment_size` of those
     odd values each are sieved by the Liouville kernel at step 2 (see
     `sieve._liouville_kfree_progression`), so a default window fills the
-    same 1 MiB of values and 2 MiB accumulator as a stream's.  A window's
-    first 64 floor(n / 64) values are added as 64 rows in int8, whose column
-    sums lie within +-64; those sums and the < 64 left over are added in
-    int64."""
+    same 1 MiB of values and 2 MiB accumulator as a stream's, and is added
+    by `_window_sum`."""
     limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
     lo = (limit // 2 + 1) | 1  # the least odd n > limit // 2
     total = 0
     with borrowed():
         for a, b in segments(0, (limit - lo) // 2, segment_size):
-            mu = _liouville_kfree_progression(
-                lo + 2 * a, b - a + 1, 2, 2, primes, out=scratch(VALUES, b - a + 1, np.int8))
-            body = len(mu) // 64 * 64
-            columns = np.add.reduce(mu[:body].reshape(64, -1), axis=0, dtype=np.int8)
-            total += int(columns.sum(dtype=np.int64)) + int(mu[body:].sum(dtype=np.int64))
+            total += _window_sum(_liouville_kfree_progression(
+                lo + 2 * a, b - a + 1, 2, 2, primes, out=scratch(VALUES, b - a + 1, np.int8)))
     return total
 
 

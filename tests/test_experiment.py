@@ -145,6 +145,15 @@ def test_method_mismatch_is_hard_failure(monkeypatch):
         exp.compare_methods(f, 2, 10**3, sqrt_split(10**3))
 
 
+def test_wrong_direct_side_is_hard_failure(monkeypatch):
+    import kfreesums.summatory as summatory
+
+    window_sum = summatory._window_sum
+    monkeypatch.setattr(summatory, "_window_sum", lambda vals: window_sum(vals) + 1)
+    with pytest.raises(MethodMismatchError):
+        compare_methods(character_rule(build_real_character(3), k=2), 2, 10**3, sqrt_split(10**3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_compare_methods_matches_brute_force(data):

@@ -33,6 +33,7 @@ from kfreesums import (
     deviation_sum,
     dirichlet_convolve,
     direct_summatory,
+    direct_value,
     envelope_ratio,
     explicit_split,
     figure1,
@@ -60,7 +61,7 @@ from kfreesums import (
     synthetic_power_series,
     verify_deviation_budget,
 )
-from kfreesums.sieve import MAX_SPF_BYTES
+from kfreesums.sieve import DEFAULT_SEGMENT_SIZE, MAX_SPF_BYTES
 
 from oracles import (
     DictSummatory,
@@ -419,6 +420,58 @@ def test_limits_must_be_integers(bad, chi3):
             call()
 
 
+@pytest.mark.parametrize("limit, error, message", [
+    (0, RangeError, "limit must be >= 1, got 0"),
+    (2.5, RangeError, "limit 2.5 is not an integer"),
+    (True, RangeError, "limit True is not an integer"),
+    ("5", RangeError, "limit '5' is not an integer"),
+    (4 * 10**9 + 1, CapacityError, "limit 4000000001 beyond streaming budget 4000000000"),
+])
+def test_direct_value_reads_its_limit_as_direct_summatory_does(limit, error, message):
+    for call in (direct_value, direct_summatory):
+        with pytest.raises(error, match=re.escape(message) + "$"):
+            call(mobius_rule(), limit)
+
+
+# every modulus in 3..24 that carries a real character, and override
+# primes that include each prime dividing one of them
+DIRECT_MODULI = (3, 4, 5, 7, 8, 11, 12, 13, 15, 17, 19, 20, 21, 23, 24)
+DIRECT_OVERRIDES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 101)
+# window lengths at and next to the 64 rows of _window_sum, and the default
+VALUE_SEGMENT_SIZES = (1, 2, 63, 64, 65, 1000, DEFAULT_SEGMENT_SIZE)
+
+
+@st.composite
+def direct_rules(draw):
+    base = draw(st.sampled_from(DIRECT_MODULI + (1, -1)))
+    if base not in (1, -1):
+        base = build_real_character(base)
+    overrides = draw(st.dictionaries(st.sampled_from(DIRECT_OVERRIDES), st.sampled_from((-1, 1)),
+                                     max_size=4))
+    k = draw(st.sampled_from((None, 2, 3, 4)))
+    return MultiplicativeRule(base=base, overrides=overrides, k_truncation=k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rule=direct_rules(), segment_size=st.sampled_from(VALUE_SEGMENT_SIZES), data=st.data())
+def test_direct_value_matches_the_series(rule, segment_size, data):
+    # at most 300 windows, so one-value windows stay cheap; limits at and
+    # next to window edges as well as anywhere
+    top = min(2 * 10**5, 300 * segment_size)
+    x = data.draw(st.integers(1, top) | st.builds(
+        lambda m, d: max(1, min(top, m * segment_size + d)),
+        st.integers(1, max(1, top // segment_size)), st.sampled_from([-1, 0, 1])), label="x")
+    series = direct_summatory(rule, x, schedule=[x], segment_size=segment_size)
+    assert direct_value(rule, x, segment_size) == series.final[1]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 2**20, 2**20 + 63])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_window_sum_at_its_int8_bound(n, sign):
+    # equal values put every column sum of the 64 int8 rows at +-64
+    assert summatory._window_sum(np.full(n, sign, dtype=np.int8)) == sign * n
+
+
 CHI3 = build_real_character(3)
 _CHI3_AT_7 = modified_character(ModificationPlan(character=CHI3, flipped_primes=(7,)))
 _SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_schedule(10**4))
@@ -432,6 +485,7 @@ _SERIES = direct_summatory(character_rule(CHI3), 10**4, schedule=checkpoint_sche
     (lambda: direct_summatory(mobius_rule(), 100, segment_size=False), "segment_size False"),
     (lambda: direct_summatory(mobius_rule(), 100, segment_size=2.5), "segment_size 2.5"),
     (lambda: mertens(100, segment_size=2.5), "segment_size 2.5"),
+    (lambda: direct_value(mobius_rule(), 100, segment_size=2.5), "segment_size 2.5"),
     (lambda: checkpoint_schedule(10.5), "schedule limit 10.5"),
     (lambda: HyperbolaSplit(x=100.0, u_floor=10, v_floor=10), "split x 100.0"),
     (lambda: HyperbolaSplit(x=100, u_floor=10, v_floor="10"), "split v_floor '10'"),

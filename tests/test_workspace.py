@@ -20,6 +20,7 @@ from kfreesums import (
     character_table,
     deviation_factor,
     direct_summatory,
+    direct_value,
     mertens,
     mertens_recursive,
     mobius_rule,
@@ -186,6 +187,19 @@ def test_stream_workspace_holds_only_the_window_buffers(free_list):
     assert len(free_list) == 1
     assert set(free_list[0].buffers) == {
         workspace.VALUES, workspace.TABLE, "reduce.before", "reduce.edge", "reduce.extreme"}
+
+
+@pytest.mark.parametrize("rule, buffers", [
+    (character_rule(CHI3, k=2), {workspace.VALUES}),
+    (mobius_rule(), {workspace.VALUES, workspace.TABLE}),
+], ids=["chi3", "mu"])
+def test_second_direct_value_allocates_no_buffer(rule, buffers, free_list):
+    # the window's values, and for mu the Liouville kernel's accumulator
+    first = direct_value(rule, 3 * 10**6)
+    allocations = free_list[0].allocations
+    assert direct_value(rule, 3 * 10**6) == first
+    assert len(free_list) == 1 and free_list[0].allocations == allocations
+    assert set(free_list[0].buffers) == buffers
 
 
 def test_streams_on_concurrent_threads_never_share_a_workspace(free_list):
