@@ -213,19 +213,19 @@ def kfree_factor(k: int, g: MultiplicativeRule, limit: int) -> DenseValueTable:
     h = np.zeros(limit, dtype=np.int8)
     if root >= 1:
         m = np.arange(1, root + 1, dtype=np.int64)
-        h[m**k - 1] = kfree_factor_at_powers(k, g, root).astype(np.int8)
+        h[m**k - 1] = kfree_factor_at_powers(k, g, root)
     return DenseValueTable(1, limit, h, label=f"kfree_factor[k={k},{g.label}]")
 
 
 def kfree_factor_at_powers(k: int, g: MultiplicativeRule, root: int) -> np.ndarray:
-    """h(m^k) = mu(m) * g(m)^k for 1 <= m <= root, as int64.
+    """h(m^k) = mu(m) * g(m)^k for 1 <= m <= root, as int8.
 
     With g(m) in {-1, 0, 1}, g(m)^k is g(m) when k is odd and |g(m)| when
     k is even.
     """
     k = as_int(k, "k-free order k", minimum=2)
-    mu = sieve_mobius_segment(1, root).values.astype(np.int64)
-    gv = g.segment_values(1, root).astype(np.int64)
+    mu = sieve_mobius_segment(1, root).values
+    gv = g.segment_values(1, root)
     return mu * (gv if k % 2 == 1 else np.abs(gv))
 
 

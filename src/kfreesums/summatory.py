@@ -25,12 +25,16 @@ support of h, a SmoothSummatory of a g that departs from its character chi
 only on a finite prime set S (M_g from a few hundred S-smooth terms and
 chi's one-period prefix), or a character's own partial_sum.  Roots come
 from searchsorted over exact int64 tables of m^k, never from floats.  Each
-side of the identity is whole-array work: one oracle call per block of
-nonzero support values and an int64 dot product, taken in Python ints
-whenever a bound on its terms could pass 2^63 - 1.  `kfree_hyperbola_sum`
-wires them up for f = [k-free]*g: h's support on the k-th powers and its
-oracle from one sieve of mu(m) g(m)^k, and the S-smooth oracle on the g
-side, so that route streams nothing.
+side of the identity is whole-array work: per block of support its terms
+are grouped into runs of equal x // n, each run's values are summed, and
+the nonzero run sums make one oracle call and one int64 dot product, so a
+side asks at most about 2 sqrt(x) arguments however long it is.  Run sums
+and dots are taken in Python ints whenever a bound on their terms could
+pass 2^63 - 1.  `kfree_hyperbola_sum` wires them up for f = [k-free]*g:
+h's support on the k-th powers and its oracle from one sieve of
+mu(m) g(m)^k, and the S-smooth oracle on the g side, so that route
+streams nothing; its tables are checked against the byte budget together
+before any is built.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .sieve import (
     sieve_mobius_segment,
     sieve_primes,
 )
-from .workspace import TABLE, VALUES, borrowed, scratch
+from .workspace import TABLE, VALUES, borrowed, check_bytes, scratch
 
 # Streaming budget: ranges past this need more than the intended memory/time
 # envelope of the workbench.
@@ -495,7 +499,11 @@ class PrefixSummatory:
     one.  The root floor(y^(1/k)) is the number of m with m^k <= y, read by
     searchsorted from the exact int64 table of m^k.  The table stops at
     m = len(values) + 1, the first root past the prefix, or at
-    introot(2^63 - 1, k), so no m^k wraps.
+    introot(2^63 - 1, k), so no m^k wraps.  The prefix sums and the table
+    take 8 bytes each per value.  As the h oracle of `hyperbola_sum` it
+    is asked once per run of equal x // n, at most min(terms, 2 sqrt(x))
+    arguments a side, not once per term, so a long g side at a small
+    split U costs few searches.
 
     Raises:
         CapacityError: a prefix sum of `values` leaves int64.
@@ -509,9 +517,11 @@ class PrefixSummatory:
                 if not -MAX_LIMIT - 1 <= s <= MAX_LIMIT:
                     raise CapacityError(f"prefix sum to {i} is {s}, beyond int64")
         self.k = k
-        self._cum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        self._cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(values, dtype=np.int64, out=self._cum[1:])
         top = min(n + 1, introot(MAX_LIMIT, k))
-        self._powers = np.arange(1, top + 1, dtype=np.int64) ** k
+        self._powers = np.arange(1, top + 1, dtype=np.int64)
+        self._powers **= k
 
     def __call__(self, y):
         args = _arguments(y)
@@ -660,9 +670,19 @@ def hyperbola_sum(
     """Exact sum_{n<=x} (h*g)(n) from the two short sums and the correction.
 
     Each side is its function's support (n, values): ascending integers
-    n >= 1, one value each, zero at every other n.  Per block of its terms
-    n <= floor a side makes one oracle call on x // n at the nonzero values
-    and one dot product, int64 only while count * max|v| * max|M| < 2^63.
+    n >= 1, one value each, zero at every other n.  A side reads its terms
+    n <= floor a block at a time.  As n ascends, q = x // n does not
+    increase, so the terms of a block fall into runs of equal q, and
+
+        sum_n v(n) M(x // n) = sum_runs (sum_run v(n)) M(q).
+
+    Runs whose values sum to zero are dropped, and the rest make one oracle
+    call on their q and one dot product.  x // n takes at most 2 sqrt(x)
+    values, so a side passes its oracle at most min(terms, 2 sqrt(x))
+    arguments, plus one for each block edge that cuts a run.  A run is
+    summed in int64 only while its block's count * max|v| is at most
+    2^63 - 1, and the dot only while count * max|sum| * max|M| is; past
+    either bound the sum is taken in Python ints, so nothing wraps.
 
     Raises:
         ShapeError: a support is not ascending int64 n >= 1, one value each.
@@ -688,19 +708,34 @@ def hyperbola_sum(
             raise ShapeError(f"{name} support n[{bad[0]}] = {n[bad[0]]} is below 1 or not ascending")
         stop = np.searchsorted(n, floor, side="right")
         for start in range(0, stop, _VALUE_BLOCK):
-            keep = np.flatnonzero(values[start : min(start + _VALUE_BLOCK, stop)]) + start
+            end = min(start + _VALUE_BLOCK, stop)
+            q = x // n[start:end]
+            first = np.concatenate(([0], np.flatnonzero(q[1:] != q[:-1]) + 1))
+            sums = _run_sums(values[start:end], first)
+            keep = np.flatnonzero(sums)
             if len(keep):
-                total += _exact_dot(values[keep], other(x // n[keep]))
+                total += _exact_dot(sums[keep], other(q[first[keep]]))
     total -= int(g_summatory(split.v_floor)) * int(h_summatory(split.u_floor))
     return total
 
 
+def _run_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The exact sums of values[first[i]:first[i + 1]], the last run to the
+    end: int64 while len(values) * max|v| bounds every partial sum of a
+    run, else Python ints in an object array."""
+    if len(values) * max(-int(values.min()), int(values.max())) <= MAX_LIMIT:
+        return np.add.reduceat(values, first, dtype=np.int64)
+    cum = np.array([0, *accumulate(values.tolist())], dtype=object)
+    return cum[np.append(first[1:], len(values))] - cum[first]
+
+
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """sum(a * b) over two nonempty integer arrays, exactly."""
-    a, b = a.astype(np.int64, copy=False), np.asarray(b, dtype=np.int64)
+    """sum(a * b) over two nonempty integer arrays, exactly; a may hold
+    Python ints past int64."""
+    b = np.asarray(b, dtype=np.int64)
     bound = len(a) * max(-int(a.min()), int(a.max())) * max(-int(b.min()), int(b.max()))
     if bound <= MAX_LIMIT:  # bounds every partial sum of the int64 dot
-        return int(np.dot(a, b))
+        return int(np.dot(a.astype(np.int64, copy=False), b))
     return sum(map(mul, a.tolist(), b.tolist()))
 
 
@@ -717,14 +752,23 @@ def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) ->
         ShapeError: g is truncated or has a constant base.
         RangeError: k is not an integer >= 2.
         RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
+        CapacityError: the route's tables together pass MAX_SPF_BYTES.
     """
     k = as_int(k, "k-free order k", minimum=2)
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    _check_limit(x)  # before the dense g side of length V <= x is built
+    _check_limit(x)
+    # every dense table of the route, checked together before any is built:
+    # on n <= V g's int64 n, its int8 values and hyperbola_sum's ascending
+    # check; on m <= x^(1/k) the int8 sieves of mu and g, |g| and w, and
+    # PrefixSummatory's int64 prefix sums and m^k; on m^k <= U the h
+    # support's int64 m and m^k
+    root, u_root = introot(x, k), introot(uf, k)
+    check_bytes(10 * vf + 20 * root + 16 * u_root,
+                f"the hyperbola route's tables at x = {x}, U = {uf}, V = {vf}")
     # M_g is read at V and at x // m^k for the nonzero h(m^k), m^k <= U;
     # m = 1 gives the largest argument, x
     g_summatory = SmoothSummatory(g, x)
-    w = kfree_factor_at_powers(k, g, introot(x, k))
-    m = np.arange(1, introot(uf, k) + 1, dtype=np.int64)
+    w = kfree_factor_at_powers(k, g, root)
+    m = np.arange(1, u_root + 1, dtype=np.int64)
     g_support = (np.arange(1, vf + 1, dtype=np.int64), g.segment_values(1, vf))
     return hyperbola_sum(PrefixSummatory(w, k=k), g_summatory, (m**k, w[: len(m)]), g_support, split)

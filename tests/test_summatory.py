@@ -839,7 +839,13 @@ def test_hyperbola_sum_is_exact_near_int64_limits(data):
         at = data.draw(st.lists(st.one_of(
             st.integers(1, floor), st.sampled_from([1, floor, min(2**16, floor), min(2**16 + 1, floor)])),
             max_size=20), label=f"{label} positions")
+        # near-2^62 entries inside one run of equal x // n, (x // (q + 1), x // q],
+        # so that a run's sum can pass int64
+        q = x // data.draw(st.one_of(st.integers(1, floor), st.just(floor)), label=f"{label} run")
+        in_run = data.draw(st.lists(st.integers(x // (q + 1) + 1, min(x // q, floor)), max_size=6),
+                           label=f"{label} run positions")
         entries = {n: data.draw(entry, label=f"{label}({n})") for n in at}
+        entries |= {n: data.draw(near, label=f"{label}({n})") for n in in_run}
         # nonzero terms past the floor must not be read: they would change
         # the sum, or ask for M(x // n) = M(0), which the oracles do not hold
         if data.draw(st.booleans(), label=f"{label} dense"):  # 1..floor + 3, zeros kept
@@ -954,6 +960,28 @@ def test_kfree_hyperbola_matches_the_sublinear_identity(k, x):
         finally:
             tracemalloc.stop()
         assert peak < max(split.u_floor, 2**24), (split, peak)
+
+
+@pytest.mark.parametrize("g, k, expect", [
+    (character_rule(build_real_character(3)), 2, 2),
+    (modified_character(ModificationPlan(character=build_real_character(15), flipped_primes=_FLIPS4)), 3, 22),
+])
+def test_hyperbola_oracles_get_one_argument_per_quotient(g, k, expect, monkeypatch):
+    """At U = 10 the g side has V = x // 10 terms, but x // n takes at most
+    2 sqrt(x) values: both oracles together get at most 2 isqrt(x) + 2
+    arguments, where one per nonzero term would be about 2-3 * 10^5."""
+    x = 3 * 10**6 - 777
+    assert kfree_sum_sublinear(g, k, x) == expect
+    sizes = []
+
+    def counted(oracle):
+        return lambda y: sizes.append(np.size(y)) or oracle(y)
+
+    route = summatory.hyperbola_sum
+    monkeypatch.setattr(summatory, "hyperbola_sum",
+                        lambda h_sum, g_sum, *rest: route(counted(h_sum), counted(g_sum), *rest))
+    assert kfree_hyperbola_sum(g, k, HyperbolaSplit(x=x, u_floor=10, v_floor=x // 10)) == expect
+    assert sum(sizes) <= 2 * math.isqrt(x) + 2
 
 
 @pytest.mark.parametrize("base", [1, -1])

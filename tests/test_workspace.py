@@ -12,6 +12,7 @@ import pytest
 
 from kfreesums import (
     CapacityError,
+    HyperbolaSplit,
     ModificationPlan,
     MultiplicativeRule,
     ShapeError,
@@ -21,6 +22,7 @@ from kfreesums import (
     deviation_factor,
     direct_summatory,
     direct_value,
+    kfree_hyperbola_sum,
     mertens,
     mertens_recursive,
     mobius_rule,
@@ -302,8 +304,11 @@ def test_out_receives_the_values():
     lambda: deviation_factor(modified_character(ModificationPlan(character=CHI3, flipped_primes=(7,))),
                              CHI3, 10**12),
     lambda: workspace.Workspace().array(workspace.VALUES, 2**31 + 1, np.int8),
+    # the g side's n and values on [1, V], V = 4 * 10^8: 3.6 GB before the weights
+    lambda: kfree_hyperbola_sum(character_rule(CHI3), 2,
+                                HyperbolaSplit(x=4 * 10**9 - 17, u_floor=10, v_floor=(4 * 10**9 - 17) // 10)),
 ], ids=["liouville", "mobius table", "kfree table", "character table", "character rule",
-        "mobius rule", "deviation factor", "workspace buffer"])
+        "mobius rule", "deviation factor", "workspace buffer", "hyperbola route"])
 def test_dense_tables_past_the_byte_budget_raise_before_allocating(make):
     tracemalloc.start()
     try:
