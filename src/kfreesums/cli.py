@@ -2,11 +2,10 @@
 
 Subcommands: sieve, sum, mertens, verify-budget, distance, fit, figure1,
 compare, run.  All file outputs are deterministic for a fixed invocation;
-timings go to stdout only.  --threads (sum, figure1, compare, run) is
-accepted and read as an integer >= 1, but passed to nothing: streams run
-their windows on the calling thread, so it would change neither outputs
-nor cost.  Flags that set a run-config field share that field's reader
-with the config; a flag's ConfigError names the flag (exit status 2).
+timings go to stdout only.  No subcommand takes a thread count: streams
+run their windows on the calling thread.  Flags that set a run-config
+field share that field's reader with the config; a flag's ConfigError
+names the flag (exit status 2).
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ _SHARED = {
                       help="character modulus q (default 3)"),
     "--limit": dict(type=_flag(read_limit, "--limit"), required=True, help="upper bound X"),
     "--plan": dict(help="modification plan JSON file"),
-    "--threads": dict(type=_flag(read_int, "--threads", 1), default=1,
-                      help="thread count (>= 1); changes nothing"),
     "--schedule": dict(type=_flag(read_ratio, "--schedule"), help="checkpoint ratio (> 1)"),
 }
 
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("sum", help="stream exact partial sums of a rule")
-    _add(p, "--modulus", "--limit", "--plan", "--threads", "--schedule")
+    _add(p, "--modulus", "--limit", "--plan", "--schedule")
     p.add_argument("--k", type=k_flag, help="k-free order (>= 2; untruncated when omitted)")
     p.add_argument("--out", type=str, default=None, help="series CSV path")
     p.set_defaults(func=cmd_sum)
@@ -249,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("figure1", help="partial sums vs +-x^(1/4): CSV + SVG")
-    _add(p, "--modulus", "--limit", "--threads", "--schedule")
+    _add(p, "--modulus", "--limit", "--schedule")
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("compare", help="hyperbola vs direct summation, timed")
-    _add(p, "--modulus", "--limit", "--plan", "--threads")
+    _add(p, "--modulus", "--limit", "--plan")
     p.add_argument("--k", type=k_flag, default=2, help="k-free order (>= 2)")
     p.add_argument("--split", type=_flag(read_split, "--split"), default=DEFAULT_SPLIT,
                    help='"theorem2", "sqrt", or "U,V" (exact reals)')
@@ -263,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="config-driven report bundle")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    _add(p, "--threads")
     p.set_defaults(func=cmd_run)
 
     return parser

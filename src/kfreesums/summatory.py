@@ -1,9 +1,10 @@
 """Exact partial sums M_f(x) = sum_{n<=x} f(n) at scale.
 
-Sums are streamed over sieve segments so the full value table for x is
-never materialised; every accumulator is an integer type that its sums
-cannot leave (int8 or int16 within a block of at most 64 one-byte values,
-int64 across a window's blocks, Python ints across windows) and no floating
+Sums are streamed over sieve windows, all walked by one generator that
+holds one workspace per walk, so the full value table for x is never
+materialised; every accumulator is an integer type that its sums cannot
+leave (int8 or int16 within a block of at most 64 one-byte values, int64
+across a window's blocks, Python ints across windows) and no floating
 point enters any sum.  A checkpoint schedule records (x, M(x)) pairs
 along the way together with the exact running maximum of |M(t)| over all
 integers t <= x; `direct_value` adds the same windows to M(x) alone, with
@@ -52,7 +53,7 @@ import numpy as np
 from .characters import RealCharacter
 from .convolution import kfree_factor_at_powers, smooth_terms
 from .errors import CapacityError, OracleDomainError, RangeError, ShapeError
-from .rules import MultiplicativeRule
+from .rules import MultiplicativeRule, mobius_rule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
@@ -61,9 +62,7 @@ from .sieve import (
     as_real,
     as_schedule,
     introot,
-    liouville_kfree_segment,
     segments,
-    sieve_mobius_segment,
     sieve_primes,
 )
 from .workspace import TABLE, VALUES, borrowed, check_bytes, scratch
@@ -169,14 +168,14 @@ def stream_summatory(
     `_reduce_window`, to the prefix sum at each checkpoint it holds and at
     its end, and the prefix's max and min from the window's start through
     each: the running max of |M| over [1, x] needs no more, as the window's
-    earlier points lie in [1, x] too.  Windows run in ascending order on
-    the calling thread, which borrows one workspace (`workspace.borrowed`)
-    for the whole stream: its buffers hold every window's temporaries and
-    wait, on the free list, for the next stream.  Each window's
-    O(checkpoint) summary is folded, in order, into the offset carried
-    between windows and the running max of |M|, both Python ints.  So the
-    series is exact at any limit and bit-identical for every segment size
-    and `threads`.
+    earlier points lie in [1, x] too.  The windows come from `_windows`,
+    in ascending order on the calling thread, inside the one workspace it
+    borrows for the whole stream: its buffers hold every window's
+    temporaries and wait, on the free list, for the next walk.  Each
+    window's O(checkpoint) summary is folded, in order, into the offset
+    carried between windows and the running max of |M|, both Python ints.
+    So the series is exact at any limit and bit-identical for every segment
+    size and `threads`.
 
     Args:
         segment_values: Callable (lo, hi) -> integer ndarray of f(lo..hi),
@@ -210,29 +209,47 @@ def stream_summatory(
     running: list[tuple[int, int]] = []
     offset = 0
     best = 0
-    with borrowed():
-        for lo, hi in segments(1, limit, segment_size):
-            vals = np.asarray(segment_values(lo, hi))
-            integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
-            if not integer or vals.shape != (hi - lo + 1,):
-                raise ShapeError(
-                    f"window [{lo}, {hi}] has {vals.dtype} values of shape {vals.shape}, "
-                    f"not {hi - lo + 1} integers within int64"
-                )
-            xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
-            # an end at each checkpoint, and at the window's last value
-            ends = [x - lo for x in xs]
-            if not ends or ends[-1] != hi - lo:
-                ends.append(hi - lo)
-            at, tops, bottoms = _reduce_window(vals, ends, _block_length(len(vals)))
-            for x, m, top, bottom in zip(xs, at, tops, bottoms):
-                best = max(best, abs(offset + top), abs(offset + bottom))
-                checkpoints.append((x, offset + m))
-                running.append((x, best))
-            best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
-            offset += at[-1]
+    for lo, hi, vals in _windows(segment_values, 1, limit, segment_size=segment_size):
+        vals = np.asarray(vals)
+        integer = vals.dtype.kind in "iu" and np.can_cast(vals.dtype, np.int64)
+        if not integer or vals.shape != (hi - lo + 1,):
+            raise ShapeError(
+                f"window [{lo}, {hi}] has {vals.dtype} values of shape {vals.shape}, "
+                f"not {hi - lo + 1} integers within int64"
+            )
+        xs = sched[bisect_left(sched, lo) : bisect_right(sched, hi)]
+        # an end at each checkpoint, and at the window's last value
+        ends = [x - lo for x in xs]
+        if not ends or ends[-1] != hi - lo:
+            ends.append(hi - lo)
+        at, tops, bottoms = _reduce_window(vals, ends, _block_length(len(vals)))
+        for x, m, top, bottom in zip(xs, at, tops, bottoms):
+            best = max(best, abs(offset + top), abs(offset + bottom))
+            checkpoints.append((x, offset + m))
+            running.append((x, best))
+        best = max(best, abs(offset + tops[-1]), abs(offset + bottoms[-1]))
+        offset += at[-1]
 
     return PartialSumSeries(label=label, checkpoints=checkpoints, running_abs_max=running)
+
+
+def _windows(fill, lo: int, hi: int, step: int = 1, segment_size: int = DEFAULT_SEGMENT_SIZE):
+    """Yield (a, b, fill(a, b)) for windows of at most `segment_size` terms
+    of n = lo, lo + step, ... <= hi, ascending (a, b: a window's first and
+    last n), in one workspace bound to the calling thread for the whole
+    walk, yields included; its end, a raise, or closing the generator (as a
+    consumer that raises drops it) returns the workspace to the free list."""
+    with borrowed():
+        for i, j in segments(0, (hi - lo) // step, segment_size):
+            a, b = lo + step * i, lo + step * j
+            yield a, b, fill(a, b)
+
+
+def _rule_fill(rule: MultiplicativeRule, limit: int):
+    """The fill of rule's int8 values on [lo, hi] <= limit into VALUES."""
+    primes = sieve_primes(isqrt(limit))
+    return lambda lo, hi: rule.segment_values(
+        lo, hi, primes=primes, out=scratch(VALUES, hi - lo + 1, np.int8))
 
 
 # Longest block of the blocked window reduction: no sum of 64 one-byte
@@ -330,15 +347,8 @@ def direct_summatory(
 ) -> PartialSumSeries:
     """Exact M_f for a multiplicative rule, by streaming segmented sieving;
     `threads` is validated and changes nothing, as in `stream_summatory`."""
-    primes = sieve_primes(isqrt(_check_limit(limit)))
-
-    def seg(lo: int, hi: int) -> np.ndarray:
-        return rule.segment_values(lo, hi, primes=primes, out=scratch(VALUES, hi - lo + 1, np.int8))
-
-    return stream_summatory(
-        seg, limit, schedule=schedule, label=rule.label,
-        segment_size=segment_size, threads=threads,
-    )
+    return stream_summatory(_rule_fill(rule, _check_limit(limit)), limit, schedule=schedule,
+                            label=rule.label, segment_size=segment_size, threads=threads)
 
 
 def direct_value(
@@ -357,13 +367,8 @@ def direct_value(
         CapacityError: limit beyond MAX_STREAM_LIMIT.
     """
     limit = _check_limit(limit)
-    primes = sieve_primes(isqrt(limit))
-    total = 0
-    with borrowed():
-        for lo, hi in segments(1, limit, segment_size):
-            out = scratch(VALUES, hi - lo + 1, np.int8)
-            total += _window_sum(rule.segment_values(lo, hi, primes=primes, out=out))
-    return total
+    windows = _windows(_rule_fill(rule, limit), 1, limit, segment_size=segment_size)
+    return sum(_window_sum(vals) for _, _, vals in windows)
 
 
 def _window_sum(vals: np.ndarray) -> int:
@@ -381,16 +386,15 @@ def summatory_mu_chi(
     schedule: list[int] | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> PartialSumSeries:
-    """Exact partial sums of mu(n) * chi(n)."""
-    primes = sieve_primes(isqrt(_check_limit(limit)))
+    """Exact partial sums of mu(n) * chi(n): mu's rule fill times chi."""
+    mu = _rule_fill(mobius_rule(), _check_limit(limit))
 
     def seg(lo: int, hi: int) -> np.ndarray:
-        mu = liouville_kfree_segment(lo, hi, 2, primes, out=scratch(VALUES, hi - lo + 1, np.int8))
-        return np.multiply(mu, chi.values(lo, hi), out=mu)
+        vals = mu(lo, hi)
+        return np.multiply(vals, chi.values(lo, hi), out=vals)
 
-    return stream_summatory(
-        seg, limit, schedule=schedule, label=f"mu*{chi.label}", segment_size=segment_size
-    )
+    return stream_summatory(seg, limit, schedule=schedule, label=f"mu*{chi.label}",
+                            segment_size=segment_size)
 
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -407,13 +411,14 @@ def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     by `_window_sum`."""
     limit = _check_limit(limit)
     primes = sieve_primes(isqrt(limit))
+
+    def odd(a: int, b: int) -> np.ndarray:  # mu at the odd n in [a, b]
+        size = (b - a) // 2 + 1
+        return _liouville_kfree_progression(a, size, 2, 2, primes, scratch(VALUES, size, np.int8))
+
     lo = (limit // 2 + 1) | 1  # the least odd n > limit // 2
-    total = 0
-    with borrowed():
-        for a, b in segments(0, (limit - lo) // 2, segment_size):
-            total += _window_sum(_liouville_kfree_progression(
-                lo + 2 * a, b - a + 1, 2, 2, primes, out=scratch(VALUES, b - a + 1, np.int8)))
-    return total
+    windows = _windows(odd, lo, limit, 2, segment_size)
+    return sum(_window_sum(vals) for _, _, vals in windows)
 
 
 def mertens_recursive(limit: int) -> int:
@@ -434,8 +439,9 @@ def mertens_recursive(limit: int) -> int:
       is counted twice.
 
     The loop runs A ~ x^(1/3) / 2 times over O(sqrt(x / a)) array work, so
-    a call costs O(x^(2/3)) time and 4 S bytes.  It shares no code with the
-    streaming path beyond the Mobius segment sieve that seeds `small`.
+    a call costs O(x^(2/3)) time and 4 S bytes.  `small` is seeded by the
+    streams' own window walk (`_windows`) and mu fill, so its independence
+    from them rests on the recursion, which shares no code with them.
 
     Raises:
         RangeError: limit is not an integer, or below 1.
@@ -445,9 +451,8 @@ def mertens_recursive(limit: int) -> int:
     s = min(x, max(2 * introot(x * x, 3), 1024))
     # |M(v)| <= v <= S < 2^31, and every sum below is at most x * S < 2^63
     small = np.zeros(s + 1, dtype=np.int32)
-    primes = sieve_primes(isqrt(s))
-    for lo, hi in segments(1, s):
-        np.cumsum(sieve_mobius_segment(lo, hi, primes).values, dtype=np.int32, out=small[lo : hi + 1])
+    for lo, hi, mu in _windows(_rule_fill(mobius_rule(), s), 1, s):
+        np.cumsum(mu, dtype=np.int32, out=small[lo : hi + 1])
         small[lo : hi + 1] += small[lo - 1]
     top = x // (s + 1)
     big = np.zeros(top + 1, dtype=np.int64)
@@ -751,12 +756,10 @@ def kfree_hyperbola_sum(g: MultiplicativeRule, k: int, split: HyperbolaSplit) ->
     Raises:
         ShapeError: g is truncated or has a constant base.
         RangeError: k is not an integer >= 2.
-        RangeError, CapacityError: x below 1 or past MAX_STREAM_LIMIT.
-        CapacityError: the route's tables together pass MAX_SPF_BYTES.
+        CapacityError: x past 2^63 - 1, or the route's tables past MAX_SPF_BYTES.
     """
     k = as_int(k, "k-free order k", minimum=2)
     x, uf, vf = split.x, split.u_floor, split.v_floor
-    _check_limit(x)
     # every dense table of the route, checked together before any is built:
     # on n <= V g's int64 n, its int8 values and hyperbola_sum's ascending
     # check; on m <= x^(1/k) the int8 sieves of mu and g, |g| and w, and

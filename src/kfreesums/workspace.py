@@ -6,11 +6,11 @@ window-sized temporaries.  Fresh arrays of a MiB or more cost a page fault
 per 4 KiB every window.  A Workspace holds named byte buffers that grow but
 are never freed, so a window that fits in them allocates nothing.
 
-Workspaces wait on a module-level free list.  A stream (or `mertens`)
-borrows one and binds it to its thread (`borrowed`) while it runs, so no
-more exist than streams ever ran at once: one per thread that runs
-streams.  The binding is per thread, so callers that run streams on
-threads of their own never share a workspace.  `scratch` hands out the
+Workspaces wait on a module-level free list.  A window walk (every one
+goes through `summatory._windows`) borrows one and binds it to its thread
+(`borrowed`) while it runs, so no more exist than walks ever ran at once:
+one per thread that runs them.  The binding is per thread, so callers
+that run streams on threads of their own never share a workspace.  `scratch` hands out the
 bound workspace's buffers; on a thread with none bound it returns a fresh
 array, so every public producer that is called outside a stream allocates
 as it always did.
@@ -72,8 +72,8 @@ class Workspace:
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
-# The buffer of a window's values, which a stream's callback or mertens
-# writes and the reduction then reads.
+# The buffer of a window's values, which a walk's fill writes and its
+# reduction then reads.
 VALUES = "values"
 # The buffer of a window's one other large temporary: the Liouville
 # kernel's accumulator while the window is sieved, then the reduction's

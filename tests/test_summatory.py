@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import kfreesums
-from kfreesums import convolution, summatory
+from kfreesums import convolution, summatory, workspace
 from kfreesums import (
     CapacityError,
     DeviationBudget,
@@ -29,6 +29,7 @@ from kfreesums import (
     character_table,
     checkpoint_schedule,
     compare_methods,
+    completed_character,
     deviation_factor,
     deviation_sum,
     dirichlet_convolve,
@@ -289,9 +290,20 @@ def test_stream_past_the_int8_prefix_bound(dense, threads):
         (lambda lo, hi: np.ones(hi - lo + (hi < 300), dtype=np.int8), 300, r"window \[257, 300\]"),
     ],
 )
-def test_stream_rejects_malformed_windows(window, limit, message):
-    with pytest.raises(ShapeError, match=message):
-        stream_summatory(window, limit, segment_size=128, threads=2)
+def test_stream_rejects_malformed_windows(window, limit, message, monkeypatch):
+    monkeypatch.setattr(workspace, "_FREE", [])
+    bound = []
+
+    def recorded(lo, hi):
+        bound.append(workspace._BOUND.workspace)
+        return window(lo, hi)
+
+    with pytest.raises(ShapeError, match=message) as raised:
+        stream_summatory(recorded, limit, segment_size=128, threads=2)
+    # the raise dropped the suspended walk, which returned its one workspace,
+    # although `raised` still holds the traceback and so the stream's frame
+    assert getattr(workspace._BOUND, "workspace", None) is None
+    assert len(set(map(id, bound))) == 1 and workspace._FREE == bound[:1]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -895,7 +907,7 @@ def test_capacity_budgets(chi3):
     recursive = f"{summatory.MAX_RECURSIVE_MERTENS}"
     with pytest.raises(CapacityError, match=f"limit 20000000000 .*budget {recursive}"):
         mertens_recursive(2 * 10**10)
-    with pytest.raises(CapacityError, match=f"limit {10**18} .*budget {stream}"):
+    with pytest.raises(CapacityError, match=f"needs 30000505952 bytes, budget is {MAX_SPF_BYTES}"):
         kfree_hyperbola_sum(character_rule(chi3), 2, sqrt_split(10**18))
     with pytest.raises(CapacityError, match=f"k-free factor to {2**70} needs {2**70} bytes, "
                                             f"budget is {MAX_SPF_BYTES}"):
@@ -960,6 +972,17 @@ def test_kfree_hyperbola_matches_the_sublinear_identity(k, x):
         finally:
             tracemalloc.stop()
         assert peak < max(split.u_floor, 2**24), (split, peak)
+
+
+@pytest.mark.parametrize("x, expect", [(10**18, -853), (2**63 - 1, 137)])
+def test_kfree_hyperbola_reaches_the_int64_limit_at_k3(x, expect):
+    """Past the stream cap the route is bounded by its tables alone: at
+    k = 3 its theorem2 split reaches 2^63 - 1, where the m-sum of
+    tests/oracles.py agrees; at k = 2 the w table passes the byte budget."""
+    g = completed_character(build_real_character(3))
+    assert kfree_hyperbola_sum(g, 3, optimal_split(x, 3)) == kfree_sum_sublinear(g, 3, x) == expect
+    with pytest.raises(CapacityError, match="needs 61356774780 bytes"):
+        kfree_hyperbola_sum(g, 2, optimal_split(2**63 - 1, 2))
 
 
 @pytest.mark.parametrize("g, k, expect", [

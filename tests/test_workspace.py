@@ -28,10 +28,12 @@ from kfreesums import (
     mobius_rule,
     modified_character,
     one_rule,
+    optimal_split,
     sieve_kfree_segment,
     sieve_mobius_segment,
     sieve_primes,
     stream_summatory,
+    summatory_mu_chi,
 )
 from kfreesums import summatory, workspace
 from kfreesums.characters import period_block, tiled_window
@@ -183,9 +185,13 @@ def test_second_stream_allocates_no_buffer(name, threads, free_list):
 
 
 def test_stream_workspace_holds_only_the_window_buffers(free_list):
-    # the values, the kernel's accumulator or prefix table, and three per-block arrays
+    # the values, the kernel's accumulator or prefix table, and three per-block
+    # arrays, for every window walk: one workspace serves them all in turn
     direct_summatory(character_rule(CHI3, k=2), 3 * 10**6)
     mertens(3 * 10**6)
+    direct_value(mobius_rule(), 3 * 10**6)
+    summatory_mu_chi(CHI3, 3 * 10**6)
+    mertens_recursive(3 * 10**6)
     assert len(free_list) == 1
     assert set(free_list[0].buffers) == {
         workspace.VALUES, workspace.TABLE, "reduce.before", "reduce.edge", "reduce.extreme"}
@@ -307,8 +313,11 @@ def test_out_receives_the_values():
     # the g side's n and values on [1, V], V = 4 * 10^8: 3.6 GB before the weights
     lambda: kfree_hyperbola_sum(character_rule(CHI3), 2,
                                 HyperbolaSplit(x=4 * 10**9 - 17, u_floor=10, v_floor=(4 * 10**9 - 17) // 10)),
+    # k = 2 at 2^63 - 1: the sieves of w over m <= 3.04 * 10^9, 61356774780 bytes in all
+    lambda: kfree_hyperbola_sum(character_rule(CHI3), 2, optimal_split(2**63 - 1, 2)),
 ], ids=["liouville", "mobius table", "kfree table", "character table", "character rule",
-        "mobius rule", "deviation factor", "workspace buffer", "hyperbola route"])
+        "mobius rule", "deviation factor", "workspace buffer", "hyperbola route",
+        "hyperbola route k2 int64"])
 def test_dense_tables_past_the_byte_budget_raise_before_allocating(make):
     tracemalloc.start()
     try:
