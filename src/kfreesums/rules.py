@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
-
 import numpy as np
 
 from .characters import COMPLETED_PERIOD_MAX, RealCharacter, period_block, tiled_window
@@ -38,11 +36,10 @@ from .errors import PlanError, RangeError
 from .sieve import (
     DenseValueTable,
     SpfTable,
+    _check_range,
     as_int,
-    introot,
     is_prime,
     liouville_kfree_segment,
-    sieve_primes,
     zero_kth_power_multiples,
 )
 from .workspace import output
@@ -143,28 +140,22 @@ class MultiplicativeRule:
                 return 0
         return out
 
-    def values(self, lo: int, hi: int, primes: np.ndarray | None = None) -> DenseValueTable:
+    def values(self, lo: int, hi: int) -> DenseValueTable:
         """Dense values over [lo, hi] by segment streaming."""
-        vals = self.segment_values(lo, hi, primes)
-        return DenseValueTable(lo, hi, vals, label=self.label)
+        return DenseValueTable(lo, hi, self.segment_values(lo, hi), label=self.label)
 
-    def segment_values(
-        self, lo: int, hi: int, primes: np.ndarray | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def segment_values(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """int8 values over [lo, hi]: into `out` when given (int8, one entry
-        per n), else a fresh array.  primes, when given, must hold every
-        prime up to sqrt(hi); only the -1 base and the truncation use them."""
-        lo, hi = as_int(lo, "lo", minimum=1), as_int(hi, "hi")
+        per n), else a fresh array.  lo and hi are read as the sieve tables
+        read them: RangeError unless 1 <= lo <= hi <= 2^63-1."""
+        lo, hi = _check_range(lo, hi)
+        vals = self._complete_values(lo, hi, out)
         liouville = not isinstance(self.base, RealCharacter) and self.base == -1
-        k = self.k_truncation
-        if primes is None and (liouville or k is not None):
-            primes = sieve_primes(isqrt(hi) if liouville else introot(hi, k))
-        vals = self._complete_values(lo, hi, primes, out)
-        if k is not None and not liouville:
-            zero_kth_power_multiples(vals, lo, k, primes)
+        if self.k_truncation is not None and not liouville:
+            zero_kth_power_multiples(vals, lo, self.k_truncation)
         return vals
 
-    def _complete_values(self, lo: int, hi: int, primes: np.ndarray | None, out: np.ndarray | None) -> np.ndarray:
+    def _complete_values(self, lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
         """Values over [lo, hi] of the untruncated rule, into `out` or a
         fresh array, except that the sieve of the -1 base applies the
         truncation.  The fills (overrides where the base vanishes) give the
@@ -186,7 +177,7 @@ class MultiplicativeRule:
             vals = output(out, hi - lo + 1, np.int8)
             vals.fill(1)
         else:
-            vals = liouville_kfree_segment(lo, hi, self.k_truncation, primes, out=out)
+            vals = liouville_kfree_segment(lo, hi, self.k_truncation, out=out)
         for p in flips:
             for sel in _power_slices(lo, hi, p):
                 np.negative(vals[sel], out=vals[sel])

@@ -201,16 +201,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# sieve_primes keeps one read-only table of every prime up to the largest
+# limit it has sieved, while that limit is at most this bound: the window
+# kernels ask for the primes to sqrt(hi) or hi^(1/k) in every window.
+KEPT_PRIMES_MAX = 2**20
+_kept = (1, np.array([], dtype=np.int64))  # (bound, every prime up to it)
+_kept[1].setflags(write=False)
+
+
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending.  limit < 2 yields an empty array.
+    """All primes <= limit, ascending, as a read-only array.  limit < 2
+    yields an empty array.
+
+    Up to KEPT_PRIMES_MAX the result is a prefix of one kept table; past
+    its bound the table grows to the limit, or to twice its bound if that
+    is more, up to KEPT_PRIMES_MAX.  A larger limit is sieved afresh and
+    not kept.
 
     Raises:
         RangeError: limit is not an integer, or past 2^63-1.
         CapacityError: the limit + 1 bytes of flags exceed MAX_SPF_BYTES.
     """
+    global _kept
     limit = as_int(limit, "limit")
-    if limit < 2:
-        return np.array([], dtype=np.int64)
+    bound, primes = _kept
+    if limit > bound:
+        if limit > KEPT_PRIMES_MAX:
+            return _sieve(limit)
+        bound = min(max(limit, 2 * bound), KEPT_PRIMES_MAX)
+        primes = _sieve(bound)
+        _kept = bound, primes
+    return primes[: np.searchsorted(primes, limit, side="right")]
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """The primes up to limit >= 2 as a fresh read-only array."""
     if limit > MAX_LIMIT:
         raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
     check_bytes(limit + 1, f"prime sieve to {limit}")
@@ -219,10 +244,12 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    primes = np.nonzero(flags)[0].astype(np.int64)
+    primes.setflags(write=False)
+    return primes
 
 
-def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> DenseValueTable:
+def sieve_mobius_segment(lo: int, hi: int) -> DenseValueTable:
     """Exact mu(n) for n in [lo, hi], sieved segment-locally.
 
     mu is the k = 2 case of liouville_kfree_segment, which needs only the
@@ -230,17 +257,15 @@ def sieve_mobius_segment(lo: int, hi: int, primes: np.ndarray | None = None) -> 
 
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
-        primes: Optional precomputed primes covering sqrt(hi).
 
     Returns:
         DenseValueTable of mu over [lo, hi], values in {-1, 0, 1}.
     """
-    return DenseValueTable(lo, hi, liouville_kfree_segment(lo, hi, 2, primes), label="mu")
+    return DenseValueTable(lo, hi, liouville_kfree_segment(lo, hi, 2), label="mu")
 
 
 def liouville_kfree_segment(
-    lo: int, hi: int, k: int | None = None, primes: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    lo: int, hi: int, k: int | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """lambda(n) * [n is k-free] for n in [lo, hi] as an int8 array: `out`
     when given (int8, one entry per n), else a fresh one.
@@ -249,11 +274,11 @@ def liouville_kfree_segment(
     it untruncated and k = 2 gives mu.  The window is sieved on one uint16
     accumulator: its low byte counts the prime-power hits c(n), so its
     parity is the sign, and its high byte sums S(n).  For each prime p up
-    to B = isqrt(hi) with a multiple in the window (every p up to its
-    length, and each larger p that one remainder test finds) one strided
-    add of l(p) << 8 | 1, with l(p) = floor(4 log2 p) an exact integer,
-    hits the multiples of p, p^2, ..., p^(k-1); the multiples of p^k are
-    zeroed on the int8 signs at the end.  The first powers of 2, 3, 5, 7, 11
+    to B = isqrt(hi), read from `sieve_primes`, with a multiple in the
+    window (every p up to its length, and each larger p that one remainder
+    test finds) one strided add of l(p) << 8 | 1, with l(p) = floor(4 log2 p)
+    an exact integer, hits the multiples of p, p^2, ..., p^(k-1); the
+    multiples of p^k are zeroed on the int8 signs at the end.  The first powers of 2, 3, 5, 7, 11
     and 13 come from a 30030-periodic pattern, the rest from the loop.  The
     accumulator is the bound workspace's inside a stream (see `workspace`).
     At 2 bytes a value it holds at most 2^30 values within MAX_SPF_BYTES,
@@ -286,17 +311,13 @@ def liouville_kfree_segment(
     Args:
         lo, hi: Segment bounds, 1 <= lo <= hi <= 2^63-1.
         k: Truncation order (>= 2), or None for no truncation.
-        primes: Optional precomputed primes covering sqrt(hi).
         out: Optional int8 array of hi - lo + 1 entries to write into.
     """
     lo, hi = _check_range(lo, hi)
-    return _liouville_kfree_progression(lo, hi - lo + 1, 1, k, primes, out)
+    return _liouville_kfree_progression(lo, hi - lo + 1, 1, k, out)
 
 
-def _liouville_kfree_progression(
-    lo: int, size: int, step: int, k: int | None, primes: np.ndarray | None,
-    out: np.ndarray | None,
-) -> np.ndarray:
+def _liouville_kfree_progression(lo: int, size: int, step: int, k: int | None, out: np.ndarray | None) -> np.ndarray:
     """liouville_kfree_segment's values at n = lo + step i, 0 <= i < size,
     for step 1 (the window [lo, lo + size - 1]) or step 2 (its odd n alone:
     lo must be odd).  The caller checks lo and size; hi is the last n.
@@ -319,11 +340,8 @@ def _liouville_kfree_progression(
         k = as_int(k, "truncation order k", minimum=2)
     hi = lo + step * (size - 1)
     sign = output(out, size, np.int8)
-    root = isqrt(hi)
-    if primes is None:
-        primes = sieve_primes(root)
     start = lo // step
-    primes = _primes_to(primes, root, step)
+    primes = sieve_primes(isqrt(hi))[step - 1 :]  # from 3 at step 2
     # a prime with no multiple in the window has none of its powers there
     primes = primes[(primes // step - start) % primes < size]
     acc = tiled_window(_WHEEL_HITS[step - 1 :: step], _WHEEL // step, start, start + size - 1,
@@ -351,14 +369,8 @@ def _liouville_kfree_progression(
     np.multiply(sign, -2, out=sign)
     np.add(sign, 1, out=sign)
     if k is not None:
-        _zero_kth_power_multiples(sign, lo, step, k, primes)
+        _zero_kth_power_multiples(sign, lo, step, k)
     return sign
-
-
-def _primes_to(primes: np.ndarray, bound: int, step: int) -> np.ndarray:
-    """The int64 primes up to bound, from 3 at step 2: 2 divides no odd n."""
-    primes = np.asarray(primes, dtype=np.int64)
-    return primes[np.searchsorted(primes, step, side="right") : np.searchsorted(primes, bound, side="right")]
 
 
 def _quarter_log2(p: int) -> int:
@@ -402,7 +414,7 @@ def tiled_window(block: np.ndarray, period: int, lo: int, hi: int, out: np.ndarr
     return out
 
 
-def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = None) -> DenseValueTable:
+def sieve_kfree_segment(lo: int, hi: int, k: int) -> DenseValueTable:
     """Indicator of k-free n (no prime power p^k divides n) over [lo, hi],
     for any order k >= 2: only the primes p <= hi^(1/k) are sieved.
     CapacityError when its hi - lo + 1 bytes exceed MAX_SPF_BYTES."""
@@ -410,26 +422,26 @@ def sieve_kfree_segment(lo: int, hi: int, k: int, primes: np.ndarray | None = No
     lo, hi = _check_range(lo, hi)
     check_bytes(hi - lo + 1, f"k-free table on [{lo}, {hi}]")
     vals = np.ones(hi - lo + 1, dtype=np.int8)
-    zero_kth_power_multiples(vals, lo, k, sieve_primes(introot(hi, k)) if primes is None else primes)
+    zero_kth_power_multiples(vals, lo, k)
     return DenseValueTable(lo, hi, vals, label=f"mu_{k}^2")
 
 
-def zero_kth_power_multiples(vals: np.ndarray, lo: int, k: int, primes: np.ndarray) -> None:
+def zero_kth_power_multiples(vals: np.ndarray, lo: int, k: int) -> None:
     """Zero, in place, the entries of vals (the window lo..lo + len(vals) - 1)
-    at the multiples of every p^k: `primes` must hold each prime up to
-    hi^(1/k), and the larger ones are ignored.
+    at the multiples of every p^k, for the primes p <= hi^(1/k) of
+    `sieve_primes`.
 
     Each p^k shorter than the window is one strided assignment.  A longer
     p^k has at most one multiple in the window, and all of those take one
     vectorised assignment.
     """
-    _zero_kth_power_multiples(vals, lo, 1, k, primes)
+    _zero_kth_power_multiples(vals, lo, 1, k)
 
 
-def _zero_kth_power_multiples(vals: np.ndarray, lo: int, step: int, k: int, primes: np.ndarray) -> None:
+def _zero_kth_power_multiples(vals: np.ndarray, lo: int, step: int, k: int) -> None:
     """zero_kth_power_multiples over the progression lo + step i of
     len(vals) values, step 1 or 2 (then lo odd, and p = 2 is skipped)."""
-    primes = _primes_to(primes, introot(lo + step * (len(vals) - 1), k), step)
+    primes = sieve_primes(introot(lo + step * (len(vals) - 1), k))[step - 1 :]
     if not len(primes):
         return
     powers = primes**k  # p^k <= hi, so within int64

@@ -63,7 +63,6 @@ from .sieve import (
     as_schedule,
     introot,
     segments,
-    sieve_primes,
 )
 from .workspace import TABLE, VALUES, borrowed, check_bytes, scratch
 
@@ -245,11 +244,9 @@ def _windows(fill, lo: int, hi: int, step: int = 1, segment_size: int = DEFAULT_
             yield a, b, fill(a, b)
 
 
-def _rule_fill(rule: MultiplicativeRule, limit: int):
-    """The fill of rule's int8 values on [lo, hi] <= limit into VALUES."""
-    primes = sieve_primes(isqrt(limit))
-    return lambda lo, hi: rule.segment_values(
-        lo, hi, primes=primes, out=scratch(VALUES, hi - lo + 1, np.int8))
+def _rule_fill(rule: MultiplicativeRule):
+    """The fill of rule's int8 values on [lo, hi] into VALUES."""
+    return lambda lo, hi: rule.segment_values(lo, hi, out=scratch(VALUES, hi - lo + 1, np.int8))
 
 
 # Longest block of the blocked window reduction: no sum of 64 one-byte
@@ -347,7 +344,7 @@ def direct_summatory(
 ) -> PartialSumSeries:
     """Exact M_f for a multiplicative rule, by streaming segmented sieving;
     `threads` is validated and changes nothing, as in `stream_summatory`."""
-    return stream_summatory(_rule_fill(rule, _check_limit(limit)), limit, schedule=schedule,
+    return stream_summatory(_rule_fill(rule), limit, schedule=schedule,
                             label=rule.label, segment_size=segment_size, threads=threads)
 
 
@@ -367,7 +364,7 @@ def direct_value(
         CapacityError: limit beyond MAX_STREAM_LIMIT.
     """
     limit = _check_limit(limit)
-    windows = _windows(_rule_fill(rule, limit), 1, limit, segment_size=segment_size)
+    windows = _windows(_rule_fill(rule), 1, limit, segment_size=segment_size)
     return sum(_window_sum(vals) for _, _, vals in windows)
 
 
@@ -387,7 +384,7 @@ def summatory_mu_chi(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> PartialSumSeries:
     """Exact partial sums of mu(n) * chi(n): mu's rule fill times chi."""
-    mu = _rule_fill(mobius_rule(), _check_limit(limit))
+    mu = _rule_fill(mobius_rule())
 
     def seg(lo: int, hi: int) -> np.ndarray:
         vals = mu(lo, hi)
@@ -410,11 +407,10 @@ def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     same 1 MiB of values and 2 MiB accumulator as a stream's, and is added
     by `_window_sum`."""
     limit = _check_limit(limit)
-    primes = sieve_primes(isqrt(limit))
 
     def odd(a: int, b: int) -> np.ndarray:  # mu at the odd n in [a, b]
         size = (b - a) // 2 + 1
-        return _liouville_kfree_progression(a, size, 2, 2, primes, scratch(VALUES, size, np.int8))
+        return _liouville_kfree_progression(a, size, 2, 2, scratch(VALUES, size, np.int8))
 
     lo = (limit // 2 + 1) | 1  # the least odd n > limit // 2
     windows = _windows(odd, lo, limit, 2, segment_size)
@@ -451,7 +447,7 @@ def mertens_recursive(limit: int) -> int:
     s = min(x, max(2 * introot(x * x, 3), 1024))
     # |M(v)| <= v <= S < 2^31, and every sum below is at most x * S < 2^63
     small = np.zeros(s + 1, dtype=np.int32)
-    for lo, hi, mu in _windows(_rule_fill(mobius_rule(), s), 1, s):
+    for lo, hi, mu in _windows(_rule_fill(mobius_rule()), 1, s):
         np.cumsum(mu, dtype=np.int32, out=small[lo : hi + 1])
         small[lo : hi + 1] += small[lo - 1]
     top = x // (s + 1)

@@ -1,4 +1,6 @@
 import re
+from bisect import bisect_right
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -58,6 +60,46 @@ def test_primes_match_trial_division():
 def test_prime_count_1e6():
     # frozen from the one-shot trial-division oracle run
     assert len(sieve_primes(10**6)) == 78498
+
+
+@lru_cache(maxsize=1)
+def primes_past_the_kept_bound():
+    return primes_eratosthenes(sieve.KEPT_PRIMES_MAX + 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(limits=st.lists(st.one_of(st.integers(-2, 300), st.integers(0, sieve.KEPT_PRIMES_MAX + 1000)),
+                       min_size=1, max_size=6))
+def test_sieve_primes_in_any_order_match_a_fresh_sieve(limits):
+    # the kept table grows from empty to the limit or twice its bound, up to
+    # KEPT_PRIMES_MAX; a limit past that is sieved afresh and not kept
+    expect = primes_past_the_kept_bound()
+    saved = sieve._kept
+    sieve._kept = (1, saved[1][:0])
+    try:
+        for limit in limits:
+            before = sieve._kept
+            primes = sieve_primes(limit)
+            assert not primes.flags.writeable
+            assert primes.tolist() == expect[: bisect_right(expect, limit)]
+            bound = before[0]
+            if bound < limit <= sieve.KEPT_PRIMES_MAX:
+                assert sieve._kept[0] == min(max(limit, 2 * bound), sieve.KEPT_PRIMES_MAX)
+            else:
+                assert sieve._kept is before
+    finally:
+        sieve._kept = saved
+
+
+@pytest.mark.parametrize("limit, error, message", [
+    (2**63, RangeError, f"limit {2**63} exceeds the 2^63-1 cap"),
+    (10**12, CapacityError, f"prime sieve to {10**12} needs {10**12 + 1} bytes, budget is {MAX_SPF_BYTES}"),
+])
+def test_sieve_primes_past_the_kept_bound_keep_their_errors(limit, error, message):
+    kept = sieve._kept
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        sieve_primes(limit)
+    assert sieve._kept is kept
 
 
 def test_is_prime_matches_trial_division():
@@ -132,19 +174,19 @@ def test_liouville_kfree_segment_matches_brute_force(lo, size, k):
     assert vals.tolist() == expect
 
 
-def odd_half(lo, hi, k, primes):
+def odd_half(lo, hi, k):
     """The kernel at step 2 over the odd n of [lo, hi]; [lo, hi]'s own
     values at [(lo + 1) % 2 :: 2] are the same n."""
     size = (hi - (lo | 1)) // 2 + 1
     if size < 1:
         return np.empty(0, dtype=np.int8)
-    return sieve._liouville_kfree_progression(lo | 1, size, 2, k, primes, None)
+    return sieve._liouville_kfree_progression(lo | 1, size, 2, k, None)
 
 
-def assert_liouville_window(lo, hi, k, primes, expect):
+def assert_liouville_window(lo, hi, k, expect):
     """The kernel over [lo, hi], and at step 2 over its odd n, equal expect."""
-    assert np.array_equal(liouville_kfree_segment(lo, hi, k, primes), expect), (lo, hi)
-    assert np.array_equal(odd_half(lo, hi, k, primes), expect[(lo + 1) % 2 :: 2]), (lo, hi, "odd")
+    assert np.array_equal(liouville_kfree_segment(lo, hi, k), expect), (lo, hi)
+    assert np.array_equal(odd_half(lo, hi, k), expect[(lo + 1) % 2 :: 2]), (lo, hi, "odd")
 
 
 @pytest.mark.parametrize("k", [None, 2, 3, 4])
@@ -154,7 +196,7 @@ def test_liouville_kfree_segment_every_small_window(k):
     primes = np.array(primes_trial(8))
     for hi in range(1, 65):
         for lo in range(1, hi + 1):
-            assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
+            assert_liouville_window(lo, hi, k, liouville_product_segment(lo, hi, k, primes))
 
 
 # the log threshold changes at each 2^m, so a window across one compares
@@ -169,9 +211,9 @@ def test_liouville_kfree_segment_every_small_window(k):
 def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, above, k):
     lo, hi = max(1, 2**m - below), 2**m + above
     primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
-    vals = liouville_kfree_segment(lo, hi, k, primes)
+    vals = liouville_kfree_segment(lo, hi, k)
     assert vals.flags.writeable and vals.dtype == np.int8
-    assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
+    assert_liouville_window(lo, hi, k, liouville_product_segment(lo, hi, k, primes))
 
 
 @pytest.mark.parametrize("k", [None, 2, 3])
@@ -181,7 +223,7 @@ def test_liouville_kfree_segment_matches_product_across_powers_of_two(m, below, 
 ])
 def test_liouville_kfree_segment_matches_product_at_large_offsets(lo, hi, k):
     primes = np.array(primes_eratosthenes(isqrt(hi)), dtype=np.int64)
-    assert_liouville_window(lo, hi, k, primes, liouville_product_segment(lo, hi, k, primes))
+    assert_liouville_window(lo, hi, k, liouville_product_segment(lo, hi, k, primes))
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +236,7 @@ def test_liouville_kfree_segment_packs_high_hit_counts(k, primes_to_2_25):
     # the kernel counts prime-power hits in its accumulator's low byte;
     # Omega(2^50) = 50 is the largest count the tests reach
     lo, hi = 2**50 - 64, 2**50 + 64
-    assert_liouville_window(lo, hi, k, primes_to_2_25, liouville_product_segment(lo, hi, k, primes_to_2_25))
+    assert_liouville_window(lo, hi, k, liouville_product_segment(lo, hi, k, primes_to_2_25))
 
 
 # windows from one before to one after a multiple of the kernel's wheel
@@ -209,7 +251,7 @@ def test_liouville_kfree_segment_across_wheel_periods(j, k):
     expect = liouville_product_segment(base, top, k, primes)
     for lo in (base, base + 1, base + 2):
         for size in (1, 30030, 60061):
-            assert_liouville_window(lo, lo + size - 1, k, primes, expect[lo - base : lo - base + size])
+            assert_liouville_window(lo, lo + size - 1, k, expect[lo - base : lo - base + size])
     if k == 2 and j < 2**32:  # trial division near 10^14 is too slow
         near = [n for n in range(base, top + 1) if min(n % 30030, -n % 30030) <= 2]
         assert [int(expect[n - base]) for n in near] == [mobius_brute(n) for n in near]
@@ -227,10 +269,10 @@ def test_liouville_kfree_segment_visits_only_primes_hitting_the_window(lo, hi, m
     visited = []
     real = sieve._quarter_log2
     monkeypatch.setattr(sieve, "_quarter_log2", lambda p: visited.append(p) or real(p))
-    liouville_kfree_segment(lo, hi, 2, primes)
+    liouville_kfree_segment(lo, hi, 2)
     assert visited == [p for p in primes.tolist() if -lo % p <= hi - lo]
     visited.clear()
-    odd_half(lo, hi, 2, primes)
+    odd_half(lo, hi, 2)
     assert visited == [p for p in primes.tolist() if any(n % 2 for n in range(lo + -lo % p, hi + 1, p))]
 
 
@@ -321,14 +363,13 @@ def test_kfree_sieve_takes_any_order():
 @given(lo=st.one_of(st.integers(1, 10**4), st.integers(1, 10**10)),
        size=st.integers(1, 3000), k=st.integers(2, 5))
 def test_zero_kth_power_multiples_matches_marking(lo, size, k):
-    # powers shorter and longer than the window, entries that are not 1,
-    # and primes past hi^(1/k) that must be ignored
+    # powers shorter and longer than the window, and entries that are not 1
     hi = lo + size - 1
     vals = (np.arange(size) % 7 - 3).astype(np.int8)
     expect = vals.copy()
     for p in primes_trial(introot(hi, k)):
         expect[-lo % p**k :: p**k] = 0
-    zero_kth_power_multiples(vals, lo, k, sieve_primes(introot(hi, k) + 50))
+    zero_kth_power_multiples(vals, lo, k)
     assert np.array_equal(vals, expect)
 
 

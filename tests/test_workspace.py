@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from kfreesums import (
     optimal_split,
     sieve_kfree_segment,
     sieve_mobius_segment,
-    sieve_primes,
     stream_summatory,
     summatory_mu_chi,
 )
@@ -131,14 +129,13 @@ def test_dirty_workspace_small_windows_match_brute_force(free_list):
 
 def producers(lo, hi):
     """Every public array producer over [lo, hi], by name."""
-    primes = sieve_primes(int(hi**0.5) + 1)
     block = period_block(CHI15.period_values)
-    out = {f"liouville k={k}": liouville_kfree_segment(lo, hi, k, primes) for k in (None, 2, 3)}
-    out["mobius table"] = sieve_mobius_segment(lo, hi, primes).values
-    out["kfree table"] = sieve_kfree_segment(lo, hi, 2, primes).values
+    out = {f"liouville k={k}": liouville_kfree_segment(lo, hi, k) for k in (None, 2, 3)}
+    out["mobius table"] = sieve_mobius_segment(lo, hi).values
+    out["kfree table"] = sieve_kfree_segment(lo, hi, 2).values
     for name, rule in RULES.items():
-        out[f"{name} segment"] = rule.segment_values(lo, hi, primes)
-        out[f"{name} table"] = rule.values(lo, hi, primes).values
+        out[f"{name} segment"] = rule.segment_values(lo, hi)
+        out[f"{name} table"] = rule.values(lo, hi).values
     out["chi values"] = CHI15.values(lo, hi)
     out["chi table"] = character_table(CHI15, lo, hi).values
     out["tiled window"] = tiled_window(block, 15, lo, hi)
@@ -245,9 +242,8 @@ def test_kernel_window_allocates_no_new_buffer(k, free_list):
     # the kernel's sign flag lives in its output and its sums in TABLE, so a
     # second window takes no buffer and no window-sized temporary
     lo, hi = 10**9, 10**9 + 2**20 - 1
-    primes = sieve_primes(isqrt(hi))
     window = lambda: liouville_kfree_segment(
-        lo, hi, k, primes, out=workspace.scratch(workspace.VALUES, hi - lo + 1, np.int8))
+        lo, hi, k, out=workspace.scratch(workspace.VALUES, hi - lo + 1, np.int8))
     with workspace.borrowed() as ws:
         first = window().copy()
         allocations = ws.allocations
@@ -261,7 +257,7 @@ def test_kernel_window_allocates_no_new_buffer(k, free_list):
         assert ws.allocations == allocations
     assert peak < (hi - lo + 1) // 4
     assert np.array_equal(second, first)
-    assert np.array_equal(first, liouville_kfree_segment(lo, hi, k, primes))
+    assert np.array_equal(first, liouville_kfree_segment(lo, hi, k))
 
 
 def test_workspace_grows_only_when_too_small():
