@@ -5,13 +5,16 @@ compare, run.  All file outputs are deterministic for a fixed invocation;
 timings go to stdout only.  No subcommand takes a thread count: streams
 run their windows on the calling thread.  Flags that set a run-config
 field share that field's reader with the config; a flag's ConfigError
-names the flag (exit status 2).
+names the flag (exit status 2).  So does a file flag's: every input file
+is read by `_read_file`, and every output path is checked before any
+computing starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -21,12 +24,12 @@ from .analysis import fit_exponent, figure1, power_envelope, envelope_ratio
 from .constructions import completed_character, pretentious_distance, verify_deviation_budget
 from .errors import ConfigError, KfreesumsError
 from .experiment import (
-    DEFAULT_SPLIT, compare_methods, config_rules, load_config, parse_number, read_json,
+    DEFAULT_SPLIT, compare_methods, config_rules, parse_config, parse_number, read_json,
     read_budget, read_int, read_k, read_limit, read_modulus, read_plan, read_ratio, read_real,
     read_split, resolve_split, run_experiment,
 )
 from .rules import character_rule
-from .sieve import build_spf, sieve_kfree_segment, sieve_mobius_segment, sieve_primes
+from .sieve import _check_range, build_spf, sieve_kfree_segment, sieve_mobius_segment, sieve_primes
 from .summatory import (
     PartialSumSeries, checkpoint_schedule, direct_summatory, mertens, mertens_recursive,
 )
@@ -52,16 +55,48 @@ def _add(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(name, **_SHARED[name])
 
 
+def _read_file(path: str, flag: str) -> str:
+    """The text of the file that `flag` names; ConfigError naming the flag
+    and the path when it cannot be read or decoded."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        raise ConfigError(f"{flag}: cannot read {path}: {reason}") from None
+
+
+def _check_out_file(path: str | None, flag: str) -> None:
+    """ConfigError naming the flag and the path unless the output file
+    `path` (None: no output) lies in an existing directory and is not one."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise ConfigError(f"{flag}: cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"{flag}: cannot write {path}: no directory {Path(path).parent}")
+
+
+def _make_out_dir(path: str, flag: str) -> Path:
+    """The output directory `path`, made with its parents; ConfigError
+    naming the flag and the path when it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{flag}: cannot make directory {path}: {e.strerror or e}") from None
+    return Path(path)
+
+
 def _plan(args, default: dict | None = None):
     """The --plan file, read as a config's plan block, else the block
     `default` (None: no plan)."""
     if args.plan is not None:
-        default = read_json(Path(args.plan).read_text(), f"plan file {args.plan}")
+        default = read_json(_read_file(args.plan, "--plan"), f"plan file {args.plan}")
     return None if default is None else read_plan(default, args.modulus)
 
 
 def cmd_sieve(args) -> int:
-    lo, hi = args.lo, args.hi
+    lo, hi = _check_range(args.lo, args.hi)
+    _check_out_file(args.out, "--out")
     if args.kind == "primes":
         for p in sieve_primes(hi):
             if p >= lo:
@@ -86,6 +121,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_sum(args) -> int:
+    _check_out_file(args.out, "--out")
     f, _, _ = config_rules(args.modulus, _plan(args), args.k)
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     series = direct_summatory(f, args.limit, schedule=schedule)
@@ -108,6 +144,7 @@ def cmd_mertens(args) -> int:
 
 
 def cmd_verify_budget(args) -> int:
+    _check_out_file(args.out, "--out")
     _, g, chi = config_rules(args.modulus, _plan(args, default={}), None)
     budget = read_budget({"C": args.C, "c": args.c, "x0": args.x0}, args.k)
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
@@ -137,16 +174,15 @@ _SERIES_COLUMNS = {"x": 1, "M": -math.inf, "abs_max": 0}
 
 def cmd_fit(args) -> int:
     path = args.series
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in _SERIES_COLUMNS:
-            if column not in (reader.fieldnames or ()):
-                raise ConfigError(f"{path}: no column {column!r}")
-        # a short row leaves its missing cells None
-        rows = [tuple(read_int(parse_number(r[c] or ""),
-                               f"{path}: line {reader.line_num}, column {c!r}", low)
-                      for c, low in _SERIES_COLUMNS.items())
-                for r in reader]
+    reader = csv.DictReader(io.StringIO(_read_file(path, "--series")))
+    for column in _SERIES_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise ConfigError(f"{path}: no column {column!r}")
+    # a short row leaves its missing cells None
+    rows = [tuple(read_int(parse_number(r[c] or ""),
+                           f"{path}: line {reader.line_num}, column {c!r}", low)
+                  for c, low in _SERIES_COLUMNS.items())
+            for r in reader]
     series = PartialSumSeries(label=Path(path).stem,
                               checkpoints=[(x, m) for x, m, _ in rows],
                               running_abs_max=[(x, a) for x, _, a in rows])
@@ -159,8 +195,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out, "--out")
     csv_path, svg_path = out / "figure1.csv", out / "figure1.svg"
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     series = figure1(args.limit, csv_path, svg_path, modulus=args.modulus, schedule=schedule)
@@ -186,7 +221,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = parse_config(_read_file(args.config, "--config"))
+    _make_out_dir(args.out, "--out")
     summary = run_experiment(cfg, args.out)
     print(f"wrote bundle to {args.out}")
     print(f"final M = {summary['final']['M']} at x = {summary['final']['x']}")

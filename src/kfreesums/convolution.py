@@ -126,9 +126,13 @@ def dirichlet_convolve(a: DenseValueTable, b: DenseValueTable) -> ConvolutionTab
     |(a * b)(n)| <= tau(n) max|a| max|b| <= N max|a| max|b|; when that bound
     fits int64 the sums run in int64, otherwise in Python ints, and a value
     outside int64 raises CapacityError naming the first such n, as does an
-    operand value outside int64.
+    operand value outside int64.  At most four int64 tables of N + 1
+    entries are alive at once (the two padded operands, the sums, and a
+    product slice or the result); past MAX_SPF_BYTES they raise
+    CapacityError before the first is built.
     """
     n = _shared_limit(a, b)
+    check_bytes(4 * 8 * (n + 1), f"Dirichlet convolution on [1, {n}]")
     av = _int64_values(a, "left operand")
     bv = _int64_values(b, "right operand")
     dtype = np.int64 if n * _bound(av) * _bound(bv) <= MAX_LIMIT else object
@@ -155,7 +159,10 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
     runs after each block: the blocks before it are all in range and no
     value in a block depends on another in it, so this n and its value are
     those of an entry-by-entry recursion.  An operand value outside int64
-    raises CapacityError naming its n.
+    raises CapacityError naming its n.  At most three int64 tables of
+    N + 1 entries are alive at once (the padded operand, b, and a product
+    slice or the result); past MAX_SPF_BYTES they raise CapacityError
+    before the first is built.
     """
     _require_prefix(a, "operand")
     n = a.hi
@@ -164,6 +171,7 @@ def dirichlet_inverse(a: DenseValueTable) -> ConvolutionTable:
         raise NonInvertibleError("a(1) = 0 has no Dirichlet inverse")
     if a1 not in (1, -1):
         raise NonInvertibleError(f"a(1) = {a1} is not a unit in the integer table ring")
+    check_bytes(3 * 8 * (n + 1), f"Dirichlet inverse on [1, {n}]")
     av = _int64_values(a, "operand")
     checked = n * n * _bound(av[1:]) ** (n.bit_length() - 1) > MAX_LIMIT
     # av[j] = a(j) for j >= 2, and av[1] = 0

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from itertools import accumulate
 from math import isqrt
 from operator import mul
@@ -83,15 +84,26 @@ def _check_limit(limit: int, budget: int = MAX_STREAM_LIMIT, what: str = "stream
 
 
 SCHEDULE_START = 10
+# Peak bytes per checkpoint of a stream's series and its schedule, as
+# tracemalloc measured direct_summatory over 10^6 and 2 * 10^6 of them.
+CHECKPOINT_BYTES = 330
 
 
 def checkpoint_schedule(limit: int, ratio: float | None = None) -> list[int]:
     """Geometric checkpoints x_{i+1} = ceil(ratio * x_i) from SCHEDULE_START,
-    plus every power of 10 and the endpoint itself; ratio 1.05 unless given."""
+    plus every power of 10 and the endpoint itself; ratio 1.05 unless given.
+
+    The steps are 1 while x < t = ceil(1 / (ratio - 1)) and at least the
+    ratio from there on, which bounds the number of points before any is
+    built: CapacityError, naming the ratio and the limit, when their
+    CHECKPOINT_BYTES each pass MAX_SPF_BYTES."""
     limit = as_int(limit, "schedule limit", minimum=1)
     ratio = 1.05 if ratio is None else as_real(ratio, "schedule ratio")
     if ratio <= 1.0:
         raise RangeError(f"schedule ratio must exceed 1, got {ratio}")
+    t = max(SCHEDULE_START, min(limit, math.ceil(1 / (ratio - 1))))
+    points = t - SCHEDULE_START + math.log(max(limit / t, 1)) / math.log(ratio) + len(str(limit)) + 2
+    check_bytes(math.ceil(points) * CHECKPOINT_BYTES, f"checkpoint schedule of ratio {ratio} to {limit}")
     pts = {limit}
     x = SCHEDULE_START
     while x <= limit:
@@ -648,12 +660,39 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     """The split U = x^(2k/(2k+1)), V = x^(1/(2k+1)), floors taken exactly.
 
     This balances the two short sums when the h-side factor is supported
-    on k-th powers; both floors come from exact integer root extraction,
-    never floating-point powers.
+    on k-th powers; both floors are exact, never rounded floating-point
+    powers (see `_power_root`).
     """
     x, k = as_int(x, "split x", minimum=1), as_int(k, "split order k", minimum=2)
     m = 2 * k + 1
-    return HyperbolaSplit(x=x, u_floor=introot(x ** (2 * k), m), v_floor=introot(x, m))
+    return HyperbolaSplit(x=x, u_floor=_power_root(x, m), v_floor=introot(x, m))
+
+
+# _power_root takes the root of the exact power x^(m - 1) up to this m
+_EXACT_POWER_ROOT = 127
+
+
+def _power_root(x: int, m: int) -> int:
+    """floor(x^((m - 1) / m)) for x >= 1, exactly, in time nearly
+    independent of m.
+
+    Up to m = _EXACT_POWER_ROOT it is introot(x^(m - 1), m).  Past it,
+    u = floor(exp((m - 1) / m ln x)) is taken in Decimal arithmetic at
+    40 + len(str(m)) digits, whose error in the logs below is far under
+    10^-20.  u is the floor exactly when m ln u <= (m - 1) ln x <
+    m ln(u + 1), so it is returned when both gaps, (m - 1) ln x - m ln u
+    and m ln(u + 1) - (m - 1) ln x, exceed 10^-20; otherwise, as at an
+    exact power, the exact root decides.
+    """
+    if m <= _EXACT_POWER_ROOT:
+        return introot(x ** (m - 1), m)
+    with localcontext() as ctx:
+        ctx.prec = 40 + len(str(m))
+        log = Decimal(x).ln() * (m - 1)
+        u = int((log / m).exp())
+        if min(log - m * Decimal(u).ln(), m * Decimal(u + 1).ln() - log) > Decimal("1e-20"):
+            return u
+    return introot(x ** (m - 1), m)
 
 
 # hyperbola_sum reads each support a block at a time, so the index,

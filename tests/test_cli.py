@@ -222,3 +222,61 @@ def test_plan_file_errors_exit_two(tmp_path, capsys):
         plan.write_text(text)
         assert main(["sum", "--limit", "100", "--plan", str(plan)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--config", "{path}", "--out", "{tmp}/bundle"], "--config"),
+    (["sum", "--limit", "100", "--plan", "{path}"], "--plan"),
+    (["compare", "--limit", "100", "--plan", "{path}"], "--plan"),
+    (["verify-budget", "--limit", "100", "--plan", "{path}"], "--plan"),
+    (["distance", "--limit", "100", "--plan", "{path}"], "--plan"),
+    (["fit", "--series", "{path}"], "--series"),
+])
+@pytest.mark.parametrize("name, reason", [
+    ("missing.json", "No such file or directory"),
+    ("folder", "Is a directory"),
+    ("latin1.json", "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_unreadable_input_files_exit_two_naming_flag_and_path(tmp_path, capsys, argv, flag, name, reason):
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"flipped_primes": [], "é": 1}'.encode("latin-1"))
+    path = tmp_path / name
+    assert main([a.format(path=path, tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: cannot read {path}: ") and reason in err
+    assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", str(Path(__file__).parent / "golden/readme_q3/config.json"), "--out", "{tmp}/file"],
+     "--out: cannot make directory {tmp}/file: File exists"),
+    (["figure1", "--limit", "1000", "--out", "{tmp}/file/fig"],
+     "--out: cannot make directory {tmp}/file/fig: Not a directory"),
+    (["sum", "--limit", "1000", "--out", "{tmp}/missing/x.csv"],
+     "--out: cannot write {tmp}/missing/x.csv: no directory {tmp}/missing"),
+    (["verify-budget", "--limit", "1000", "--out", "{tmp}"], "--out: cannot write {tmp}: it is a directory"),
+    (["sieve", "--hi", "10", "--out", "{tmp}/missing/mu.csv"],
+     "--out: cannot write {tmp}/missing/mu.csv: no directory {tmp}/missing"),
+])
+def test_output_paths_are_checked_before_computing(tmp_path, capsys, monkeypatch, argv, message):
+    import kfreesums.cli as cli
+
+    (tmp_path / "file").write_text("")
+    for name in ("run_experiment", "figure1", "direct_summatory", "verify_deviation_budget",
+                 "sieve_mobius_segment"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed before checking --out"))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("kind", ["primes", "mobius", "kfree", "spf"])
+def test_sieve_rejects_an_empty_window_for_every_kind(capsys, kind):
+    assert main(["sieve", "--kind", kind, "--lo", "5", "--hi", "3"]) == 2
+    assert capsys.readouterr().err == "error: hi must be >= 5, got 3\n"
+
+
+def test_run_with_a_schedule_past_the_byte_budget_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "dense.json"
+    cfg.write_text(json.dumps({"modulus": 3, "k": 2, "X": 4 * 10**9, "schedule_ratio": 1.0000001}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bundle")]) == 2
+    assert "checkpoint schedule of ratio 1.0000001 to 4000000000 needs" in capsys.readouterr().err

@@ -335,3 +335,17 @@ def test_any_order_truncates(chi3):
         assert type(rule.k_truncation) is int
         assert np.array_equal(rule.segment_values(1, 4096),
                               MultiplicativeRule(base=base).segment_values(1, 4096))
+
+
+@pytest.mark.parametrize("rule", [
+    character_rule(CHI3), character_rule(CHI3, k=2), one_rule(), mobius_rule(),
+    modified_character(ModificationPlan(character=CHI3, flipped_primes=(7,))),
+], ids=lambda rule: rule.label)
+@pytest.mark.parametrize("lo, hi, message", [
+    (5, 3, "hi must be >= 5, got 3"),
+    (2**63, 2**63 + 2, f"upper bound {2**63 + 2} exceeds the 2^63-1 exact-arithmetic cap"),
+])
+def test_rule_windows_read_their_bounds_as_the_sieve_tables_do(rule, lo, hi, message):
+    for call in (rule.segment_values, rule.values, sieve_mobius_segment):
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            call(lo, hi)

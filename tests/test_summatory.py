@@ -584,6 +584,26 @@ def test_integer_types_are_read_as_python_ints():
         checkpoint_schedule(0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(2, 200))
+def test_optimal_split_floors_match_the_exact_power_root(data, k):
+    # random x below 2^63, and exact m-th powers and their neighbours, past
+    # 2^63 too, where the Decimal estimate sits on the boundary
+    m = 2 * k + 1
+    x = data.draw(st.one_of(st.integers(1, 2**63 - 1),
+                            st.builds(lambda r, d: max(1, r**m + d), st.integers(1, 2), st.integers(-1, 1))))
+    split = optimal_split(x, k)
+    assert (split.u_floor, split.v_floor) == (introot(x ** (2 * k), m), introot(x, m))
+
+
+def test_optimal_split_at_a_large_order_is_fast():
+    start = time.process_time()
+    split = optimal_split(2**63 - 1, 10**6)
+    assert time.process_time() - start < 1
+    # checked once against the exact integer powers, which take minutes
+    assert (split.u_floor, split.v_floor) == (9223170654792814579, 1)
+
+
 def test_limits_accept_integer_types():
     assert mertens_recursive(np.int64(10**5)) == mertens(np.int32(10**5)) == -48
     with pytest.raises(RangeError, match="got -5$"):

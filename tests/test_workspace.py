@@ -11,6 +11,7 @@ import pytest
 
 from kfreesums import (
     CapacityError,
+    DenseValueTable,
     HyperbolaSplit,
     ModificationPlan,
     MultiplicativeRule,
@@ -18,9 +19,12 @@ from kfreesums import (
     build_real_character,
     character_rule,
     character_table,
+    checkpoint_schedule,
     deviation_factor,
     direct_summatory,
     direct_value,
+    dirichlet_convolve,
+    dirichlet_inverse,
     kfree_hyperbola_sum,
     mertens,
     mertens_recursive,
@@ -296,6 +300,9 @@ def test_out_receives_the_values():
         liouville_kfree_segment(1, 1001, out=read_only)
 
 
+BROADCAST_ONES = DenseValueTable(1, 2**27, np.broadcast_to(np.int8(1), 2**27))
+
+
 @pytest.mark.parametrize("make", [
     lambda: liouville_kfree_segment(1, 10**12, 2),
     lambda: sieve_mobius_segment(1, 10**12),
@@ -311,9 +318,15 @@ def test_out_receives_the_values():
                                 HyperbolaSplit(x=4 * 10**9 - 17, u_floor=10, v_floor=(4 * 10**9 - 17) // 10)),
     # k = 2 at 2^63 - 1: the sieves of w over m <= 3.04 * 10^9, 61356774780 bytes in all
     lambda: kfree_hyperbola_sum(character_rule(CHI3), 2, optimal_split(2**63 - 1, 2)),
+    # about 7 * 10^7 points, CHECKPOINT_BYTES each
+    lambda: checkpoint_schedule(4 * 10**9, 1.0000001),
+    # operands the budget admits, 2^27 int8 ones that take no memory, and
+    # their int64 tables past it
+    lambda: dirichlet_convolve(BROADCAST_ONES, BROADCAST_ONES),
+    lambda: dirichlet_inverse(BROADCAST_ONES),
 ], ids=["liouville", "mobius table", "kfree table", "character table", "character rule",
         "mobius rule", "deviation factor", "workspace buffer", "hyperbola route",
-        "hyperbola route k2 int64"])
+        "hyperbola route k2 int64", "checkpoint schedule", "dirichlet convolve", "dirichlet inverse"])
 def test_dense_tables_past_the_byte_budget_raise_before_allocating(make):
     tracemalloc.start()
     try:
