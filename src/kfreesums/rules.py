@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
 import numpy as np
 
 from .characters import COMPLETED_PERIOD_MAX, RealCharacter, period_block, tiled_window

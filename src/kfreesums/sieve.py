@@ -276,10 +276,11 @@ def liouville_kfree_segment(
     parity is the sign, and its high byte sums S(n).  For each prime p up
     to B = isqrt(hi), read from `sieve_primes`, with a multiple in the
     window (every p up to its length, and each larger p that one remainder
-    test finds) one strided add of l(p) << 8 | 1, with l(p) = floor(4 log2 p)
-    an exact integer, hits the multiples of p, p^2, ..., p^(k-1); the
-    multiples of p^k are zeroed on the int8 signs at the end.  The first powers of 2, 3, 5, 7, 11
-    and 13 come from a 30030-periodic pattern, the rest from the loop.  The
+    test finds) one strided add of l(p) << 8 | 1, with l(p) =
+    floor(4 log2 p) an exact integer, hits the multiples of p, p^2, ...,
+    p^(k-1); the multiples of p^k are zeroed on the int8 signs at the end.
+    The first powers of 2, 3, 5, 7, 11 and 13 come from a 30030-periodic
+    pattern, the rest from the loop.  The
     accumulator is the bound workspace's inside a stream (see `workspace`).
     At 2 bytes a value it holds at most 2^30 values within MAX_SPF_BYTES,
     so a longer window raises CapacityError, as does a fresh output past
@@ -317,7 +318,9 @@ def liouville_kfree_segment(
     return _liouville_kfree_progression(lo, hi - lo + 1, 1, k, out)
 
 
-def _liouville_kfree_progression(lo: int, size: int, step: int, k: int | None, out: np.ndarray | None) -> np.ndarray:
+def _liouville_kfree_progression(
+    lo: int, size: int, step: int, k: int | None, out: np.ndarray | None
+) -> np.ndarray:
     """liouville_kfree_segment's values at n = lo + step i, 0 <= i < size,
     for step 1 (the window [lo, lo + size - 1]) or step 2 (its odd n alone:
     lo must be odd).  The caller checks lo and size; hi is the last n.

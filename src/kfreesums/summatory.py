@@ -673,16 +673,17 @@ _EXACT_POWER_ROOT = 127
 
 
 def _power_root(x: int, m: int) -> int:
-    """floor(x^((m - 1) / m)) for x >= 1, exactly, in time nearly
-    independent of m.
+    """floor(x^((m - 1) / m)) for x >= 1, exactly; for x < 2^63 in time
+    nearly independent of m.
 
     Up to m = _EXACT_POWER_ROOT it is introot(x^(m - 1), m).  Past it,
     u = floor(exp((m - 1) / m ln x)) is taken in Decimal arithmetic at
     40 + len(str(m)) digits, whose error in the logs below is far under
     10^-20.  u is the floor exactly when m ln u <= (m - 1) ln x <
     m ln(u + 1), so it is returned when both gaps, (m - 1) ln x - m ln u
-    and m ln(u + 1) - (m - 1) ln x, exceed 10^-20; otherwise, as at an
-    exact power, the exact root decides.
+    and m ln(u + 1) - (m - 1) ln x, exceed 10^-20.  Otherwise the exact
+    root decides: at an exact power, and wherever the gaps, which sum to
+    m ln(1 + 1/u), cannot both clear 10^-20 (u past about m 10^19).
     """
     if m <= _EXACT_POWER_ROOT:
         return introot(x ** (m - 1), m)
