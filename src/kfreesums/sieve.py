@@ -201,9 +201,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# sieve_primes keeps one read-only table of every prime up to the largest
-# limit it has sieved, while that limit is at most this bound: the window
-# kernels ask for the primes to sqrt(hi) or hi^(1/k) in every window.
+# The bound of sieve_primes' kept table: the window kernels ask it for the
+# primes to sqrt(hi) or hi^(1/k) in every window.
 KEPT_PRIMES_MAX = 2**20
 _kept = (1, np.array([], dtype=np.int64))  # (bound, every prime up to it)
 _kept[1].setflags(write=False)
@@ -226,27 +225,20 @@ def sieve_primes(limit: int) -> np.ndarray:
     limit = as_int(limit, "limit")
     bound, primes = _kept
     if limit > bound:
-        if limit > KEPT_PRIMES_MAX:
-            return _sieve(limit)
-        bound = min(max(limit, 2 * bound), KEPT_PRIMES_MAX)
-        primes = _sieve(bound)
-        _kept = bound, primes
+        if limit > MAX_LIMIT:
+            raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
+        top = limit if limit > KEPT_PRIMES_MAX else min(max(limit, 2 * bound), KEPT_PRIMES_MAX)
+        check_bytes(top + 1, f"prime sieve to {top}")
+        flags = np.ones(top + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, isqrt(top) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        primes = np.nonzero(flags)[0].astype(np.int64)
+        primes.setflags(write=False)
+        if top <= KEPT_PRIMES_MAX:
+            _kept = top, primes
     return primes[: np.searchsorted(primes, limit, side="right")]
-
-
-def _sieve(limit: int) -> np.ndarray:
-    """The primes up to limit >= 2 as a fresh read-only array."""
-    if limit > MAX_LIMIT:
-        raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
-    check_bytes(limit + 1, f"prime sieve to {limit}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
-    primes.setflags(write=False)
-    return primes
 
 
 def sieve_mobius_segment(lo: int, hi: int) -> DenseValueTable:
