@@ -26,9 +26,10 @@ from .errors import ConfigError, KfreesumsError
 from .experiment import (
     DEFAULT_SPLIT, compare_methods, config_rules, parse_config, parse_number, read_json,
     read_budget, read_int, read_k, read_limit, read_modulus, read_plan, read_ratio, read_real,
-    read_split, resolve_split, run_experiment,
+    make_out_dir, read_split, resolve_split, run_experiment,
 )
 from .rules import character_rule
+from .reporting import write_csv
 from .sieve import _check_range, build_spf, sieve_kfree_segment, sieve_mobius_segment, sieve_primes
 from .summatory import (
     PartialSumSeries, checkpoint_schedule, direct_summatory, mertens, mertens_recursive,
@@ -76,16 +77,6 @@ def _check_out_file(path: str | None, flag: str) -> None:
         raise ConfigError(f"{flag}: cannot write {path}: no directory {Path(path).parent}")
 
 
-def _make_out_dir(path: str, flag: str) -> Path:
-    """The output directory `path`, made with its parents; ConfigError
-    naming the flag and the path when it cannot be."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"{flag}: cannot make directory {path}: {e.strerror or e}") from None
-    return Path(path)
-
-
 def _plan(args, default: dict | None = None):
     """The --plan file, read as a config's plan block, else the block
     `default` (None: no plan)."""
@@ -98,25 +89,20 @@ def cmd_sieve(args) -> int:
     lo, hi = _check_range(args.lo, args.hi)
     _check_out_file(args.out, "--out")
     if args.kind == "primes":
-        for p in sieve_primes(hi):
-            if p >= lo:
-                print(int(p))
-        return 0
-    if args.kind == "mobius":
-        table = sieve_mobius_segment(lo, hi)
-    elif args.kind == "kfree":
-        table = sieve_kfree_segment(lo, hi, args.k)
-    else:  # spf
-        spf = build_spf(hi)
-        for n in range(lo, hi + 1):
-            print(f"{n},{int(spf.spf[n])}")
-        return 0
+        primes = sieve_primes(hi)
+        header, rows = ["p"], ((int(p),) for p in primes[primes >= lo])
+    elif args.kind == "spf":
+        spf = build_spf(hi).spf
+        header, rows = ["n", "spf"], ((n, int(spf[n])) for n in range(lo, hi + 1))
+    else:
+        table = sieve_mobius_segment(lo, hi) if args.kind == "mobius" else sieve_kfree_segment(lo, hi, args.k)
+        header, rows = ["n", "value"], enumerate(table.values.tolist(), lo)
     if args.out:
-        table.to_csv(args.out)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     else:
-        for i, v in enumerate(table.values):
-            print(f"{lo + i},{int(v)}")
+        for row in rows:
+            print(",".join(map(str, row)))
     return 0
 
 
@@ -195,7 +181,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    out = _make_out_dir(args.out, "--out")
+    out = make_out_dir(args.out)
     csv_path, svg_path = out / "figure1.csv", out / "figure1.svg"
     schedule = checkpoint_schedule(args.limit, ratio=args.schedule)
     series = figure1(args.limit, csv_path, svg_path, modulus=args.modulus, schedule=schedule)
@@ -222,7 +208,6 @@ def cmd_compare(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = parse_config(_read_file(args.config, "--config"))
-    _make_out_dir(args.out, "--out")
     summary = run_experiment(cfg, args.out)
     print(f"wrote bundle to {args.out}")
     print(f"final M = {summary['final']['M']} at x = {summary['final']['x']}")

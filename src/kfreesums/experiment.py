@@ -267,10 +267,20 @@ def resolve_split(split, x: int, k: int) -> HyperbolaSplit:
     return explicit_split(x, *split)
 
 
+def make_out_dir(path) -> Path:
+    """The output directory `path`, made with its parents; ConfigError
+    naming the path when it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make directory {path}: {e.strerror or e}") from None
+    return Path(path)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Produce the full report bundle for a config; returns the summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Produce the full report bundle for a config; returns the summary.
+    The directory is made first, before anything is computed."""
+    out = make_out_dir(out_dir)
     from .reporting import write_csv, write_json
 
     f, g, chi = config_rules(cfg.modulus, cfg.plan, cfg.k)

@@ -27,6 +27,7 @@ intermediates stay within int64, so no offset of an array of powers wraps.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -204,41 +205,46 @@ def is_prime(n: int) -> bool:
 # The bound of sieve_primes' kept table: the window kernels ask it for the
 # primes to sqrt(hi) or hi^(1/k) in every window.
 KEPT_PRIMES_MAX = 2**20
-_kept = (1, np.array([], dtype=np.int64))  # (bound, every prime up to it)
-_kept[1].setflags(write=False)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a read-only array.  limit < 2
     yields an empty array.
 
-    Up to KEPT_PRIMES_MAX the result is a prefix of one kept table; past
-    its bound the table grows to the limit, or to twice its bound if that
-    is more, up to KEPT_PRIMES_MAX.  A larger limit is sieved afresh and
-    not kept.
+    Up to KEPT_PRIMES_MAX the result is a prefix of one kept table, sieved
+    to KEPT_PRIMES_MAX on first use (82025 primes, 656 kB).  A larger
+    limit is sieved afresh and not kept.
 
     Raises:
         RangeError: limit is not an integer, or past 2^63-1.
         CapacityError: the limit + 1 bytes of flags exceed MAX_SPF_BYTES.
     """
-    global _kept
     limit = as_int(limit, "limit")
-    bound, primes = _kept
-    if limit > bound:
-        if limit > MAX_LIMIT:
-            raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
-        top = limit if limit > KEPT_PRIMES_MAX else min(max(limit, 2 * bound), KEPT_PRIMES_MAX)
-        check_bytes(top + 1, f"prime sieve to {top}")
-        flags = np.ones(top + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, isqrt(top) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        primes = np.nonzero(flags)[0].astype(np.int64)
-        primes.setflags(write=False)
-        if top <= KEPT_PRIMES_MAX:
-            _kept = top, primes
+    if limit <= KEPT_PRIMES_MAX:
+        primes = _kept_primes()
+    elif limit > MAX_LIMIT:
+        raise RangeError(f"limit {limit} exceeds the 2^63-1 cap")
+    else:
+        check_bytes(limit + 1, f"prime sieve to {limit}")
+        primes = _eratosthenes(limit)
     return primes[: np.searchsorted(primes, limit, side="right")]
+
+
+@functools.cache
+def _kept_primes() -> np.ndarray:
+    return _eratosthenes(KEPT_PRIMES_MAX)
+
+
+def _eratosthenes(top: int) -> np.ndarray:
+    """Every prime <= top, as a read-only int64 array."""
+    flags = np.ones(top + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    primes = np.nonzero(flags)[0].astype(np.int64)
+    primes.setflags(write=False)
+    return primes
 
 
 def sieve_mobius_segment(lo: int, hi: int) -> DenseValueTable:
@@ -364,7 +370,9 @@ def _liouville_kfree_progression(
     np.multiply(sign, -2, out=sign)
     np.add(sign, 1, out=sign)
     if k is not None:
-        _zero_kth_power_multiples(sign, lo, step, k)
+        # the p^k, p <= hi^(1/k), from the primes this window has sieved
+        kth = primes[: np.searchsorted(primes, introot(hi, k), side="right")]
+        _zero_multiples(sign, lo, step, kth**k)
     return sign
 
 
@@ -430,18 +438,15 @@ def zero_kth_power_multiples(vals: np.ndarray, lo: int, k: int) -> None:
     p^k has at most one multiple in the window, and all of those take one
     vectorised assignment.
     """
-    _zero_kth_power_multiples(vals, lo, 1, k)
+    _zero_multiples(vals, lo, 1, sieve_primes(introot(lo + len(vals) - 1, k)) ** k)
 
 
-def _zero_kth_power_multiples(vals: np.ndarray, lo: int, step: int, k: int) -> None:
+def _zero_multiples(vals: np.ndarray, lo: int, step: int, powers: np.ndarray) -> None:
     """zero_kth_power_multiples over the progression lo + step i of
-    len(vals) values, step 1 or 2 (then lo odd, and p = 2 is skipped)."""
-    primes = sieve_primes(introot(lo + step * (len(vals) - 1), k))[step - 1 :]
-    if not len(primes):
-        return
-    powers = primes**k  # p^k <= hi, so within int64
+    len(vals) values, step 1 or 2 (then lo odd), for the ascending int64
+    moduli `powers`, each at most the last n (and odd at step 2)."""
     near = np.searchsorted(powers, len(vals))
-    # each p^k's first index, as in _liouville_kfree_progression
+    # each modulus' first index, as in _liouville_kfree_progression
     first = (powers // step - lo // step) % powers
     for pk, i in zip(powers[:near].tolist(), first[:near].tolist()):
         vals[i::pk] = 0

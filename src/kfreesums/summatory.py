@@ -668,31 +668,34 @@ def optimal_split(x: int, k: int) -> HyperbolaSplit:
     return HyperbolaSplit(x=x, u_floor=_power_root(x, m), v_floor=introot(x, m))
 
 
-# _power_root takes the root of the exact power x^(m - 1) up to this m
-_EXACT_POWER_ROOT = 127
+# _power_root estimates in Decimal once x^(m - 1) has more bits than this:
+# there the exact root (0.08-0.15 ms at 2048 bits for 20- to 63-bit x)
+# costs as much as the estimate (0.1-0.2 ms), and past it more (Python
+# 3.11 on a 2-vCPU x86-64 host).
+_EXACT_ROOT_BITS = 2048
 
 
 def _power_root(x: int, m: int) -> int:
     """floor(x^((m - 1) / m)) for x >= 1, exactly; for x < 2^63 in time
     nearly independent of m.
 
-    Up to m = _EXACT_POWER_ROOT it is introot(x^(m - 1), m).  Past it,
-    u = floor(exp((m - 1) / m ln x)) is taken in Decimal arithmetic at
-    40 + len(str(m)) digits, whose error in the logs below is far under
-    10^-20.  u is the floor exactly when m ln u <= (m - 1) ln x <
-    m ln(u + 1), so it is returned when both gaps, (m - 1) ln x - m ln u
-    and m ln(u + 1) - (m - 1) ln x, exceed 10^-20.  Otherwise the exact
-    root decides: at an exact power, and wherever the gaps, which sum to
-    m ln(1 + 1/u), cannot both clear 10^-20 (u past about m 10^19).
+    The floor is the exact root introot(x^(m - 1), m).  Once x^(m - 1)
+    passes _EXACT_ROOT_BITS bits, u = floor(exp((m - 1) / m ln x)) is
+    first taken in Decimal arithmetic at 40 + len(str(m)) digits, whose
+    error in the logs below is far under 10^-20.  u is the floor exactly
+    when m ln u <= (m - 1) ln x < m ln(u + 1), so it is returned when both
+    gaps, (m - 1) ln x - m ln u and m ln(u + 1) - (m - 1) ln x, exceed
+    10^-20.  Otherwise the exact root decides: at an exact power, and
+    wherever the gaps, which sum to m ln(1 + 1/u), cannot both clear
+    10^-20 (u past about m 10^19).
     """
-    if m <= _EXACT_POWER_ROOT:
-        return introot(x ** (m - 1), m)
-    with localcontext() as ctx:
-        ctx.prec = 40 + len(str(m))
-        log = Decimal(x).ln() * (m - 1)
-        u = int((log / m).exp())
-        if min(log - m * Decimal(u).ln(), m * Decimal(u + 1).ln() - log) > Decimal("1e-20"):
-            return u
+    if (m - 1) * x.bit_length() > _EXACT_ROOT_BITS:
+        with localcontext() as ctx:
+            ctx.prec = 40 + len(str(m))
+            log = Decimal(x).ln() * (m - 1)
+            u = int((log / m).exp())
+            if min(log - m * Decimal(u).ln(), m * Decimal(u + 1).ln() - log) > Decimal("1e-20"):
+                return u
     return introot(x ** (m - 1), m)
 
 

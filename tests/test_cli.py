@@ -19,10 +19,20 @@ def test_sieve_primes(capsys):
     assert capsys.readouterr().out.split() == ["2", "3", "5", "7"]
 
 
-def test_sieve_csv_out(tmp_path):
-    out = tmp_path / "mu.csv"
-    assert main(["sieve", "--kind", "mobius", "--hi", "5", "--out", str(out)]) == 0
-    assert out.read_text() == "n,value\n1,1\n2,-1\n3,-1\n4,0\n5,-1\n"
+@pytest.mark.parametrize("argv, csv", [
+    (["--kind", "mobius", "--hi", "5"], "n,value\n1,1\n2,-1\n3,-1\n4,0\n5,-1\n"),
+    (["--kind", "kfree", "--k", "2", "--lo", "3", "--hi", "5"], "n,value\n3,1\n4,0\n5,1\n"),
+    (["--kind", "primes", "--lo", "3", "--hi", "10"], "p\n3\n5\n7\n"),
+    (["--kind", "spf", "--hi", "4"], "n,spf\n1,1\n2,2\n3,3\n4,2\n"),
+])
+def test_sieve_csv_out(tmp_path, capsys, argv, csv):
+    # every kind writes --out, and prints the same rows without it
+    out = tmp_path / "table.csv"
+    assert main(["sieve", *argv, "--out", str(out)]) == 0
+    assert out.read_text() == csv
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert main(["sieve", *argv]) == 0
+    assert capsys.readouterr().out == csv.split("\n", 1)[1]
 
 
 def test_sum_command(tmp_path, capsys):
@@ -249,9 +259,9 @@ def test_unreadable_input_files_exit_two_naming_flag_and_path(tmp_path, capsys, 
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "--config", str(Path(__file__).parent / "golden/readme_q3/config.json"), "--out", "{tmp}/file"],
-     "--out: cannot make directory {tmp}/file: File exists"),
+     "cannot make directory {tmp}/file: File exists"),
     (["figure1", "--limit", "1000", "--out", "{tmp}/file/fig"],
-     "--out: cannot make directory {tmp}/file/fig: Not a directory"),
+     "cannot make directory {tmp}/file/fig: Not a directory"),
     (["sum", "--limit", "1000", "--out", "{tmp}/missing/x.csv"],
      "--out: cannot write {tmp}/missing/x.csv: no directory {tmp}/missing"),
     (["verify-budget", "--limit", "1000", "--out", "{tmp}"], "--out: cannot write {tmp}: it is a directory"),
@@ -260,11 +270,13 @@ def test_unreadable_input_files_exit_two_naming_flag_and_path(tmp_path, capsys, 
 ])
 def test_output_paths_are_checked_before_computing(tmp_path, capsys, monkeypatch, argv, message):
     import kfreesums.cli as cli
+    import kfreesums.experiment as experiment
 
     (tmp_path / "file").write_text("")
-    for name in ("run_experiment", "figure1", "direct_summatory", "verify_deviation_budget",
-                 "sieve_mobius_segment"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed before checking --out"))
+    # run_experiment makes its bundle directory before it computes
+    for module, name in [(cli, "figure1"), (cli, "direct_summatory"), (cli, "verify_deviation_budget"),
+                         (cli, "sieve_mobius_segment"), (experiment, "direct_summatory")]:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("computed before checking --out"))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
 

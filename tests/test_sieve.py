@@ -71,24 +71,17 @@ def primes_past_the_kept_bound():
 @given(limits=st.lists(st.one_of(st.integers(-2, 300), st.integers(0, sieve.KEPT_PRIMES_MAX + 1000)),
                        min_size=1, max_size=6))
 def test_sieve_primes_in_any_order_match_a_fresh_sieve(limits):
-    # the kept table grows from empty to the limit or twice its bound, up to
-    # KEPT_PRIMES_MAX; a limit past that is sieved afresh and not kept
+    # the kept table is sieved once, to KEPT_PRIMES_MAX, on first use; a
+    # limit past that is sieved afresh and not kept
     expect = primes_past_the_kept_bound()
-    saved = sieve._kept
-    sieve._kept = (1, saved[1][:0])
-    try:
-        for limit in limits:
-            before = sieve._kept
-            primes = sieve_primes(limit)
-            assert not primes.flags.writeable
-            assert primes.tolist() == expect[: bisect_right(expect, limit)]
-            bound = before[0]
-            if bound < limit <= sieve.KEPT_PRIMES_MAX:
-                assert sieve._kept[0] == min(max(limit, 2 * bound), sieve.KEPT_PRIMES_MAX)
-            else:
-                assert sieve._kept is before
-    finally:
-        sieve._kept = saved
+    sieve._kept_primes.cache_clear()
+    for limit in limits:
+        primes = sieve_primes(limit)
+        assert not primes.flags.writeable
+        assert primes.tolist() == expect[: bisect_right(expect, limit)]
+    kept = sieve._kept_primes()
+    assert sieve._kept_primes.cache_info().misses == 1
+    assert kept.tolist() == expect[: bisect_right(expect, sieve.KEPT_PRIMES_MAX)]
 
 
 @pytest.mark.parametrize("limit, error, message", [
@@ -96,10 +89,23 @@ def test_sieve_primes_in_any_order_match_a_fresh_sieve(limits):
     (10**12, CapacityError, f"prime sieve to {10**12} needs {10**12 + 1} bytes, budget is {MAX_SPF_BYTES}"),
 ])
 def test_sieve_primes_past_the_kept_bound_keep_their_errors(limit, error, message):
-    kept = sieve._kept
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         sieve_primes(limit)
-    assert sieve._kept is kept
+
+
+@pytest.mark.parametrize("window", [
+    lambda lo: sieve_mobius_segment(lo, lo + 100),
+    lambda lo: mobius_rule().segment_values(lo, lo + 100),
+    lambda lo: sieve._liouville_kfree_progression(lo + 1, 51, 2, 2, None),  # mertens' odd n
+], ids=["mobius table", "mobius rule", "odd half"])
+def test_a_k2_window_past_the_kept_bound_sieves_its_primes_once(monkeypatch, window):
+    # past hi = 2^40, sqrt(hi) = hi^(1/2) is past KEPT_PRIMES_MAX: the
+    # zeroing of the p^2 reads the primes the kernel sieved
+    fresh = sieve._eratosthenes
+    tops = []
+    monkeypatch.setattr(sieve, "_eratosthenes", lambda top: tops.append(top) or fresh(top))
+    window(2**41)
+    assert len(tops) == 1 and tops[0] > sieve.KEPT_PRIMES_MAX
 
 
 def test_is_prime_matches_trial_division():
