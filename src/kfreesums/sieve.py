@@ -23,6 +23,13 @@ there: p = 2 is skipped, the first powers of 3, ..., 13 come from the odd
 half of the 30030-periodic pattern (period 15015), and the first odd
 multiple of each p^j sits at index (p^j // 2 - lo // 2) mod p^j, whose
 intermediates stay within int64, so no offset of an array of powers wraps.
+
+The kernels read their primes from `sieve_primes`: prefixes of one kept
+table up to KEPT_PRIMES_MAX = 2^20, and past it the kept table followed by
+the primes of odd-only windows (the segmented sieve of Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 83, 2014), one flag per odd n, with the
+kept table's odd primes as base primes.  The kept table is sieved by the
+same windows from n = 3.
 """
 
 from __future__ import annotations
@@ -213,11 +220,16 @@ def sieve_primes(limit: int) -> np.ndarray:
 
     Up to KEPT_PRIMES_MAX the result is a prefix of one kept table, sieved
     to KEPT_PRIMES_MAX on first use (82025 primes, 656 kB).  A larger
-    limit is sieved afresh and not kept.
+    limit gets the kept table followed by the primes in (KEPT_PRIMES_MAX,
+    limit], sieved in windows of odd n (see `_odd_prime_windows`) and not
+    kept.
 
     Raises:
         RangeError: limit is not an integer, or past 2^63-1.
-        CapacityError: the limit + 1 bytes of flags exceed MAX_SPF_BYTES.
+        CapacityError: limit + 1 bytes exceed MAX_SPF_BYTES.  Past
+            KEPT_PRIMES_MAX they bound the result's 8 pi(limit) bytes, so
+            the limit stays below 2^31 and its base primes, those up to
+            sqrt(limit) < 46341, are a prefix of the kept table.
     """
     limit = as_int(limit, "limit")
     if limit <= KEPT_PRIMES_MAX:
@@ -232,19 +244,52 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 @functools.cache
 def _kept_primes() -> np.ndarray:
-    return _eratosthenes(KEPT_PRIMES_MAX)
+    return _read_only(np.concatenate([[2], *_odd_prime_windows(3, KEPT_PRIMES_MAX)]))
 
 
 def _eratosthenes(top: int) -> np.ndarray:
-    """Every prime <= top, as a read-only int64 array."""
-    flags = np.ones(top + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(top) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
+    """Every prime <= top, for KEPT_PRIMES_MAX < top < 2^40, as a read-only
+    int64 array: the kept table, then the primes past it, whose base primes
+    are the kept table's odd ones."""
+    kept = _kept_primes()
+    return _read_only(np.concatenate([kept, *_odd_prime_windows(KEPT_PRIMES_MAX + 1, top, kept[1:])]))
+
+
+def _read_only(primes: np.ndarray) -> np.ndarray:
     primes.setflags(write=False)
     return primes
+
+
+_NO_PRIMES = np.zeros(0, dtype=np.int64)
+
+
+def _odd_prime_windows(lo: int, top: int, base: np.ndarray | None = None):
+    """Yield the primes in [lo, top], for odd lo with 3 <= lo <= top, as
+    one ascending int64 array per window.
+
+    A window holds one bool flag per odd n, DEFAULT_SEGMENT_SIZE of them,
+    index i for n = a + 2i from the window's first n, a.  It strikes the
+    odd multiples of each base prime p with p^2 <= its last n, from the
+    larger of p^2 and p's first odd multiple in the window, at index
+    (p // 2 - a // 2) mod p, so no prime strikes itself.  `base` holds the
+    odd primes up to at least isqrt(top), ascending; by default this same
+    body sieves them, so a table built from n = 3 needs no other sieve.
+    """
+    if base is None:
+        base = np.concatenate([_NO_PRIMES, *_odd_prime_windows(3, isqrt(top))]) if top >= 9 else _NO_PRIMES
+    flags = np.empty(min(DEFAULT_SEGMENT_SIZE, (top - lo) // 2 + 1), dtype=bool)
+    for a in range(lo, top + 1, 2 * DEFAULT_SEGMENT_SIZE):
+        window = flags[: min(len(flags), (top - a) // 2 + 1)]
+        window.fill(True)
+        last = a + 2 * (len(window) - 1)
+        ps = base[: np.searchsorted(base, isqrt(last), side="right")]
+        starts = np.maximum((ps // 2 - a // 2) % ps, (ps * ps - a) // 2)
+        for p, i in zip(ps.tolist(), starts.tolist()):
+            window[i::p] = False
+        n = np.flatnonzero(window)
+        np.multiply(n, 2, out=n)
+        np.add(n, a, out=n)
+        yield n
 
 
 def sieve_mobius_segment(lo: int, hi: int) -> DenseValueTable:

@@ -777,7 +777,8 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     """sum(a * b) over two nonempty integer arrays, exactly; a may hold
     Python ints past int64."""
     b = np.asarray(b, dtype=np.int64)
-    bound = len(a) * max(-int(a.min()), int(a.max())) * max(-int(b.min()), int(b.max()))
+    # max|b| counts at least 1, so the bound also keeps every a within int64
+    bound = len(a) * max(-int(a.min()), int(a.max())) * max(-int(b.min()), int(b.max()), 1)
     if bound <= MAX_LIMIT:  # bounds every partial sum of the int64 dot
         return int(np.dot(a.astype(np.int64, copy=False), b))
     return sum(map(mul, a.tolist(), b.tolist()))

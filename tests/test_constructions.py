@@ -307,6 +307,7 @@ def test_growth_report_csv(tmp_path, chi3):
 @example(q=3, big_c=5000.0, small_c=3.0, k=3, x0=10, limit=10**5)  # valley past the limit
 @example(q=5, big_c=10.0, small_c=0.5, k=2, x0=150, limit=100)      # limit below x0
 @example(q=3, big_c=2.0, small_c=30.0, k=2, x0=10, limit=1000)      # exp((c k / 2)^2) overflows
+@example(q=3, big_c=2.0, small_c=1.0, k=2, x0=10, limit=3 * 10**6)  # primes past the kept table
 def test_greedy_plan_equals_reference_loop(q, big_c, small_c, k, x0, limit):
     chi = build_real_character(q)
     budget = DeviationBudget(big_c=big_c, small_c=small_c, k=k, x0=x0)
@@ -410,7 +411,7 @@ def test_distance_with_different_bases_equals_fsum_loop(f_base, g_base):
         return MultiplicativeRule(base=b if b in (1, -1) else build_real_character(b),
                                   overrides={7: 1, 2: -1})
     f, g = rule(f_base), rule(g_base)
-    for x in (2, 7, 10**4 + 7):
+    for x in (2, 7, 10**4 + 7, 3 * 10**6):  # the last past the kept prime table
         assert pretentious_distance(f, g, x) == distance_fsum_loop(f, g, x)
 
 

@@ -1,5 +1,5 @@
 import re
-from bisect import bisect_right
+import tracemalloc
 from functools import lru_cache
 from math import isqrt
 
@@ -62,26 +62,65 @@ def test_prime_count_1e6():
     assert len(sieve_primes(10**6)) == 78498
 
 
+# past KEPT_PRIMES_MAX, sieve_primes sieves odd n in windows of this many n
+WINDOW = 2 * sieve.DEFAULT_SEGMENT_SIZE
+FRESH_TOP = sieve.KEPT_PRIMES_MAX + 3 * WINDOW
+
+
 @lru_cache(maxsize=1)
 def primes_past_the_kept_bound():
-    return primes_eratosthenes(sieve.KEPT_PRIMES_MAX + 1000)
+    return np.array(primes_eratosthenes(FRESH_TOP), dtype=np.int64)
 
 
-@settings(max_examples=40, deadline=None)
-@given(limits=st.lists(st.one_of(st.integers(-2, 300), st.integers(0, sieve.KEPT_PRIMES_MAX + 1000)),
-                       min_size=1, max_size=6))
-def test_sieve_primes_in_any_order_match_a_fresh_sieve(limits):
-    # the kept table is sieved once, to KEPT_PRIMES_MAX, on first use; a
-    # limit past that is sieved afresh and not kept
+def check_fresh_sieve(limits):
     expect = primes_past_the_kept_bound()
     sieve._kept_primes.cache_clear()
     for limit in limits:
         primes = sieve_primes(limit)
-        assert not primes.flags.writeable
-        assert primes.tolist() == expect[: bisect_right(expect, limit)]
+        assert not primes.flags.writeable and primes.dtype == np.int64
+        assert np.array_equal(primes, expect[: np.searchsorted(expect, limit, side="right")]), limit
     kept = sieve._kept_primes()
     assert sieve._kept_primes.cache_info().misses == 1
-    assert kept.tolist() == expect[: bisect_right(expect, sieve.KEPT_PRIMES_MAX)]
+    assert np.array_equal(kept, expect[: np.searchsorted(expect, sieve.KEPT_PRIMES_MAX, side="right")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(limits=st.lists(st.one_of(st.integers(-2, 300), st.integers(0, FRESH_TOP)), min_size=1, max_size=6))
+def test_sieve_primes_in_any_order_match_a_fresh_sieve(limits):
+    # the kept table is sieved once, to KEPT_PRIMES_MAX, on first use; a
+    # limit past that is the kept table and odd windows past it, not kept
+    check_fresh_sieve(limits)
+
+
+def _largest_base_prime(n):
+    return next(p for p in range(isqrt(n), 2, -1) if is_prime(p))
+
+
+# the three windows past the kept table start at these n
+_EDGES = [sieve.KEPT_PRIMES_MAX + 1 + j * WINDOW for j in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("limit", sorted(
+    {sieve.KEPT_PRIMES_MAX + d for d in (0, 1, 2)}
+    | {edge + d for edge in _EDGES for d in (-2, -1, 0, 1, 2)}
+    # 1031 is the first prime past the kept table's base primes (<= 1024),
+    # and the other p the largest base prime of the first window's last n
+    | {p * p + d for p in (1031, _largest_base_prime(_EDGES[1] - 2)) for d in (-1, 0, 1)}
+))
+def test_sieve_primes_at_window_edges_match_a_fresh_sieve(limit):
+    check_fresh_sieve([limit])
+
+
+def test_sieve_primes_past_the_kept_bound_peak_memory():
+    # one window's flags at a time, and the windows' primes until they are
+    # joined behind the kept table: the result dominates
+    tracemalloc.start()
+    try:
+        primes = sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * primes.nbytes, peak / primes.nbytes
 
 
 @pytest.mark.parametrize("limit, error, message", [

@@ -917,6 +917,15 @@ def test_hyperbola_dot_at_the_int64_edge():
         hyperbola_sum(mh, mg, h, g, big)
 
 
+def test_hyperbola_dot_of_a_run_past_int64_against_zero_sums():
+    # h(2) + h(3) = 2^63 sums one run of x // n = 1 past int64, and M_g(1)
+    # = 0 makes the bound of its product 0: the run's sum stays a Python int
+    split = HyperbolaSplit(x=3, u_floor=3, v_floor=1)
+    h = (np.array([2, 3]), np.full(2, 2**62, dtype=np.int64))
+    g = (np.array([1]), np.zeros(1, dtype=np.int64))
+    assert hyperbola_sum(DictSummatory({3: 5}), DictSummatory({1: 0}), h, g, split) == 0
+
+
 def test_capacity_budgets(chi3):
     # each message names the refused value and the budget it exceeds
     stream = f"{summatory.MAX_STREAM_LIMIT}"
