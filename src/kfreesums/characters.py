@@ -29,8 +29,10 @@ COMPLETED_PERIOD_MAX = 2**16
 
 
 def period_block(values: np.ndarray) -> np.ndarray:
-    """Whole periods of `values`, at least PERIOD_BLOCK_MIN long, read-only."""
-    block = np.tile(values, -(-PERIOD_BLOCK_MIN // len(values)))
+    """Whole periods of `values`, an even number of them at least
+    PERIOD_BLOCK_MIN long, read-only: its odd entries are whole periods of
+    the sequence at odd n too."""
+    block = np.tile(values, 2 * -(-PERIOD_BLOCK_MIN // (2 * len(values))))
     block.setflags(write=False)
     return block
 

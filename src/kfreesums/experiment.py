@@ -329,8 +329,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 @dataclass(frozen=True)
 class CompareReport:
     """The two routes' values of M_f(x) and their wall seconds:
-    direct_seconds times `direct_value`, the windowed sieve sum, and
-    hyperbola_seconds times `kfree_hyperbola_sum`."""
+    direct_seconds times `direct_value`, the windowed sieve sum over odd n
+    weighted by the partial sums of f(2^a), and hyperbola_seconds times
+    `kfree_hyperbola_sum`."""
 
     x: int
     direct_value: int
@@ -342,8 +343,8 @@ class CompareReport:
 def compare_methods(f: MultiplicativeRule, k: int, x: int, split: HyperbolaSplit) -> CompareReport:
     """Cross-validate the direct sum of f against the hyperbola identity.
 
-    The direct route is `direct_value`: f sieved window by window and each
-    window added, with no checkpoint series.  f must be the k-free
+    The direct route is `direct_value`: f sieved at odd n, window by
+    window, and each window added, with no checkpoint series.  f must be the k-free
     restriction of its completely multiplicative base g; the hyperbola side
     pairs g with the k-th-power factor h linking them; split must be a split
     of x.  Disagreement raises MethodMismatchError: it is a correctness bug,

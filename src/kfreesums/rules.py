@@ -23,10 +23,19 @@ from a nonzero base value.  Segments cost O(size) wherever they sit.  The
 `sieve.liouville_kfree_segment` (the kernel behind mu) with the rule's own
 truncation: it flips the sign only at the powers of p below p^k and
 zeroes the multiples of p^k.
+
+The same fill writes the odd n of a window alone, one index per odd n,
+for `summatory.direct_value`: the odd half of the cached block, of period
+Q / gcd(Q, 2) (blocks are an even number of periods, so the half is whole
+periods), the fills' recursion at the odd multiples of each odd p^(K_p),
+the flips and the zeroing at the odd multiples of odd powers, and the -1
+base from the Liouville kernel at step 2.  p = 2 divides no odd n, so it
+is neither flipped nor zeroed there, and an even p^(K_p) fills nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,10 +47,12 @@ from .sieve import (
     DenseValueTable,
     SpfTable,
     _check_range,
+    _liouville_kfree_progression,
+    _zero_multiples,
     as_int,
+    introot,
     is_prime,
-    liouville_kfree_segment,
-    zero_kth_power_multiples,
+    sieve_primes,
 )
 from .workspace import output
 
@@ -150,47 +161,68 @@ class MultiplicativeRule:
         per n), else a fresh array.  lo and hi are read as the sieve tables
         read them: RangeError unless 1 <= lo <= hi <= 2^63-1."""
         lo, hi = _check_range(lo, hi)
-        vals = self._complete_values(lo, hi, out)
-        liouville = not isinstance(self.base, RealCharacter) and self.base == -1
-        if self.k_truncation is not None and not liouville:
-            zero_kth_power_multiples(vals, lo, self.k_truncation)
-        return vals
+        return self._progression_values(lo, hi - lo + 1, 1, out)
 
-    def _complete_values(self, lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
-        """Values over [lo, hi] of the untruncated rule, into `out` or a
-        fresh array, except that the sieve of the -1 base applies the
-        truncation.  The fills (overrides where the base vanishes) give the
-        completed base from its cached block; each flip then negates the
-        window once."""
+    def _progression_values(self, lo: int, size: int, step: int, out: np.ndarray | None) -> np.ndarray:
+        """int8 values at n = lo + step i, 0 <= i < size, into `out` or a
+        fresh array, for step 1 (the window [lo, lo + size - 1]) or step 2
+        (its odd n alone: lo must be odd).  The caller checks lo and size.
+
+        The fills (overrides where the base vanishes) give the completed
+        base from its cached block, each flip then negates the window once,
+        and the truncation zeroes the multiples of the p^k; the sieve of the
+        -1 base flips and zeroes at its own primes.  Index i holds
+        n // step - lo // step, as in `sieve._liouville_kfree_progression`,
+        so at step 2 the odd multiples of an odd m lie m apart from index
+        (m // 2 - lo // 2) mod m, and a prime or prime power dividing step
+        divides no n: p = 2 is neither flipped nor zeroed, and the even
+        p^(K_p) fill nothing."""
         base = self.base
         chi = base if isinstance(base, RealCharacter) else None
+        liouville = chi is None and base == -1
+        hi = lo + step * (size - 1)
         flips, fills = [], []
         for p, v in sorted(self.overrides.items()):
             at_p = int(chi.period_values[p % chi.modulus]) if chi is not None else base
             if at_p == 0:
                 fills.append((p, v))
-            elif at_p != v:
+            elif at_p != v and step % p:  # a p | step divides no n
                 flips.append(p)
         if chi is not None:
-            block, period, steps = _completed_block(chi.period_values.tobytes(), tuple(fills))
-            vals = _fill_window(block, period, steps, lo, hi, out=out)
-        elif base == 1:
-            vals = output(out, hi - lo + 1, np.int8)
+            block, period, steps = _completed_block(chi.period_values.tobytes(), tuple(fills), step)
+            vals = _fill_window(block, period, steps, step, lo, hi, out=out)
+        elif not liouville:
+            vals = output(out, size, np.int8)
             vals.fill(1)
         else:
-            vals = liouville_kfree_segment(lo, hi, self.k_truncation, out=out)
+            vals = _liouville_kfree_progression(lo, size, step, self.k_truncation, out)
         for p in flips:
-            for sel in _power_slices(lo, hi, p):
+            pe = p
+            while pe <= hi:
+                sel = slice((pe // step - lo // step) % pe, size, pe)
                 np.negative(vals[sel], out=vals[sel])
+                pe *= p
+        k = self.k_truncation
+        if k is not None and not liouville:
+            _zero_multiples(vals, lo, step, sieve_primes(introot(hi, k))[step - 1 :] ** k)
         return vals
 
 
-@lru_cache(maxsize=8)
-def _completed_block(period_values: bytes, fills: tuple[tuple[int, int], ...]):
-    """(block, Q, steps) of chi completed by the fills (p, v_p): chi~ on
-    [Q, 2Q - 1] as read-only whole periods, filled at K_p = 1 from chi's
-    own period, and the pairs (p^(K_p), v_p^(K_p)).  The K_p grow round
-    robin while Q = q * prod p^(K_p - 1) <= COMPLETED_PERIOD_MAX."""
+@lru_cache(maxsize=16)
+def _completed_block(period_values: bytes, fills: tuple[tuple[int, int], ...], step: int = 1):
+    """(block, period, steps) of chi completed by the fills (p, v_p), for
+    `_fill_window` at the given step.  At step 1: chi~ on [Q, 2Q - 1] as
+    read-only whole periods, an even number of them, filled at K_p = 1 from
+    chi's own period, its period Q, and the pairs (p^(K_p), v_p^(K_p)).
+    The K_p grow round robin while Q = q * prod p^(K_p - 1) <=
+    COMPLETED_PERIOD_MAX.  At step 2: the odd entries of that block, whole
+    periods of chi~(2t + 1) in t, of period Q / gcd(Q, 2), and the pairs
+    with odd p^(K_p)."""
+    if step == 2:
+        block, period, steps = _completed_block(period_values, fills, 1)
+        odd = block[1::2].copy()
+        odd.setflags(write=False)
+        return odd, period // math.gcd(period, 2), tuple((m, w) for m, w in steps if m % 2)
     chi = np.frombuffer(period_values, dtype=np.int8)
     q = period = len(chi)
     ks = dict.fromkeys((p for p, _ in fills), 1)
@@ -200,39 +232,36 @@ def _completed_block(period_values: bytes, fills: tuple[tuple[int, int], ...]):
         for p in ks:
             if period * p <= COMPLETED_PERIOD_MAX:
                 period, ks[p], grown = period * p, ks[p] + 1, True
-    block = _fill_window(period_block(chi), q, fills, period, 2 * period - 1)
+    block = _fill_window(period_block(chi), q, fills, 1, period, 2 * period - 1)
     return period_block(block), period, tuple((p ** ks[p], v ** ks[p]) for p, v in fills)
 
 
-def _fill_window(block: np.ndarray, period: int, steps, lo: int, hi: int, memo=None, out=None) -> np.ndarray:
-    """Values over [lo, hi], into `out` or a fresh array, of a completely
-    multiplicative function that is the sequence of the given period off
-    the multiples of each m in steps, where it is w * f(n / m) for its pair
-    (m, w): a phase slice of block, then each step writes w times the
-    window [lo/m, hi/m].
+def _fill_window(block: np.ndarray, period: int, steps, step: int, lo: int, hi: int,
+                 memo=None, out=None) -> np.ndarray:
+    """Values at n = lo, lo + step, ..., hi (step 1, or 2 from an odd lo),
+    into `out` or a fresh array, of a completely multiplicative function
+    that is the sequence of the given period in n // step off the multiples
+    of each m in steps, where it is w * f(n / m) for its pair (m, w): a
+    phase slice of block, then each step writes w times f over the
+    progression of the n / m, from the least term >= lo / m (odd at step 2)
+    to the greatest <= hi / m, at every m-th index.  At step 2 each m must
+    be odd.
 
-    The steps reach [lo/d, hi/d] along every ordering of d's factors; the
+    The steps reach the n / d along every ordering of d's factors; the
     memo computes each such window once.  It is passed down rather than
     closed over, as a self-referencing closure would leave the windows to
     the cycle collector."""
     memo = {} if memo is None else memo
     if (lo, hi) not in memo:
-        vals = tiled_window(block, period, lo, hi, out=out)
+        vals = tiled_window(block, period, lo // step, hi // step, out=out)
         for m, w in steps:
             c, d = -(-lo // m), hi // m
+            if step == 2:  # the odd terms of [c, d]
+                c, d = c | 1, (d - 1) | 1
             if c <= d:
-                vals[c * m - lo :: m] = w * _fill_window(block, period, steps, c, d, memo)
+                vals[(c * m - lo) // step :: m] = w * _fill_window(block, period, steps, step, c, d, memo)
         memo[lo, hi] = vals
     return memo[lo, hi]
-
-
-def _power_slices(lo: int, hi: int, p: int):
-    """Slices of a [lo, hi] window at the multiples of p, p^2, ... up to hi;
-    the entry for n lies in exactly v_p(n) of them."""
-    pe = p
-    while pe <= hi:
-        yield slice(-lo % pe, hi - lo + 1, pe)
-        pe *= p
 
 
 def character_rule(chi: RealCharacter, k: int | None = None) -> MultiplicativeRule:

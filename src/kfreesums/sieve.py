@@ -18,8 +18,8 @@ carry, a test that is exact for every hi up to 2^63-1, and the flag XORed
 with the count gives the sign's parity (see liouville_kfree_segment).
 
 The kernel's one body also sieves the odd n of a window alone, the
-progression lo + 2i from an odd lo, for `mertens`, which needs mu only
-there: p = 2 is skipped, the first powers of 3, ..., 13 come from the odd
+progression lo + 2i from an odd lo, for `direct_value`, which needs a rule
+only there: p = 2 is skipped, the first powers of 3, ..., 13 come from the odd
 half of the 30030-periodic pattern (period 15015), and the first odd
 multiple of each p^j sits at index (p^j // 2 - lo // 2) mod p^j, whose
 intermediates stay within int64, so no offset of an array of powers wraps.
@@ -320,7 +320,8 @@ def liouville_kfree_segment(
     to B = isqrt(hi), read from `sieve_primes`, with a multiple in the
     window (every p up to its length, and each larger p that one remainder
     test finds) one strided add of l(p) << 8 | 1, with l(p) =
-    floor(4 log2 p) an exact integer, hits the multiples of p, p^2, ...,
+    floor(4 log2 p) an exact integer (one table lookup for the window's
+    primes together, see `_quarter_log2`), hits the multiples of p, p^2, ...,
     p^(k-1); the multiples of p^k are zeroed on the int8 signs at the end.
     The first powers of 2, 3, 5, 7, 11 and 13 come from a 30030-periodic
     pattern, the rest from the loop.  The
@@ -348,8 +349,8 @@ def liouville_kfree_segment(
     the output's bytes; one XOR with the accumulator then leaves the
     parity of c(n) + [S < T] in bit 0.
 
-    The same body sieves the odd n of a window alone for `mertens`, one
-    index per odd n, and gives there this array's odd entries (see
+    The same body sieves the odd n of a window alone for `direct_value`,
+    one index per odd n, and gives there this array's odd entries (see
     `_liouville_kfree_progression`).
 
     Args:
@@ -392,9 +393,10 @@ def _liouville_kfree_progression(
     primes = primes[(primes // step - start) % primes < size]
     acc = tiled_window(_WHEEL_HITS[step - 1 :: step], _WHEEL // step, start, start + size - 1,
                        out=scratch(TABLE, size, np.uint16))
-    for p in primes.tolist():
+    # l(p) < 128: small ints, which the list holds without new objects
+    for p, l in zip(primes.tolist(), _quarter_log2(primes).tolist()):
         pj, j = (p * p, 2) if p in _WHEEL_PRIMES else (p, 1)
-        hit = _quarter_log2(p) << 8 | 1
+        hit = l << 8 | 1
         while pj <= hi and (k is None or j < k):
             t = acc[(pj // step - start) % pj :: pj]
             np.add(t, hit, out=t)
@@ -421,9 +423,19 @@ def _liouville_kfree_progression(
     return sign
 
 
-def _quarter_log2(p: int) -> int:
-    """floor(4 log2 p), exactly."""
-    return (p**4).bit_length() - 1
+# _QUARTER_LOG2_FROM[l] is the least p >= 1 with floor(4 log2 p) >= l, that
+# is with p^4 >= 2^l: introot(2^l - 1, 4) + 1, the fourth root taken as
+# isqrt(isqrt(.)), for l = 4 (b - 1) + r with b <= 32 and r < 4.  So every
+# p < 2^32 is covered, isqrt(2^63 - 1) among them.
+_QUARTER_LOG2_FROM = np.array([isqrt(isqrt(2**l - 1)) + 1 for l in range(128)], dtype=np.int64)
+
+
+def _quarter_log2(primes: np.ndarray) -> np.ndarray:
+    """floor(4 log2 p) for each p of an int64 array, 1 <= p < 2^32, exactly:
+    the number of thresholds _QUARTER_LOG2_FROM[l], l >= 1, at most p.  For
+    p of bit length b it is 4 (b - 1) plus the r in {1, 2, 3} with
+    p >= introot(2^(4 (b - 1) + r) - 1, 4) + 1."""
+    return np.searchsorted(_QUARTER_LOG2_FROM, primes, side="right") - 1
 
 
 def _wheel_pattern() -> np.ndarray:
@@ -431,8 +443,8 @@ def _wheel_pattern() -> np.ndarray:
     and 13, summed over two periods of n mod 30030, so that any period is
     one slice."""
     hits = np.zeros(2 * _WHEEL, dtype=np.uint16)
-    for p in _WHEEL_PRIMES:
-        hits[::p] += _quarter_log2(p) << 8 | 1
+    for p, l in zip(_WHEEL_PRIMES, _quarter_log2(np.array(_WHEEL_PRIMES)).tolist()):
+        hits[::p] += l << 8 | 1
     hits.setflags(write=False)
     return hits
 

@@ -7,8 +7,8 @@ leave (int8 or int16 within a block of at most 64 one-byte values, int64
 across a window's blocks, Python ints across windows) and no floating
 point enters any sum.  A checkpoint schedule records (x, M(x)) pairs
 along the way together with the exact running maximum of |M(t)| over all
-integers t <= x; `direct_value` adds the same windows to M(x) alone, with
-no series.
+integers t <= x; `direct_value` gives M(x) alone, with no series, from
+windows of f at odd n alone weighted by the partial sums of f(2^a).
 
 The Dirichlet hyperbola identity
 
@@ -58,7 +58,6 @@ from .rules import MultiplicativeRule, mobius_rule
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
-    _liouville_kfree_progression,
     as_int,
     as_real,
     as_schedule,
@@ -363,12 +362,26 @@ def direct_summatory(
 def direct_value(
     rule: MultiplicativeRule, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> int:
-    """M_f(limit) for a multiplicative rule, exactly: the windows of
-    `direct_summatory`, each added by `_window_sum`, with no series.
+    """M_f(limit) for a multiplicative rule, exactly, from f at odd n alone.
+
+    f(2^a m) = f(2^a) f(m) for odd m, so with x = limit, c_a = f(2^a) and
+    O(y) the sum of f over the odd n <= y, M_f(x) = sum_a c_a O(x >> a).
+    Abel summation regroups it by odd n: with C_b = c_0 + ... + c_b and D_b
+    the sum of f over the odd n in (x >> (b + 1), x >> b], M_f(x) =
+    sum_b C_b D_b.  Past the last B with c_B != 0 every C_b is C_B, so the
+    ranges from B on merge into [1, x >> B].  Only the ranges with
+    C_b != 0 are sieved, each by the rule's step-2 fill (see
+    `MultiplicativeRule._progression_values`) in windows of `segment_size`
+    odd values, each added by `_window_sum`:
+    - f(2) = -1 at k = 2 (mu, mu_2^2 chi with chi(2) = -1): C = (1, 0), so
+      only the odd n in (x // 2, x], about x / 4 values;
+    - f(2) = 0: C = (1), the odd n <= x;
+    - f(2) = +1: C = (1, 2, ...), the odd n <= x, every range once.
+    A default window thus fills the same 1 MiB of values as a stream's.
 
     A rule's values lie in {-1, 0, 1} (its base, overrides and sign flips
     are +-1 or a real character's value, its truncation 0), so each int8
-    column sum of `_window_sum` stays within +-64; each window's total is
+    column sum of `_window_sum` stays within +-64; each range's total is
     a Python int.
 
     Raises:
@@ -376,8 +389,20 @@ def direct_value(
         CapacityError: limit beyond MAX_STREAM_LIMIT.
     """
     limit = _check_limit(limit)
-    windows = _windows(_rule_fill(rule), 1, limit, segment_size=segment_size)
-    return sum(_window_sum(vals) for _, _, vals in windows)
+
+    def odd(a: int, b: int) -> np.ndarray:  # f at the odd n in [a, b]
+        size = (b - a) // 2 + 1
+        return rule._progression_values(a, size, 2, scratch(VALUES, size, np.int8))
+
+    c = [rule.prime_power_value(2, a) for a in range(limit.bit_length())]
+    last = max(a for a, v in enumerate(c) if v)
+    total = 0
+    for b, weight in enumerate(accumulate(c[: last + 1])):
+        if weight:
+            bottom = limit >> (b + 1) if b < last else 0
+            windows = _windows(odd, (bottom + 1) | 1, limit >> b, 2, segment_size)
+            total += weight * sum(_window_sum(vals) for _, _, vals in windows)
+    return total
 
 
 def _window_sum(vals: np.ndarray) -> int:
@@ -407,26 +432,11 @@ def summatory_mu_chi(
 
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """M_mu(limit), exactly, by sieving only the odd n in (limit // 2, limit].
-
-    mu(2m) = -mu(m) for odd m and 0 for even m, so with x = limit the even
-    n <= x contribute -M_odd(x // 2), where M_odd(y) sums mu over the odd
-    n <= y: M(x) = M_odd(x) - M_odd(x // 2).  Both sums run over the same
-    odd n <= x // 2, which cancel, so M(x) is the sum of mu over the odd n
-    in (x // 2, x], about x / 4 values.  Windows of `segment_size` of those
-    odd values each are sieved by the Liouville kernel at step 2 (see
-    `sieve._liouville_kfree_progression`), so a default window fills the
-    same 1 MiB of values and 2 MiB accumulator as a stream's, and is added
-    by `_window_sum`."""
-    limit = _check_limit(limit)
-
-    def odd(a: int, b: int) -> np.ndarray:  # mu at the odd n in [a, b]
-        size = (b - a) // 2 + 1
-        return _liouville_kfree_progression(a, size, 2, 2, scratch(VALUES, size, np.int8))
-
-    lo = (limit // 2 + 1) | 1  # the least odd n > limit // 2
-    windows = _windows(odd, lo, limit, 2, segment_size)
-    return sum(_window_sum(vals) for _, _, vals in windows)
+    """M_mu(limit), exactly: `direct_value` of `mobius_rule()`.  As
+    mu(2) = -1 and mu(4) = 0, it sieves only the odd n in
+    (limit // 2, limit], about limit / 4 values, in windows of
+    `segment_size` odd values each."""
+    return direct_value(mobius_rule(), limit, segment_size)
 
 
 def mertens_recursive(limit: int) -> int:

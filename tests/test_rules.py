@@ -27,7 +27,7 @@ from kfreesums import (
     sieve_mobius_segment,
     sqrt_split,
 )
-from kfreesums import rules
+from kfreesums import rules, workspace
 from kfreesums.characters import COMPLETED_PERIOD_MAX
 from kfreesums.convolution import kfree_factor_at_powers
 from kfreesums.sieve import MAX_LIMIT, liouville_kfree_segment
@@ -248,6 +248,55 @@ def test_plan_rule_windows_near_the_int64_top(rule, size, data):
     lo = hi - size + 1
     seg = rule.segment_values(lo, hi)
     assert seg.tolist() == [completed_value_at(rule, n) for n in range(lo, hi + 1)]
+
+
+# every modulus in 3..24 that carries a real character; the override pool
+# holds 2, each prime dividing one of them, and primes a character can be
+# flipped at
+ODD_MODULI = (3, 4, 5, 7, 8, 11, 12, 13, 15, 17, 19, 20, 21, 23, 24)
+ODD_OVERRIDES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 101)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.sampled_from(ODD_MODULI + (1, -1)),
+    overrides=st.dictionaries(st.sampled_from(ODD_OVERRIDES), st.sampled_from((-1, 1)), max_size=5),
+    k=st.sampled_from((None, 2, 3, 4)),
+    # lo = 2 t + 1: up to 10^12, and across 2^32
+    t=st.integers(0, 10**3) | st.integers(0, 5 * 10**11) | st.integers(2**31 - 300, 2**31 + 50),
+    size=st.integers(1, 300),
+)
+def test_odd_progression_is_the_odd_half_of_the_window(base, overrides, k, t, size):
+    if base not in (1, -1):
+        base = build_real_character(base)
+    rule = MultiplicativeRule(base=base, overrides=overrides, k_truncation=k)
+    lo = 2 * t + 1
+    expect = rule.segment_values(lo, lo + 2 * (size - 1))[::2].tolist()
+    with workspace.borrowed():
+        dirty = workspace.scratch(workspace.VALUES, size, np.int8)
+        dirty.fill(77)
+        vals = rule._progression_values(lo, size, 2, dirty)
+        assert vals is dirty
+        assert vals.tolist() == expect
+
+
+@pytest.mark.parametrize("q", [4, 8, 12, 15, 20, 21, 24])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_odd_progression_across_odd_multiples_of_the_fill_powers(q, sign, k):
+    # a fill p^(K_p) writes at its odd multiples, and one even p^(K_p) at
+    # none of the odd n: windows around every odd multiple p^j (2 r + 1),
+    # p | q, p^j <= 2^18, hold each p^(K_p) of the block
+    chi = build_real_character(q)
+    rule = MultiplicativeRule(base=chi, overrides=dict.fromkeys(chi.q_divisor_primes(), sign), k_truncation=k)
+    for p in chi.q_divisor_primes():
+        pj = p
+        while pj <= 2**18:
+            for r in (0, 1, 12345):
+                lo = max(1, pj * (2 * r + 1) - 41) | 1
+                expect = rule.segment_values(lo, lo + 82)[::2]
+                assert np.array_equal(rule._progression_values(lo, 42, 2, None), expect), (p, pj, r)
+            pj *= p
 
 
 def test_moduli_past_the_block_bound_keep_the_period_of_chi():

@@ -308,17 +308,41 @@ def test_liouville_kfree_segment_across_wheel_periods(j, k):
     (1009 * 10**9 - 1008, 1009 * 10**9 + 1008),  # 1009 hits only the even n 1009 * 10^9
 ])
 def test_liouville_kfree_segment_visits_only_primes_hitting_the_window(lo, hi, monkeypatch):
-    # each visited prime takes one quarter-bit log; a prime with no multiple
-    # in the window takes none, and at step 2 one with no odd multiple
+    # each visited prime takes one quarter-bit log, all of a window's in one
+    # call; a prime with no multiple in the window takes none, and at step 2
+    # one with no odd multiple
     primes = sieve_primes(isqrt(hi))
     visited = []
     real = sieve._quarter_log2
-    monkeypatch.setattr(sieve, "_quarter_log2", lambda p: visited.append(p) or real(p))
+    monkeypatch.setattr(sieve, "_quarter_log2", lambda ps: visited.extend(ps.tolist()) or real(ps))
     liouville_kfree_segment(lo, hi, 2)
     assert visited == [p for p in primes.tolist() if -lo % p <= hi - lo]
     visited.clear()
     odd_half(lo, hi, 2)
     assert visited == [p for p in primes.tolist() if any(n % 2 for n in range(lo + -lo % p, hi + 1, p))]
+
+
+def test_quarter_log2_is_exact_on_the_kept_primes_and_at_its_thresholds():
+    # each threshold T(b, r) = introot(2^(4 (b - 1) + r) - 1, 4) + 1, and
+    # the integers either side of it
+    thresholds = sieve._QUARTER_LOG2_FROM.tolist()
+    assert thresholds == [introot(2**l - 1, 4) + 1 for l in range(128)]
+    edges = np.array(sorted({t + d for t in thresholds for d in (-1, 0, 1)} - {0}), dtype=np.int64)
+    for ps in (sieve_primes(sieve.KEPT_PRIMES_MAX), edges):
+        assert sieve._quarter_log2(ps).tolist() == [(p**4).bit_length() - 1 for p in ps.tolist()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(2, isqrt(MAX_LIMIT)), min_size=1, max_size=20))
+def test_quarter_log2_is_exact_on_sampled_primes(ns):
+    # the largest prime at most each n, up to isqrt(2^63 - 1) ~ 3.04 * 10^9
+    primes = []
+    for n in ns:
+        while not is_prime(n):
+            n -= 1
+        primes.append(n)
+    got = sieve._quarter_log2(np.array(primes, dtype=np.int64)).tolist()
+    assert got == [(p**4).bit_length() - 1 for p in primes]
 
 
 def test_liouville_kfree_order_validation():

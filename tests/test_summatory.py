@@ -477,6 +477,17 @@ def test_direct_value_matches_the_series(rule, segment_size, data):
     assert direct_value(rule, x, segment_size) == series.final[1]
 
 
+# the odd ranges (x >> (b + 1), x >> b] of direct_value meet its windows'
+# edges at x near 2^j segment_size and 2^j (segment_size +- 1)
+@settings(max_examples=100, deadline=None)
+@given(rule=direct_rules(), segment_size=st.sampled_from((1, 2, 63, 64)), j=st.integers(0, 10),
+       e=st.sampled_from((-1, 0, 1)), d=st.integers(-2, 2))
+def test_direct_value_at_two_adic_window_edges(rule, segment_size, j, e, d):
+    x = max(1, 2**j * (segment_size + e) + d)
+    series = direct_summatory(rule, x, schedule=[x], segment_size=segment_size)
+    assert direct_value(rule, x, segment_size) == series.final[1]
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 2**20, 2**20 + 63])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_window_sum_at_its_int8_bound(n, sign):
